@@ -9,7 +9,7 @@ and emits the standard parameter studies as CSV datasets.
 
 __version__ = "0.1.0"
 
-from .modulation import Scheme, correlation_z, gaussian_z, lambdas, modulation_constants
+from .modulation import Scheme, correlation_z, gaussian_z, lambdas
 from .zpc import ZpcSetting, apply_zpc
 from .channel import (
     LinkGeometry,
@@ -42,7 +42,6 @@ __all__ = [
     "correlation_z",
     "gaussian_z",
     "lambdas",
-    "modulation_constants",
     "ZpcSetting",
     "apply_zpc",
     "LinkGeometry",

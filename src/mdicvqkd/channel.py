@@ -40,8 +40,8 @@ class LinkGeometry:
             raise ValueError("link lengths must be finite")
         if self.l_ac < 0.0 or self.l_bc < 0.0:
             raise ValueError("link lengths must be >= 0")
-        if self.loss_mu <= 0.0:
-            raise ValueError("loss_mu must be > 0")
+        if not (self.loss_mu > 0.0) or math.isinf(self.loss_mu):
+            raise ValueError(f"loss_mu must be finite and > 0, got {self.loss_mu}")
 
     @property
     def total_km(self) -> float:

@@ -433,6 +433,8 @@ def _figure_overrides(args, parser) -> dict:
             overrides["extra_eps"] = tuple(float(s) for s in args.extra_eps.split(","))
         except ValueError:
             parser.error(f"--extra-eps expects comma-separated numbers, got {args.extra_eps!r}")
+        if any(not (e >= 0.0) or math.isinf(e) for e in overrides["extra_eps"]):
+            parser.error(f"--extra-eps must be finite and >= 0, got {args.extra_eps!r}")
     if args.per_arm:
         if fid not in ("fig6", "fig7", "fig8"):
             parser.error("--per-arm applies only to the symmetric figures (fig6/7/8)")

@@ -53,8 +53,9 @@ class ProtocolConfig:
             raise ValueError(f"variance_v must be > 1, got {self.variance_v}")
         if not (0.0 < self.beta <= 1.0):
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-        if self.eps_a < 0.0 or self.eps_b < 0.0:
-            raise ValueError("excess noise must be >= 0")
+        for eps in (self.eps_a, self.eps_b):
+            if not (eps >= 0.0) or math.isinf(eps):
+                raise ValueError(f"excess noise must be finite and >= 0, got {eps}")
 
     @property
     def alpha_sq(self) -> float:
@@ -111,6 +112,22 @@ class Evaluation:
     attenuated_alpha_sq: float
 
 
+def _channel(config: ProtocolConfig) -> EquivalentChannel:
+    return equivalent_channel(
+        config.geometry, config.eps_a, config.eps_b, v_bob=config.variance_v
+    )
+
+
+def _covariance(
+    config: ProtocolConfig, atten: float, chan: EquivalentChannel
+) -> FinalCovariance:
+    x_t = 1.0 + 2.0 * atten
+    z_t = correlation_z(config.scheme, atten)
+    return FinalCovariance(
+        a=x_t, b=chan.t_c * (x_t + chan.chi_t), c=math.sqrt(chan.t_c) * z_t
+    )
+
+
 def final_covariance(config: ProtocolConfig) -> FinalCovariance:
     """Covariance of Alice's kept mode and the channel output mode.
 
@@ -119,15 +136,7 @@ def final_covariance(config: ProtocolConfig) -> FinalCovariance:
     and added noise act on the b and c entries.
     """
     atten, _ = apply_zpc(config.alpha_sq, config.zpc)
-    chan = equivalent_channel(
-        config.geometry, config.eps_a, config.eps_b, v_bob=config.variance_v
-    )
-    x_t = 1.0 + 2.0 * atten
-    z_t = correlation_z(config.scheme, atten)
-    a = x_t
-    b = chan.t_c * (x_t + chan.chi_t)
-    c = math.sqrt(chan.t_c) * z_t
-    return FinalCovariance(a=a, b=b, c=c)
+    return _covariance(config, atten, _channel(config))
 
 
 def mutual_information(cov: FinalCovariance) -> float:
@@ -173,14 +182,17 @@ def symplectic_eigenvalues(cov: FinalCovariance) -> tuple[float, float, float]:
     return kappa1, kappa2, kappa3
 
 
-def holevo_bound(cov: FinalCovariance) -> float:
-    """Eavesdropper information bound chi_BE, bits per use."""
-    kappa1, kappa2, kappa3 = symplectic_eigenvalues(cov)
+def _holevo(kappa1: float, kappa2: float, kappa3: float) -> float:
     return (
         von_neumann_g((kappa1 - 1.0) / 2.0)
         + von_neumann_g((kappa2 - 1.0) / 2.0)
         - von_neumann_g((kappa3 - 1.0) / 2.0)
     )
+
+
+def holevo_bound(cov: FinalCovariance) -> float:
+    """Eavesdropper information bound chi_BE, bits per use."""
+    return _holevo(*symplectic_eigenvalues(cov))
 
 
 def evaluate_protocol(config: ProtocolConfig) -> Evaluation:
@@ -190,49 +202,20 @@ def evaluate_protocol(config: ProtocolConfig) -> Evaluation:
     physical = False and the score fields unset.
     """
     atten, p_d = apply_zpc(config.alpha_sq, config.zpc)
-    chan = equivalent_channel(
-        config.geometry, config.eps_a, config.eps_b, v_bob=config.variance_v
-    )
+    chan = _channel(config)
     try:
-        cov = final_covariance(config)
-        kappa1, kappa2, kappa3 = symplectic_eigenvalues(cov)
+        cov = _covariance(config, atten, chan)
+        kappas = symplectic_eigenvalues(cov)
         i_ab = mutual_information(cov)
-        chi_be = (
-            von_neumann_g((kappa1 - 1.0) / 2.0)
-            + von_neumann_g((kappa2 - 1.0) / 2.0)
-            - von_neumann_g((kappa3 - 1.0) / 2.0)
-        )
+        chi_be = _holevo(*kappas)
         skr = p_d * (config.beta * i_ab - chi_be)
         if not (math.isfinite(i_ab) and math.isfinite(chi_be) and math.isfinite(skr)):
             raise NonPhysicalStateError("non-finite rate")
     except NonPhysicalStateError:
-        result = KeyRateResult(
-            p_d=p_d,
-            i_ab=None,
-            chi_be=None,
-            kappa1=None,
-            kappa2=None,
-            kappa3=None,
-            skr=None,
-            physical=False,
-        )
-        return Evaluation(
-            config=config,
-            result=result,
-            channel=chan,
-            covariance=None,
-            attenuated_alpha_sq=atten,
-        )
-    result = KeyRateResult(
-        p_d=p_d,
-        i_ab=i_ab,
-        chi_be=chi_be,
-        kappa1=kappa1,
-        kappa2=kappa2,
-        kappa3=kappa3,
-        skr=skr,
-        physical=True,
-    )
+        cov = None
+        result = KeyRateResult(p_d, None, None, None, None, None, None, physical=False)
+    else:
+        result = KeyRateResult(p_d, i_ab, chi_be, *kappas, skr, physical=True)
     return Evaluation(
         config=config,
         result=result,

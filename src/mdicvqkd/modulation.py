@@ -12,7 +12,6 @@ V_M = 2 alpha^2.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -39,6 +38,9 @@ _CLOSED_FORM_MIN = 1.0
 # (the deviation decays like exp(-alpha_sq * (1 - cos(2*pi/M)))).
 _UNIFORM_MAX = 500.0
 
+# Half an ulp of x is at least x * 2^-54, so x + t == x for any t below it.
+_HALF_ULP = 2.0**-54
+
 # Floor applied to denominators in the Z sum purely to avoid division
 # exceptions; every affected term is zero or vanishes in exact arithmetic.
 _DENOM_FLOOR = 1e-300
@@ -54,8 +56,14 @@ def _check_alpha_sq(alpha_sq: float) -> float:
 def _poisson_residue_sums(alpha_sq: float, modulus: int) -> list[float]:
     """Accumulate the Poisson pmf with mean alpha_sq into residue classes.
 
-    Runs until the terms underflow so even the smallest class keeps full
-    relative precision (all terms are positive, nothing cancels).
+    All terms are positive, so nothing cancels and every class keeps full
+    relative precision.  The sum stops as soon as no further term can
+    change any class: past the mode (n > alpha_sq) the terms only fall
+    and the classes only grow, so once every class holds a term, a term
+    below min(classes) * 2^-54, half an ulp of the smallest class, and
+    every term after it round away.  The list is bit for bit the one
+    obtained by summing until the terms fall below 1e-300, which stays
+    the exit for alpha_sq = 0 and for classes too small for that floor.
     """
     if alpha_sq > _UNIFORM_MAX:
         return [1.0 / modulus] * modulus
@@ -66,8 +74,17 @@ def _poisson_residue_sums(alpha_sq: float, modulus: int) -> list[float]:
         out[n % modulus] += term
         n += 1
         term *= alpha_sq / n
-        if term < 1e-300 and n > alpha_sq:
-            return out
+        if n > alpha_sq:
+            if term < 1e-300:
+                return out
+            if n >= modulus:
+                break
+    limit = max(min(out) * _HALF_ULP, 1e-300)
+    while term >= limit:
+        out[n % modulus] += term
+        n += 1
+        term *= alpha_sq / n
+    return out
 
 
 def _lambdas_eight_closed(x: float) -> list[float]:
@@ -162,24 +179,3 @@ def correlation_z(scheme: Scheme, alpha_sq: float) -> float:
         num = lams[k - 1] ** 1.5
         total += num / math.sqrt(max(lams[k], _DENOM_FLOOR))
     return 2.0 * x * total
-
-
-@dataclass(frozen=True)
-class ModulationConstants:
-    """Constellation weights and correlation for one amplitude-squared."""
-
-    scheme: Scheme
-    alpha_sq: float
-    lambdas: tuple[float, ...]
-    z: float
-
-
-def modulation_constants(scheme: Scheme, alpha_sq: float) -> ModulationConstants:
-    """Bundle the weights and correlation coefficient for a scheme."""
-    x = _check_alpha_sq(alpha_sq)
-    return ModulationConstants(
-        scheme=scheme,
-        alpha_sq=x,
-        lambdas=tuple(lambdas(scheme, x)),
-        z=correlation_z(scheme, x),
-    )

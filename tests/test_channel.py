@@ -30,8 +30,9 @@ def test_geometry_validation_and_total():
         LinkGeometry(-1.0, 0.0)
     with pytest.raises(ValueError):
         LinkGeometry(1.0, math.inf)
-    with pytest.raises(ValueError):
-        LinkGeometry(1.0, 1.0, loss_mu=0.0)
+    for bad_mu in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            LinkGeometry(1.0, 1.0, loss_mu=bad_mu)
 
 
 def test_geometry_scaling_preserves_arm_ratio():

@@ -165,6 +165,21 @@ def test_cli_keyrate_bad_flags(capsys):
     assert code == 1
 
 
+def test_cli_rejects_non_finite(capsys):
+    for argv in (
+        ["keyrate", "--mu", "nan"],
+        ["keyrate", "--mu", "inf"],
+        ["keyrate", "--eps", "nan"],
+        ["figure", "fig4", "--extra-eps", "nan"],
+        ["figure", "fig4", "--extra-eps", "0.001,-1"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1, argv
+        assert out == ""
+        assert "Traceback" not in err
+        assert "must be finite" in err
+
+
 def test_cli_scenario_with_flag_override(tmp_path, capsys):
     p = tmp_path / "base.scenario"
     p.write_text("variance = 2.0\nlac = 10\n", encoding="utf-8")

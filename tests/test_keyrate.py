@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import mdicvqkd.keyrate
 from mdicvqkd.channel import LinkGeometry, equivalent_channel
 from mdicvqkd.keyrate import (
     FinalCovariance,
@@ -204,10 +205,54 @@ def test_config_validation():
         config(beta=0.0)
     with pytest.raises(ValueError):
         config(beta=1.2)
-    with pytest.raises(ValueError):
-        config(eps=-0.001)
+    for bad_eps in (-0.001, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            config(eps=bad_eps)
 
 
 def test_secret_key_rate_is_evaluation_result():
     cfg = config(variance_v=2.2, zpc=ZpcSetting.on(0.5))
     assert secret_key_rate(cfg) == evaluate_protocol(cfg).result
+
+
+def test_evaluation_is_single_pass(monkeypatch):
+    calls = {"equivalent_channel": 0, "apply_zpc": 0}
+
+    def counted(name):
+        fn = getattr(mdicvqkd.keyrate, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mdicvqkd.keyrate, name, counted(name))
+    evaluate_protocol(config(zpc=ZpcSetting.on(0.6), variance_v=2.6))
+    assert calls == {"equivalent_channel": 1, "apply_zpc": 1}
+
+
+def test_evaluation_matches_separate_steps():
+    rng = random.Random(23)
+    for _ in range(300):
+        cfg = random_config(rng)
+        ev = evaluate_protocol(cfg)
+        assert ev.result.physical
+        assert ev.covariance == final_covariance(cfg)
+        assert ev.result.chi_be == holevo_bound(ev.covariance)
+        assert (ev.result.kappa1, ev.result.kappa2, ev.result.kappa3) == (
+            symplectic_eigenvalues(ev.covariance)
+        )
+        assert ev.channel == equivalent_channel(
+            cfg.geometry, cfg.eps_a, cfg.eps_b, v_bob=cfg.variance_v
+        )
+
+
+def test_nonphysical_evaluation_keeps_intermediates():
+    cfg = config(variance_v=1e300, zpc=ZpcSetting.on(0.5))
+    ev = evaluate_protocol(cfg)
+    assert not ev.result.physical
+    assert ev.covariance is None
+    assert ev.attenuated_alpha_sq == 0.5 * cfg.alpha_sq
+    assert ev.channel.t_c > 0.0

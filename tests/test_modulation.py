@@ -16,7 +16,6 @@ from mdicvqkd.modulation import (
     lambdas,
     lambdas_eight,
     lambdas_four,
-    modulation_constants,
 )
 
 
@@ -86,6 +85,33 @@ def test_matches_oracle_across_regimes():
             assert err < 1e-13, f"x={x} m={m} err={err}"
 
 
+def residue_sums_to_underflow(alpha_sq: float, modulus: int) -> list[float]:
+    """The residue sum run until the terms fall below 1e-300 (no early stop)."""
+    if alpha_sq > 500.0:
+        return [1.0 / modulus] * modulus
+    out = [0.0] * modulus
+    term = math.exp(-alpha_sq)
+    n = 0
+    while True:
+        out[n % modulus] += term
+        n += 1
+        term *= alpha_sq / n
+        if term < 1e-300 and n > alpha_sq:
+            return out
+
+
+def test_early_stop_is_bit_identical():
+    # the half-ulp stop may only skip additions that round to no-ops
+    rng = random.Random(2009)
+    xs = [0.0, 5e-324, 1e-300, 1e-40, 1.0, 30.0, 499.999, 500.0]
+    xs += [rng.random() for _ in range(2000)]
+    xs += [rng.uniform(30.0, 500.0) for _ in range(300)]
+    xs += [10.0 ** rng.uniform(-12.0, 0.0) for _ in range(500)]
+    for x in xs:
+        for m in (4, 8):
+            assert _poisson_residue_sums(x, m) == residue_sums_to_underflow(x, m), (x, m)
+
+
 def test_branches_agree_at_upper_switch():
     # the closed forms hand over to the series at x = 30
     for x in (29.5, 30.0, 30.5):
@@ -151,11 +177,3 @@ def test_rejects_bad_amplitude():
             lambdas_eight(bad)
         with pytest.raises(ValueError):
             correlation_z(Scheme.FOUR, bad)
-
-
-def test_constants_bundle_consistent():
-    mc = modulation_constants(Scheme.EIGHT, 0.7)
-    assert mc.scheme is Scheme.EIGHT
-    assert mc.alpha_sq == 0.7
-    assert mc.lambdas == tuple(lambdas_eight(0.7))
-    assert mc.z == correlation_z(Scheme.EIGHT, 0.7)

@@ -31,11 +31,12 @@ from .optimize import (
     OptimizationGrid,
     TOptimum,
     TvOptimum,
+    beta_zero_crossing,
     max_distance,
     optimize_t,
     optimize_tv,
 )
-from .scenarios import Case, Dataset, Variant, beta_zero_crossing, run_figure
+from .scenarios import Case, Dataset, Variant, run_figure
 
 __all__ = [
     "Scheme",

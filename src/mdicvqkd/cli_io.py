@@ -22,7 +22,7 @@ from .keyrate import ProtocolConfig, evaluate_protocol
 from .channel import LinkGeometry
 from .modulation import Scheme
 from .optimize import OptimizationGrid, max_distance, optimize_t, optimize_tv
-from .scenarios import FIGURE_IDS, Dataset, run_figure
+from .scenarios import FIGURE_IDS, FIGURES, Dataset, run_figure
 from .zpc import ZpcSetting
 
 _DOMAIN_WARNING = (
@@ -69,24 +69,41 @@ class SweepSpec:
         )
 
 
-_SCENARIO_KEYS = (
-    "scheme",
-    "zpc_t",
-    "variance",
-    "beta",
-    "eps",
-    "eps_a",
-    "eps_b",
-    "lac",
-    "lbc",
-    "mu",
-)
+# Scenario-file keys -> help of the flag that sets the same value, which
+# is --key with "-" for "_".  eps sets eps_a and eps_b together.
+_SCENARIO_KEYS = {
+    "scheme": "modulation constellation",
+    "zpc_t": "catalysis beam-splitter transmittance T in (0,1], or 'off'",
+    "variance": "source variance V > 1",
+    "beta": "reconciliation efficiency in (0,1]",
+    "eps": "excess noise for both links",
+    "eps_a": "excess noise of the Alice-relay link",
+    "eps_b": "excess noise of the Bob-relay link",
+    "lac": "Alice-relay fiber length, km",
+    "lbc": "Bob-relay fiber length, km",
+    "mu": "fiber loss, dB/km (default 0.2)",
+}
 
 
-def _parse_zpc_value(text: str) -> ZpcSetting:
-    if text.strip().lower() == "off":
-        return ZpcSetting.off()
-    return ZpcSetting.on(float(text))
+def _spec_fields(values: dict[str, str]) -> dict:
+    """SweepSpec fields from scenario-key text, as a file or the flags give it."""
+    if "eps" in values and ("eps_a" in values or "eps_b" in values):
+        raise ValueError("eps conflicts with eps_a/eps_b; give one or the other")
+    fields = {}
+    for key, text in values.items():
+        try:
+            if key == "scheme":
+                fields[key] = Scheme(text.lower())
+            elif key == "zpc_t":
+                off = text.strip().lower() == "off"
+                fields["zpc"] = ZpcSetting.off() if off else ZpcSetting.on(float(text))
+            elif key == "eps":
+                fields["eps_a"] = fields["eps_b"] = float(text)
+            else:
+                fields[key] = float(text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return fields
 
 
 def parse_scenario(text: str) -> SweepSpec:
@@ -109,24 +126,9 @@ def parse_scenario(text: str) -> SweepSpec:
         if key in seen:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
         seen[key] = value
-    if "eps" in seen and ("eps_a" in seen or "eps_b" in seen):
-        raise ScenarioError("eps conflicts with eps_a/eps_b; give one or the other")
-
-    kwargs = {}
     try:
-        if "scheme" in seen:
-            kwargs["scheme"] = Scheme(seen["scheme"].lower())
-        if "zpc_t" in seen:
-            kwargs["zpc"] = _parse_zpc_value(seen["zpc_t"])
-        if "eps" in seen:
-            kwargs["eps_a"] = kwargs["eps_b"] = float(seen["eps"])
-        for key in ("variance", "beta", "eps_a", "eps_b", "lac", "lbc", "mu"):
-            if key in seen:
-                kwargs[key] = float(seen[key])
-        spec = SweepSpec(**kwargs)
+        spec = SweepSpec(**_spec_fields(seen))
         spec.config()  # validate ranges eagerly
-    except ScenarioError:
-        raise
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     return spec
@@ -142,19 +144,20 @@ def load_scenario_file(path) -> SweepSpec:
 
 def serialize_scenario(spec: SweepSpec) -> str:
     """Scenario-file text that parses back to an equal SweepSpec."""
-    zpc_t = format_value(spec.zpc.t) if spec.zpc.enabled else "off"
-    lines = [
-        f"scheme = {spec.scheme.value}",
-        f"zpc_t = {zpc_t}",
-        f"variance = {format_value(spec.variance)}",
-        f"beta = {format_value(spec.beta)}",
-        f"eps_a = {format_value(spec.eps_a)}",
-        f"eps_b = {format_value(spec.eps_b)}",
-        f"lac = {format_value(spec.lac)}",
-        f"lbc = {format_value(spec.lbc)}",
-        f"mu = {format_value(spec.mu)}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {format_value(v)}\n" for key, v in _spec_echo(spec).items())
+
+
+def _spec_echo(spec: SweepSpec) -> dict:
+    """The spec under its scenario keys, eps written as eps_a and eps_b."""
+    echo = {}
+    for key in _SCENARIO_KEYS:
+        if key == "scheme":
+            echo[key] = spec.scheme.value
+        elif key == "zpc_t":
+            echo[key] = spec.zpc.t if spec.zpc.enabled else "off"
+        elif key != "eps":
+            echo[key] = getattr(spec, key)
+    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -228,21 +231,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", metavar="FILE", help="scenario file supplying defaults")
-    p.add_argument("--scheme", choices=[s.value for s in Scheme])
-    p.add_argument(
-        "--zpc-t",
-        dest="zpc_t",
-        metavar="T|off",
-        help="catalysis beam-splitter transmittance in (0,1], or 'off'",
-    )
-    p.add_argument("--variance", type=float, help="source variance V > 1")
-    p.add_argument("--beta", type=float, help="reconciliation efficiency in (0,1]")
-    p.add_argument("--eps", type=float, help="excess noise for both links")
-    p.add_argument("--eps-a", dest="eps_a", type=float)
-    p.add_argument("--eps-b", dest="eps_b", type=float)
-    p.add_argument("--lac", type=float, help="Alice-relay fiber length, km")
-    p.add_argument("--lbc", type=float, help="Bob-relay fiber length, km")
-    p.add_argument("--mu", type=float, help="fiber loss, dB/km (default 0.2)")
+    for key, help_text in _SCENARIO_KEYS.items():
+        # a flag takes the scheme's exact spelling; a scenario file may vary its case
+        choices = [s.value for s in Scheme] if key == "scheme" else None
+        p.add_argument("--" + key.replace("_", "-"), dest=key, choices=choices, help=help_text)
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
@@ -255,60 +247,23 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--refine-iters", dest="refine_iters", type=int)
 
 
-def _resolve_spec(args, parser: argparse.ArgumentParser) -> SweepSpec:
-    if args.eps is not None and (args.eps_a is not None or args.eps_b is not None):
-        parser.error("--eps conflicts with --eps-a/--eps-b")
-    try:
-        base = load_scenario_file(args.scenario) if args.scenario else SweepSpec()
-    except ScenarioError as exc:
-        parser.error(str(exc))
-    kwargs = {}
-    if args.scheme is not None:
-        kwargs["scheme"] = Scheme(args.scheme)
-    if args.zpc_t is not None:
-        try:
-            kwargs["zpc"] = _parse_zpc_value(args.zpc_t)
-        except ValueError as exc:
-            parser.error(str(exc))
-    if args.eps is not None:
-        kwargs["eps_a"] = kwargs["eps_b"] = args.eps
-    for key in ("variance", "beta", "eps_a", "eps_b", "lac", "lbc", "mu"):
-        val = getattr(args, key)
-        if val is not None:
-            kwargs[key] = val
-    spec = replace(base, **kwargs)
-    try:
-        spec.config()
-    except ValueError as exc:
-        parser.error(str(exc))
+def _resolve_spec(args) -> SweepSpec:
+    """The scenario file, if any, overridden by the protocol flags given."""
+    given = {key: getattr(args, key) for key in _SCENARIO_KEYS if getattr(args, key) is not None}
+    fields = _spec_fields(given)
+    base = load_scenario_file(args.scenario) if args.scenario else SweepSpec()
+    spec = replace(base, **fields)
+    spec.config()  # validate ranges eagerly
     return spec
 
 
-def _resolve_grid(args, parser: argparse.ArgumentParser) -> OptimizationGrid:
-    defaults = OptimizationGrid()
+def _resolve_grid(args) -> OptimizationGrid:
     kwargs = {}
     for key in ("t_lo", "t_hi", "t_steps", "v_lo", "v_hi", "v_steps", "refine_iters"):
         val = getattr(args, key)
         if val is not None:
             kwargs[key] = val
-    try:
-        return replace(defaults, **kwargs)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _spec_echo(spec: SweepSpec) -> dict:
-    return {
-        "scheme": spec.scheme.value,
-        "zpc_t": spec.zpc.t if spec.zpc.enabled else "off",
-        "variance": spec.variance,
-        "beta": spec.beta,
-        "eps_a": spec.eps_a,
-        "eps_b": spec.eps_b,
-        "lac": spec.lac,
-        "lbc": spec.lbc,
-        "mu": spec.mu,
-    }
+    return OptimizationGrid(**kwargs)
 
 
 def _jsonable(x):
@@ -322,8 +277,8 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _cmd_keyrate(args, parser) -> int:
-    spec = _resolve_spec(args, parser)
+def _cmd_keyrate(args) -> int:
+    spec = _resolve_spec(args)
     cfg = spec.config()
     ev = evaluate_protocol(cfg)
     res = ev.result
@@ -357,13 +312,13 @@ def _cmd_keyrate(args, parser) -> int:
     return 0 if res.physical else 2
 
 
-def _cmd_optimize(args, parser) -> int:
-    spec = _resolve_spec(args, parser)
-    grid = _resolve_grid(args, parser)
+def _cmd_optimize(args) -> int:
+    spec = _resolve_spec(args)
+    grid = _resolve_grid(args)
     mode = args.optimize
     if mode == "t":
         if args.zpc_t is not None and args.zpc_t.strip().lower() == "off":
-            parser.error("--optimize t needs catalysis; drop '--zpc-t off'")
+            raise ValueError("--optimize t needs catalysis; drop '--zpc-t off'")
         if not spec.zpc.enabled:
             # t is the optimized variable, so an omitted flag means "on"
             spec = replace(spec, zpc=ZpcSetting.on(1.0))
@@ -387,6 +342,7 @@ def _cmd_optimize(args, parser) -> int:
         payload.update(
             t_star=opt.t_star, skr_star=_jsonable(opt.skr_star), no_key=opt.no_key
         )
+        reported = replace(cfg, zpc=cfg.zpc.with_t(opt.t_star))
     elif mode == "tv":
         opt = optimize_tv(cfg, grid)
         payload.update(
@@ -395,59 +351,61 @@ def _cmd_optimize(args, parser) -> int:
             skr_star=_jsonable(opt.skr_star),
             no_key=opt.no_key,
         )
+        reported = replace(cfg, variance_v=opt.v_star, zpc=cfg.zpc.with_t(opt.t_star))
     else:
         md = max_distance(cfg, grid, tol_km=args.tol_km)
         payload.update(max_distance_km=md.distance_km, no_key=md.no_key)
-    if spec.config().warn_domain:
-        payload["warnings"] = [_DOMAIN_WARNING]
-    else:
-        payload["warnings"] = []
+        reported = cfg  # T and V are the input's; only the distance was searched
+    payload["warnings"] = [_DOMAIN_WARNING] if reported.warn_domain else []
     _print_json(payload)
     return 0
 
 
-def _figure_overrides(args, parser) -> dict:
-    fid = args.figure_id
+# Figure flags -> the optional builder keyword each sets.
+_FIGURE_FLAGS = {
+    "--extra-eps": "extra_eps",
+    "--per-arm": "sym_per_arm",
+    "--arm-diff": "arm_diff_axis",
+}
+
+
+def _figures_taking(keyword: str) -> str:
+    return "/".join(fid for fid, fig in FIGURES.items() if keyword in fig[3])
+
+
+def _eps_list(text: str) -> tuple[float, ...]:
+    """The --extra-eps value: comma-separated excess noises, finite and >= 0."""
+    try:
+        eps = tuple(float(s) for s in text.split(","))
+    except ValueError:
+        msg = f"expects comma-separated numbers, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
+    if any(not (e >= 0.0) or math.isinf(e) for e in eps):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return eps
+
+
+def _figure_overrides(args) -> dict:
+    """run_figure keyword arguments from the figure flags, refusing a flag
+    the figure does not take."""
+    _, _, step_keys, accepted = FIGURES[args.figure_id]
     overrides = {}
+    for flag, key in _FIGURE_FLAGS.items():
+        value = getattr(args, key)
+        if value in (None, False):
+            continue
+        if key not in accepted:
+            raise ValueError(f"{flag} applies only to {_figures_taking(key)}")
+        overrides[key] = value
     if args.steps is not None:
         if args.steps < 2:
-            parser.error("--steps must be >= 2")
-        key = {
-            "fig2": "steps",
-            "fig3": "v_steps",
-            "fig6": "v_steps",
-            "fig4": "l_steps",
-            "fig7": "l_steps",
-            "fig5": "beta_steps",
-            "fig8": "beta_steps",
-            "fig9a": "l_steps",
-            "fig9b": "l_steps",
-        }[fid]
-        overrides[key] = args.steps
-        if fid in ("fig3", "fig6"):
-            overrides["l_steps"] = args.steps
-    if args.extra_eps is not None:
-        if fid not in ("fig4", "fig7"):
-            parser.error("--extra-eps applies only to fig4 and fig7")
-        try:
-            overrides["extra_eps"] = tuple(float(s) for s in args.extra_eps.split(","))
-        except ValueError:
-            parser.error(f"--extra-eps expects comma-separated numbers, got {args.extra_eps!r}")
-        if any(not (e >= 0.0) or math.isinf(e) for e in overrides["extra_eps"]):
-            parser.error(f"--extra-eps must be finite and >= 0, got {args.extra_eps!r}")
-    if args.per_arm:
-        if fid not in ("fig6", "fig7", "fig8"):
-            parser.error("--per-arm applies only to the symmetric figures (fig6/7/8)")
-        overrides["sym_per_arm"] = True
-    if args.arm_diff:
-        if fid != "fig9a":
-            parser.error("--arm-diff applies only to fig9a")
-        overrides["arm_diff_axis"] = True
+            raise ValueError("--steps must be >= 2")
+        overrides.update(dict.fromkeys(step_keys, args.steps))
     return overrides
 
 
-def _cmd_figure(args, parser) -> int:
-    overrides = _figure_overrides(args, parser)
+def _cmd_figure(args) -> int:
+    overrides = _figure_overrides(args)
     datasets = run_figure(args.figure_id, **overrides)
     echo = {"figure": args.figure_id}
     echo.update({k: list(v) if isinstance(v, tuple) else v for k, v in overrides.items()})
@@ -455,7 +413,7 @@ def _cmd_figure(args, parser) -> int:
         # one manifest per figure so several runs can share a directory
         paths = write_datasets(datasets, args.out, echo, f"{args.figure_id}_manifest.json")
     except OSError as exc:
-        print(f"{parser.prog}: error: cannot write to {args.out}: {exc}", file=sys.stderr)
+        print(f"{args.subparser.prog}: error: cannot write to {args.out}: {exc}", file=sys.stderr)
         return 1
     for p in paths:
         print(p)
@@ -488,19 +446,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--extra-eps",
         dest="extra_eps",
         metavar="E1,E2,...",
-        help="extra excess-noise curves for the best variant (fig4/fig7)",
+        type=_eps_list,
+        help=f"extra excess-noise curves for the best variant ({_figures_taking('extra_eps')})",
     )
     p_fig.add_argument(
         "--per-arm",
-        dest="per_arm",
+        dest="sym_per_arm",
         action="store_true",
-        help="report per-arm rather than total distance in symmetric figures",
+        help="report per-arm rather than total distance in symmetric figures"
+        f" ({_figures_taking('sym_per_arm')})",
     )
     p_fig.add_argument(
         "--arm-diff",
-        dest="arm_diff",
+        dest="arm_diff_axis",
         action="store_true",
-        help="fig9a: report the arm difference l_ac-l_bc instead of the traversed total",
+        help="report the arm difference l_ac-l_bc instead of the traversed total"
+        f" ({_figures_taking('arm_diff_axis')})",
     )
     p_fig.set_defaults(func=_cmd_figure, subparser=p_fig)
     return parser
@@ -509,7 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, args.subparser)
+    try:
+        return args.func(args)
+    except (ValueError, RuntimeError) as exc:
+        args.subparser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Deterministic optimizers: catalysis transmittance, source variance,
-and maximum transmission distance.
+maximum transmission distance, and the reconciliation-efficiency
+threshold.
 
 Everything is coarse-grid scan plus golden-section refinement around the
 best bracket.  No randomness, no gradient estimates; ties break toward
@@ -183,6 +184,34 @@ def optimize_tv(config: ProtocolConfig, grid: OptimizationGrid | None = None) ->
         skr_star=skr_star,
         no_key=not (skr_star > 0.0),
     )
+
+
+def beta_zero_crossing(
+    config: ProtocolConfig, grid: OptimizationGrid | None = None
+) -> tuple[float, float]:
+    """Reconciliation efficiency at which the best achievable rate turns
+    positive, with the transmittance attaining it.  "Best" is over T at
+    the config's own variance; the variance is not optimized.
+
+    The rate is linear in beta with slope P_d I_AB, so for every fixed T
+    the crossing sits at chi_BE / I_AB and optimizing T means taking the
+    smallest such ratio.  Values above 1 mean no key at any efficiency;
+    inf means no physical operating point at all.
+    """
+    grid = grid or OptimizationGrid()
+
+    def neg_ratio(t: float) -> float:
+        res = secret_key_rate(replace(config, zpc=config.zpc.with_t(t)))
+        if not res.physical or res.i_ab is None or res.i_ab <= 0.0:
+            return -math.inf
+        return -res.chi_be / res.i_ab
+
+    if not config.zpc.enabled:
+        return -neg_ratio(1.0), 1.0
+    t_at, neg_beta = _scan_and_refine(
+        neg_ratio, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
+    )
+    return -neg_beta, t_at
 
 
 def max_distance(

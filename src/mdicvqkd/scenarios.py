@@ -16,7 +16,7 @@ from enum import Enum
 from .channel import LinkGeometry, equivalent_excess_noise_curve
 from .keyrate import ProtocolConfig, secret_key_rate
 from .modulation import Scheme, correlation_z
-from .optimize import OptimizationGrid, best_rate, _golden_max
+from .optimize import OptimizationGrid, beta_zero_crossing, best_rate  # noqa: F401
 from .zpc import ZpcSetting
 
 DEFAULT_BETA = 0.95
@@ -61,6 +61,9 @@ OPTIMAL_V = {
     (Case.SYMMETRIC, Variant.FOUR_ZPC): 2.6,
     (Case.SYMMETRIC, Variant.EIGHT_ZPC): 2.7,
 }
+
+# Distance axis of the rate surfaces and distance curves, km.
+L_MAX = {Case.ASYMMETRIC: 60.0, Case.SYMMETRIC: 1.5}
 
 BETA_SCAN_DISTANCES = {
     Case.ASYMMETRIC: (20.0, 25.0, 30.0, 35.0),
@@ -147,7 +150,35 @@ def correlation_curves(v_m_max: float = 4.0, steps: int = 200) -> Dataset:
                 correlation_z(Scheme.GAUSSIAN, x),
             )
         )
-    return Dataset(name="fig2", columns=("v_m_tilde", "z4", "z8", "zg"), rows=rows)
+    return Dataset(
+        name=_figure_id(correlation_curves), columns=("v_m_tilde", "z4", "z8", "zg"), rows=rows
+    )
+
+
+def _best_rate_tables(
+    name: str,
+    axes: tuple[str, ...],
+    points: list[tuple],
+    make_config,
+    grid: OptimizationGrid | None,
+) -> list[Dataset]:
+    """One table per variant: each point's axis values, the best rate
+    over T at make_config(variant, *point), and that T.  A non-finite
+    best rate (no physical T) is written as nan."""
+    out = []
+    for variant in Variant:
+        rows = []
+        for point in points:
+            skr, t_star = best_rate(make_config(variant, *point), grid)
+            rows.append((*point, skr if math.isfinite(skr) else math.nan, t_star))
+        out.append(
+            Dataset(
+                name=f"{name}_{variant.value}",
+                columns=(*axes, "skr_bits_per_use", "t_star"),
+                rows=rows,
+            )
+        )
+    return out
 
 
 def rate_surface(
@@ -158,7 +189,6 @@ def rate_surface(
     l_steps: int = 100,
     l_max: float | None = None,
     grid: OptimizationGrid | None = None,
-    fig_name: str | None = None,
     sym_per_arm: bool = False,
 ) -> list[Dataset]:
     """Rate over the (variance, distance) plane, one table per variant.
@@ -167,27 +197,17 @@ def rate_surface(
     so the positive region's boundary stays visible in the data.
     """
     if l_max is None:
-        l_max = 60.0 if case is Case.ASYMMETRIC else 1.5
-    if fig_name is None:
-        fig_name = "fig3" if case is Case.ASYMMETRIC else "fig6"
-    out = []
-    for variant in Variant:
-        rows = []
-        for v in _linspace(v_lo, v_hi, v_steps):
-            for l in _linspace(0.0, l_max, l_steps):
-                cfg = config_for(variant, case, l, variance_v=v, sym_per_arm=sym_per_arm)
-                skr, t_star = best_rate(cfg, grid)
-                if not math.isfinite(skr):
-                    skr = float("nan")
-                rows.append((v, l, skr, t_star))
-        out.append(
-            Dataset(
-                name=f"{fig_name}_{variant.value}",
-                columns=("variance_v", "distance_km", "skr_bits_per_use", "t_star"),
-                rows=rows,
-            )
-        )
-    return out
+        l_max = L_MAX[case]
+    points = [
+        (v, l) for v in _linspace(v_lo, v_hi, v_steps) for l in _linspace(0.0, l_max, l_steps)
+    ]
+    return _best_rate_tables(
+        _figure_id(rate_surface, case),
+        ("variance_v", "distance_km"),
+        points,
+        lambda variant, v, l: config_for(variant, case, l, variance_v=v, sym_per_arm=sym_per_arm),
+        grid,
+    )
 
 
 def rate_vs_distance(
@@ -196,17 +216,15 @@ def rate_vs_distance(
     l_max: float | None = None,
     extra_eps: tuple[float, ...] | None = None,
     grid: OptimizationGrid | None = None,
-    fig_name: str | None = None,
     sym_per_arm: bool = False,
 ) -> list[Dataset]:
     """Rate against distance at each variant's preset variance, plus the
     best variant rerun at alternative excess noises."""
     if l_max is None:
-        l_max = 60.0 if case is Case.ASYMMETRIC else 1.5
+        l_max = L_MAX[case]
     if extra_eps is None:
         extra_eps = EXTRA_EPS[case]
-    if fig_name is None:
-        fig_name = "fig4" if case is Case.ASYMMETRIC else "fig7"
+    fig_name = _figure_id(rate_vs_distance, case)
     distances = _linspace(0.0, l_max, l_steps)
 
     def curve(name: str, variant: Variant, eps: float) -> Dataset:
@@ -246,69 +264,20 @@ def rate_vs_beta(
     beta_steps: int = 200,
     distances: tuple[float, ...] | None = None,
     grid: OptimizationGrid | None = None,
-    fig_name: str | None = None,
     sym_per_arm: bool = False,
 ) -> list[Dataset]:
     """Rate against reconciliation efficiency at the preset distances,
     transmittance re-optimized at every point."""
     if distances is None:
         distances = BETA_SCAN_DISTANCES[case]
-    if fig_name is None:
-        fig_name = "fig5" if case is Case.ASYMMETRIC else "fig8"
-    out = []
-    for variant in Variant:
-        rows = []
-        for l in distances:
-            for beta in _linspace(beta_lo, beta_hi, beta_steps):
-                cfg = config_for(variant, case, l, beta=beta, sym_per_arm=sym_per_arm)
-                skr, t_star = best_rate(cfg, grid)
-                rows.append((l, beta, skr, t_star))
-        out.append(
-            Dataset(
-                name=f"{fig_name}_{variant.value}",
-                columns=("distance_km", "beta", "skr_bits_per_use", "t_star"),
-                rows=rows,
-            )
-        )
-    return out
-
-
-def beta_zero_crossing(
-    config: ProtocolConfig, grid: OptimizationGrid | None = None
-) -> tuple[float, float]:
-    """Reconciliation efficiency at which the best achievable rate turns
-    positive, with the transmittance attaining it.  "Best" is over T at
-    the config's own variance; the variance is not optimized.
-
-    The rate is linear in beta with slope P_d I_AB, so for every fixed T
-    the crossing sits at chi_BE / I_AB and optimizing T means taking the
-    smallest such ratio.  Values above 1 mean no key at any efficiency;
-    inf means no physical operating point at all.
-    """
-    grid = grid or OptimizationGrid()
-
-    def neg_ratio(t: float | None) -> float:
-        zpc = config.zpc if t is None else config.zpc.with_t(t)
-        res = secret_key_rate(replace(config, zpc=zpc))
-        if not res.physical or res.i_ab is None or res.i_ab <= 0.0:
-            return -math.inf
-        return -res.chi_be / res.i_ab
-
-    if not config.zpc.enabled:
-        return -neg_ratio(None), 1.0
-    points = grid.t_points()
-    best_i = 0
-    best_f = neg_ratio(points[0])
-    for i in range(1, len(points)):
-        fi = neg_ratio(points[i])
-        if fi > best_f:
-            best_i, best_f = i, fi
-    lo = points[best_i - 1] if best_i > 0 else grid.t_lo
-    hi = points[best_i + 1] if best_i + 1 < len(points) else grid.t_hi
-    t_ref, f_ref = _golden_max(neg_ratio, lo, hi, grid.refine_iters)
-    if f_ref > best_f:
-        return -f_ref, t_ref
-    return -best_f, points[best_i]
+    points = [(l, beta) for l in distances for beta in _linspace(beta_lo, beta_hi, beta_steps)]
+    return _best_rate_tables(
+        _figure_id(rate_vs_beta, case),
+        ("distance_km", "beta"),
+        points,
+        lambda variant, l, beta: config_for(variant, case, l, beta=beta, sym_per_arm=sym_per_arm),
+        grid,
+    )
 
 
 def asymmetry_rate_curves(
@@ -346,7 +315,7 @@ def asymmetry_rate_curves(
             rows.append((reported, d, skr, t_star))
     rows.sort(key=lambda r: (r[0], r[1]))
     return Dataset(
-        name="fig9a",
+        name=_figure_id(asymmetry_rate_curves),
         columns=("distance_km", "d", "skr_bits_per_use", "t_star"),
         rows=rows,
     )
@@ -366,28 +335,39 @@ def excess_noise_transition(
         for total, eps_th in equivalent_excess_noise_curve(d, distances, eps, eps, loss_mu):
             rows.append((total, d, eps_th))
     rows.sort(key=lambda r: (r[0], r[1]))
-    return Dataset(name="fig9b", columns=("distance_km", "d", "eps_th"), rows=rows)
+    return Dataset(
+        name=_figure_id(excess_noise_transition), columns=("distance_km", "d", "eps_th"), rows=rows
+    )
+
+
+# The figures: id -> (builder, its fixed positional arguments, the keyword
+# arguments `--steps` sets, the optional keyword arguments it accepts).
+FIGURES = {
+    "fig2": (correlation_curves, (), ("steps",), ()),
+    "fig3": (rate_surface, (Case.ASYMMETRIC,), ("v_steps", "l_steps"), ()),
+    "fig4": (rate_vs_distance, (Case.ASYMMETRIC,), ("l_steps",), ("extra_eps",)),
+    "fig5": (rate_vs_beta, (Case.ASYMMETRIC,), ("beta_steps",), ()),
+    "fig6": (rate_surface, (Case.SYMMETRIC,), ("v_steps", "l_steps"), ("sym_per_arm",)),
+    "fig7": (rate_vs_distance, (Case.SYMMETRIC,), ("l_steps",), ("extra_eps", "sym_per_arm")),
+    "fig8": (rate_vs_beta, (Case.SYMMETRIC,), ("beta_steps",), ("sym_per_arm",)),
+    "fig9a": (asymmetry_rate_curves, (), ("l_steps",), ("arm_diff_axis",)),
+    "fig9b": (excess_noise_transition, (), ("l_steps",), ()),
+}
+
+FIGURE_IDS = tuple(FIGURES)
+
+
+def _figure_id(builder, *args) -> str:
+    """The id registered for builder called with args; its datasets are
+    named after it."""
+    return next(fid for fid, fig in FIGURES.items() if fig[:2] == (builder, args))
 
 
 def run_figure(figure_id: str, **overrides) -> list[Dataset]:
-    """Dispatch a figure name to its study with optional grid overrides."""
-    fid = figure_id.lower()
-    if fid == "fig2":
-        return [correlation_curves(**overrides)]
-    if fid in ("fig3", "fig6"):
-        case = Case.ASYMMETRIC if fid == "fig3" else Case.SYMMETRIC
-        return rate_surface(case, fig_name=fid, **overrides)
-    if fid in ("fig4", "fig7"):
-        case = Case.ASYMMETRIC if fid == "fig4" else Case.SYMMETRIC
-        return rate_vs_distance(case, fig_name=fid, **overrides)
-    if fid in ("fig5", "fig8"):
-        case = Case.ASYMMETRIC if fid == "fig5" else Case.SYMMETRIC
-        return rate_vs_beta(case, fig_name=fid, **overrides)
-    if fid == "fig9a":
-        return [asymmetry_rate_curves(**overrides)]
-    if fid == "fig9b":
-        return [excess_noise_transition(**overrides)]
-    raise ValueError(f"unknown figure id {figure_id!r}")
-
-
-FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9a", "fig9b")
+    """Build a registered figure's datasets, with optional keyword overrides."""
+    try:
+        build, args, _, _ = FIGURES[figure_id.lower()]
+    except KeyError:
+        raise ValueError(f"unknown figure id {figure_id!r}") from None
+    out = build(*args, **overrides)
+    return out if isinstance(out, list) else [out]

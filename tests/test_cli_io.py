@@ -6,6 +6,7 @@ import math
 import pytest
 
 from mdicvqkd.cli_io import (
+    _SCENARIO_KEYS,
     ScenarioError,
     SweepSpec,
     dataset_to_csv,
@@ -16,7 +17,7 @@ from mdicvqkd.cli_io import (
     serialize_scenario,
 )
 from mdicvqkd.modulation import Scheme
-from mdicvqkd.scenarios import Dataset
+from mdicvqkd.scenarios import FIGURES, Dataset
 from mdicvqkd.zpc import ZpcSetting
 
 
@@ -190,6 +191,30 @@ def test_cli_scenario_with_flag_override(tmp_path, capsys):
     assert doc["config"]["lac"] == 10.0
 
 
+def test_cli_flags_mirror_scenario_keys(tmp_path, capsys):
+    texts = (
+        "scheme = four\nzpc_t = 0.75\nvariance = 2.5\nlac = 30\neps = 0.003\n",
+        serialize_scenario(
+            SweepSpec(variance=1.7, beta=0.9, eps_a=0.001, eps_b=0.004, lac=3, lbc=2, mu=0.18)
+        ),
+    )
+    for text in texts:
+        path = tmp_path / "run.scenario"
+        path.write_text(text, encoding="utf-8")
+        flags = []
+        for line in text.splitlines():
+            key, _, value = line.partition(" = ")
+            flags += ["--" + key.replace("_", "-"), value]
+        from_file = run_cli(["keyrate", "--scenario", str(path)], capsys)
+        from_flags = run_cli(["keyrate", *flags], capsys)
+        assert from_file[0] == 0
+        assert from_flags == from_file
+    code, out, _ = run_cli(["keyrate", "--help"], capsys)
+    assert code == 0
+    for key in _SCENARIO_KEYS:
+        assert f"--{key.replace('_', '-')} " in out, key
+
+
 # --- optimize command ----------------------------------------------------
 
 
@@ -202,6 +227,25 @@ def test_cli_optimize_t(capsys):
     assert doc["t_star"] == pytest.approx(0.3750390946409117, rel=1e-9)
     assert doc["no_key"] is False
     assert doc["grid"]["t_steps"] == 200
+    assert len(doc["warnings"]) == 1  # T* V_M = 0.600
+
+
+def test_cli_optimize_warns_at_reported_point(capsys):
+    # each input and its reported optimum lie on opposite sides of T V_M = 0.5
+    for argv, t_domain in (
+        ("optimize --optimize tv --zpc-t off --variance 1.2 --lac 20", 0.673),
+        (
+            "optimize --optimize tv --zpc-t 0.5 --variance 1.2 --lac 20 --v-steps 20 --t-steps 50",
+            0.597,
+        ),
+        ("optimize --optimize t --scheme four --variance 2 --lac 10", 0.439),
+    ):
+        code, out, _ = run_cli(argv.split(), capsys)
+        assert code == 0
+        doc = json.loads(out)
+        v_star = doc.get("v_star", doc["config"]["variance"])
+        assert doc["t_star"] * (v_star - 1.0) == pytest.approx(t_domain, abs=5e-4)
+        assert len(doc["warnings"]) == (t_domain > 0.5), argv
 
 
 def test_cli_optimize_t_rejects_disabled(capsys):
@@ -231,6 +275,18 @@ def test_cli_optimize_distance(capsys):
     # byte-identical on repeat: no timestamps on stdout
     _, out2, _ = run_cli(argv, capsys)
     assert out2 == out
+
+
+def test_cli_optimize_distance_without_crossing(capsys):
+    argv = (
+        "optimize --optimize distance --mu 1e-9 --variance 2.6 --zpc-t 0.5"
+        " --t-steps 20 --refine-iters 5"
+    )
+    code, out, err = run_cli(argv.split(), capsys)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert "no zero crossing" in err
 
 
 def test_cli_optimize_grid_override(capsys):
@@ -272,14 +328,43 @@ def test_cli_figure_deterministic(tmp_path, capsys):
     assert (a / "fig9b.csv").read_bytes() == (b / "fig9b.csv").read_bytes()
 
 
-def test_cli_figure_flag_scoping(capsys):
+FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9a", "fig9b")
+
+
+@pytest.mark.parametrize("fid", FIGURE_IDS)
+def test_cli_figure_steps_set_registered_axes(fid, tmp_path, capsys):
+    code, _, _ = run_cli(["figure", fid, "--steps", "2", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    manifest = json.loads((tmp_path / f"{fid}_manifest.json").read_text())
+    step_keys = FIGURES[fid][2]
+    assert manifest["config_echo"] == {"figure": fid, **dict.fromkeys(step_keys, 2)}
+    # the axis --steps leaves alone: four preset distances, five relay positions
+    fixed = {"fig5": 4, "fig8": 4, "fig9a": 5, "fig9b": 5}.get(fid, 1)
+    for name in manifest["files"]:
+        assert name.startswith(fid)
+        lines = (tmp_path / name).read_text().splitlines()
+        assert len(lines) - 2 == 2 ** len(step_keys) * fixed, name
+
+
+def test_cli_figure_flag_scoping(tmp_path, capsys):
     code, _, err = run_cli(["figure", "fig2", "--extra-eps", "0.001"], capsys)
     assert code == 1
     assert "fig4" in err
-    code, _, _ = run_cli(["figure", "fig4", "--arm-diff"], capsys)
-    assert code == 1
-    code, _, _ = run_cli(["figure", "fig3", "--per-arm"], capsys)
-    assert code == 1
+    for flag, echo, takers in (
+        (["--extra-eps", "0.001"], {"extra_eps": [0.001]}, {"fig4", "fig7"}),
+        (["--per-arm"], {"sym_per_arm": True}, {"fig6", "fig7", "fig8"}),
+        (["--arm-diff"], {"arm_diff_axis": True}, {"fig9a"}),
+    ):
+        for fid in FIGURE_IDS:
+            argv = ["figure", fid, "--steps", "2", *flag, "--out", str(tmp_path)]
+            code, out, err = run_cli(argv, capsys)
+            if fid in takers:
+                assert code == 0, argv
+                manifest = json.loads((tmp_path / f"{fid}_manifest.json").read_text())
+                assert echo.items() <= manifest["config_echo"].items()
+            else:
+                assert code == 1, argv
+                assert out == "" and "applies only" in err
     code, _, _ = run_cli(["figure", "nope"], capsys)
     assert code == 1
 

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import pytest
 
+import mdicvqkd
+from mdicvqkd import optimize, scenarios
 from mdicvqkd.channel import LinkGeometry, equivalent_excess_noise
 from mdicvqkd.keyrate import evaluate_protocol
 from mdicvqkd.modulation import Scheme
@@ -122,7 +124,16 @@ def test_surface_datasets():
         assert axis == sorted(axis)
 
 
+def test_nonphysical_best_rate_written_as_nan(monkeypatch):
+    monkeypatch.setattr(scenarios, "best_rate", lambda cfg, grid=None: (-math.inf, 1.0))
+    surface = rate_surface(Case.ASYMMETRIC, v_steps=2, l_steps=2)
+    beta = rate_vs_beta(Case.SYMMETRIC, beta_steps=2, distances=(0.1,))
+    for ds in surface + beta:
+        assert all(math.isnan(row[2]) for row in ds.rows), ds.name
+
+
 def test_beta_zero_crossing_plain():
+    assert beta_zero_crossing is optimize.beta_zero_crossing is mdicvqkd.beta_zero_crossing
     cfg = config_for(Variant.EIGHT, Case.ASYMMETRIC, 25.0)
     b0, t_at = beta_zero_crossing(cfg)
     assert t_at == 1.0

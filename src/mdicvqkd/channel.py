@@ -146,6 +146,9 @@ def equivalent_channel(
         mismatch = root * root
     eps_th = 1.0 + chi_a + (t_b / t_a) * (chi_b - 1.0 + mismatch)
     t_c = g_sq * t_a / 2.0
+    if t_c == 0.0:
+        # t_a was subnormal, so the relay's output underflows instead
+        raise ValueError("link so long its transmittance underflowed to zero")
     chi_t = 1.0 / t_c - 1.0 + eps_th
     return EquivalentChannel(
         t_a=t_a,

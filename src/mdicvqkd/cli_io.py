@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -72,7 +72,7 @@ class SweepSpec:
 # Scenario-file keys -> help of the flag that sets the same value, which
 # is --key with "-" for "_".  eps sets eps_a and eps_b together.
 _SCENARIO_KEYS = {
-    "scheme": "modulation constellation",
+    "scheme": "modulation constellation: " + ", ".join(s.value for s in Scheme),
     "zpc_t": "catalysis beam-splitter transmittance T in (0,1], or 'off'",
     "variance": "source variance V > 1",
     "beta": "reconciliation efficiency in (0,1]",
@@ -89,21 +89,21 @@ def _spec_fields(values: dict[str, str]) -> dict:
     """SweepSpec fields from scenario-key text, as a file or the flags give it."""
     if "eps" in values and ("eps_a" in values or "eps_b" in values):
         raise ValueError("eps conflicts with eps_a/eps_b; give one or the other")
-    fields = {}
+    out = {}
     for key, text in values.items():
         try:
             if key == "scheme":
-                fields[key] = Scheme(text.lower())
+                out[key] = Scheme(text.lower())
             elif key == "zpc_t":
                 off = text.strip().lower() == "off"
-                fields["zpc"] = ZpcSetting.off() if off else ZpcSetting.on(float(text))
+                out["zpc"] = ZpcSetting.off() if off else ZpcSetting.on(float(text))
             elif key == "eps":
-                fields["eps_a"] = fields["eps_b"] = float(text)
+                out["eps_a"] = out["eps_b"] = float(text)
             else:
-                fields[key] = float(text)
+                out[key] = float(text)
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
-    return fields
+    return out
 
 
 def parse_scenario(text: str) -> SweepSpec:
@@ -206,7 +206,7 @@ def write_datasets(
         "tool_version": __version__,
         "config_echo": config_echo,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "warnings": [],
+        "warnings": [_DOMAIN_WARNING] if any(ds.warn_domain for ds in datasets) else [],
         "files": [p.name for p in paths],
     }
     manifest_path = out / manifest_name
@@ -232,84 +232,56 @@ class _Parser(argparse.ArgumentParser):
 def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", metavar="FILE", help="scenario file supplying defaults")
     for key, help_text in _SCENARIO_KEYS.items():
-        # a flag takes the scheme's exact spelling; a scenario file may vary its case
-        choices = [s.value for s in Scheme] if key == "scheme" else None
-        p.add_argument("--" + key.replace("_", "-"), dest=key, choices=choices, help=help_text)
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t-lo", dest="t_lo", type=float)
-    p.add_argument("--t-hi", dest="t_hi", type=float)
-    p.add_argument("--t-steps", dest="t_steps", type=int)
-    p.add_argument("--v-lo", dest="v_lo", type=float)
-    p.add_argument("--v-hi", dest="v_hi", type=float)
-    p.add_argument("--v-steps", dest="v_steps", type=int)
-    p.add_argument("--refine-iters", dest="refine_iters", type=int)
+    for f in fields(OptimizationGrid):
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default))
 
 
 def _resolve_spec(args) -> SweepSpec:
     """The scenario file, if any, overridden by the protocol flags given."""
     given = {key: getattr(args, key) for key in _SCENARIO_KEYS if getattr(args, key) is not None}
-    fields = _spec_fields(given)
     base = load_scenario_file(args.scenario) if args.scenario else SweepSpec()
-    spec = replace(base, **fields)
+    spec = replace(base, **_spec_fields(given))
     spec.config()  # validate ranges eagerly
     return spec
 
 
 def _resolve_grid(args) -> OptimizationGrid:
-    kwargs = {}
-    for key in ("t_lo", "t_hi", "t_steps", "v_lo", "v_hi", "v_steps", "refine_iters"):
-        val = getattr(args, key)
-        if val is not None:
-            kwargs[key] = val
-    return OptimizationGrid(**kwargs)
+    given = {f.name: getattr(args, f.name) for f in fields(OptimizationGrid)}
+    return OptimizationGrid(**{key: val for key, val in given.items() if val is not None})
 
 
 def _jsonable(x):
-    """None for non-finite floats; json would emit bare Infinity otherwise."""
+    """x with every non-finite float, also inside dicts, as None; json
+    would emit bare Infinity or NaN otherwise."""
+    if isinstance(x, dict):
+        return {key: _jsonable(val) for key, val in x.items()}
     if isinstance(x, float) and not math.isfinite(x):
         return None
     return x
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(_jsonable(payload), indent=2, allow_nan=False))
 
 
 def _cmd_keyrate(args) -> int:
     spec = _resolve_spec(args)
     cfg = spec.config()
     ev = evaluate_protocol(cfg)
-    res = ev.result
-    warnings = [_DOMAIN_WARNING] if cfg.warn_domain else []
-    chan = ev.channel
     payload = {
         "tool_version": __version__,
         "config": _spec_echo(spec),
-        "p_d": res.p_d,
-        "i_ab": res.i_ab,
-        "chi_be": res.chi_be,
-        "kappa1": res.kappa1,
-        "kappa2": res.kappa2,
-        "kappa3": res.kappa3,
-        "skr": res.skr,
-        "physical": res.physical,
+        **asdict(ev.result),
         "attenuated_alpha_sq": ev.attenuated_alpha_sq,
-        "channel": {
-            "t_a": chan.t_a,
-            "t_b": chan.t_b,
-            "chi_a": chan.chi_a,
-            "chi_b": chan.chi_b,
-            "g_sq": chan.g_sq,
-            "t_c": chan.t_c,
-            "eps_th": chan.eps_th,
-            "chi_t": chan.chi_t,
-        },
-        "warnings": warnings,
+        "channel": asdict(ev.channel),
+        "warnings": [_DOMAIN_WARNING] if cfg.warn_domain else [],
     }
     _print_json(payload)
-    return 0 if res.physical else 2
+    return 0 if ev.result.physical else 2
 
 
 def _cmd_optimize(args) -> int:
@@ -317,9 +289,9 @@ def _cmd_optimize(args) -> int:
     grid = _resolve_grid(args)
     mode = args.optimize
     if mode == "t":
-        if args.zpc_t is not None and args.zpc_t.strip().lower() == "off":
-            raise ValueError("--optimize t needs catalysis; drop '--zpc-t off'")
         if not spec.zpc.enabled:
+            if args.zpc_t is not None:
+                raise ValueError("--optimize t needs catalysis; drop '--zpc-t off'")
             # t is the optimized variable, so an omitted flag means "on"
             spec = replace(spec, zpc=ZpcSetting.on(1.0))
     cfg = spec.config()
@@ -327,31 +299,21 @@ def _cmd_optimize(args) -> int:
         "tool_version": __version__,
         "config": _spec_echo(spec),
         "mode": mode,
-        "grid": {
-            "t_lo": grid.t_lo,
-            "t_hi": grid.t_hi,
-            "t_steps": grid.t_steps,
-            "v_lo": grid.v_lo,
-            "v_hi": grid.v_hi,
-            "v_steps": grid.v_steps,
-            "refine_iters": grid.refine_iters,
-        },
+        "grid": asdict(grid),
     }
     if mode == "t":
         opt = optimize_t(cfg, grid)
-        payload.update(
-            t_star=opt.t_star, skr_star=_jsonable(opt.skr_star), no_key=opt.no_key
-        )
-        reported = replace(cfg, zpc=cfg.zpc.with_t(opt.t_star))
+        payload.update(t_star=opt.t_star, skr_star=opt.skr_star, no_key=opt.no_key)
+        reported = cfg.at_t(opt.t_star)
     elif mode == "tv":
         opt = optimize_tv(cfg, grid)
         payload.update(
             t_star=opt.t_star,
             v_star=opt.v_star,
-            skr_star=_jsonable(opt.skr_star),
+            skr_star=opt.skr_star,
             no_key=opt.no_key,
         )
-        reported = replace(cfg, variance_v=opt.v_star, zpc=cfg.zpc.with_t(opt.t_star))
+        reported = replace(cfg.at_t(opt.t_star), variance_v=opt.v_star)
     else:
         md = max_distance(cfg, grid, tol_km=args.tol_km)
         payload.update(max_distance_km=md.distance_km, no_key=md.no_key)

@@ -11,7 +11,7 @@ mean no key at those settings and are reported as-is.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .channel import EquivalentChannel, LinkGeometry, equivalent_channel
 from .modulation import Scheme, correlation_z
@@ -68,6 +68,10 @@ class ProtocolConfig:
         proceeds."""
         t = self.zpc.t if self.zpc.enabled else 1.0
         return t * (self.variance_v - 1.0) > DOMAIN_V_M_MAX
+
+    def at_t(self, t: float) -> "ProtocolConfig":
+        """This config with the catalysis transmittance set to t."""
+        return replace(self, zpc=self.zpc.with_t(t))
 
 
 @dataclass(frozen=True)

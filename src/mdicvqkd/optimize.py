@@ -36,6 +36,9 @@ class OptimizationGrid:
     refine_iters: int = 30
 
     def __post_init__(self):
+        for name in ("t_lo", "t_hi", "v_lo", "v_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 <= self.t_lo < self.t_hi <= 1.0):
             raise ValueError(f"need 0 <= t_lo < t_hi <= 1, got ({self.t_lo}, {self.t_hi}]")
         if not (1.0 < self.v_lo < self.v_hi):
@@ -137,12 +140,12 @@ def optimize_t(config: ProtocolConfig, grid: OptimizationGrid | None = None) -> 
     grid = grid or OptimizationGrid()
 
     def f(t: float) -> float:
-        return _skr_of(replace(config, zpc=config.zpc.with_t(t)))
+        return _skr_of(config.at_t(t))
 
     t_star, skr_star = _scan_and_refine(
         f, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
     )
-    result = secret_key_rate(replace(config, zpc=config.zpc.with_t(t_star)))
+    result = secret_key_rate(config.at_t(t_star))
     return TOptimum(
         t_star=t_star,
         skr_star=skr_star,
@@ -201,7 +204,7 @@ def beta_zero_crossing(
     grid = grid or OptimizationGrid()
 
     def neg_ratio(t: float) -> float:
-        res = secret_key_rate(replace(config, zpc=config.zpc.with_t(t)))
+        res = secret_key_rate(config.at_t(t))
         if not res.physical or res.i_ab is None or res.i_ab <= 0.0:
             return -math.inf
         return -res.chi_be / res.i_ab
@@ -227,8 +230,8 @@ def max_distance(
     distance return 0 with the no_key flag set.
     """
     grid = grid or OptimizationGrid()
-    if tol_km <= 0.0:
-        raise ValueError(f"tol_km must be > 0, got {tol_km}")
+    if not (tol_km > 0.0 and math.isfinite(tol_km)):
+        raise ValueError(f"tol_km must be finite and > 0, got {tol_km}")
     base = config.geometry
     if base.total_km == 0.0:
         # no arm ratio to preserve; fall back to a single-link scan
@@ -246,6 +249,8 @@ def max_distance(
             raise RuntimeError("no zero crossing found below 1e5 km")
     while hi - lo > tol_km:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # lo and hi are adjacent floats: tol_km is below their spacing
         if rate_at(mid) > 0.0:
             lo = mid
         else:

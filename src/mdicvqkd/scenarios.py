@@ -79,11 +79,14 @@ EXTRA_EPS = {
 
 @dataclass(frozen=True)
 class Dataset:
-    """One table: a name, a column header, and row tuples."""
+    """One table: a name, a column header, and row tuples.  warn_domain
+    is set when any row was reported at a config outside the trusted
+    domain, judged at that row's T."""
 
     name: str
     columns: tuple[str, ...]
     rows: list[tuple] = field(default_factory=list)
+    warn_domain: bool = False
 
 
 def geometry_for(
@@ -167,15 +170,18 @@ def _best_rate_tables(
     best rate (no physical T) is written as nan."""
     out = []
     for variant in Variant:
-        rows = []
+        rows, warn = [], False
         for point in points:
-            skr, t_star = best_rate(make_config(variant, *point), grid)
+            cfg = make_config(variant, *point)
+            skr, t_star = best_rate(cfg, grid)
             rows.append((*point, skr if math.isfinite(skr) else math.nan, t_star))
+            warn = warn or cfg.at_t(t_star).warn_domain
         out.append(
             Dataset(
                 name=f"{name}_{variant.value}",
                 columns=(*axes, "skr_bits_per_use", "t_star"),
                 rows=rows,
+                warn_domain=warn,
             )
         )
     return out
@@ -228,11 +234,13 @@ def rate_vs_distance(
     distances = _linspace(0.0, l_max, l_steps)
 
     def curve(name: str, variant: Variant, eps: float) -> Dataset:
-        rows = []
+        rows, warn = [], False
         for l in distances:
             cfg = config_for(variant, case, l, eps=eps, sym_per_arm=sym_per_arm)
             _, t_star = best_rate(cfg, grid)
-            res = secret_key_rate(replace(cfg, zpc=cfg.zpc.with_t(t_star)))
+            reported = cfg.at_t(t_star)
+            res = secret_key_rate(reported)
+            warn = warn or reported.warn_domain
             p_d = res.p_d
             i_ab = res.i_ab if res.i_ab is not None else float("nan")
             chi_be = res.chi_be if res.chi_be is not None else float("nan")
@@ -249,6 +257,7 @@ def rate_vs_distance(
                 "t_star",
             ),
             rows=rows,
+            warn_domain=warn,
         )
 
     out = [curve(f"{fig_name}_{v.value}", v, DEFAULT_EPS) for v in Variant]
@@ -293,31 +302,26 @@ def asymmetry_rate_curves(
 
     The distance column is the Alice-Bob total l_ac (1 + d) by default;
     arm_diff_axis reports the arm difference l_ac - l_bc = (1 - d) l_ac
-    instead.  Rows are sorted by distance then d.
+    instead.  Rows are sorted by distance then d; a non-finite best rate
+    is written as nan.
     """
-    rows = []
+    base = config_for(Variant.EIGHT_ZPC, Case.ASYMMETRIC, 0.0, variance_v=variance_v)
+    rows, warn = [], False
     for d in d_list:
         if not (0.0 <= d <= 1.0):
             raise ValueError(f"d must be in [0, 1], got {d}")
         for l_ac in _linspace(0.0, l_max, l_steps):
-            geom = LinkGeometry(l_ac, d * l_ac, DEFAULT_LOSS_MU)
-            cfg = ProtocolConfig(
-                scheme=Scheme.EIGHT,
-                zpc=ZpcSetting.on(1.0),
-                variance_v=variance_v,
-                beta=DEFAULT_BETA,
-                eps_a=DEFAULT_EPS,
-                eps_b=DEFAULT_EPS,
-                geometry=geom,
-            )
+            cfg = replace(base, geometry=LinkGeometry(l_ac, d * l_ac, DEFAULT_LOSS_MU))
             skr, t_star = best_rate(cfg, grid)
             reported = (1.0 - d) * l_ac if arm_diff_axis else l_ac * (1.0 + d)
-            rows.append((reported, d, skr, t_star))
+            rows.append((reported, d, skr if math.isfinite(skr) else math.nan, t_star))
+            warn = warn or cfg.at_t(t_star).warn_domain
     rows.sort(key=lambda r: (r[0], r[1]))
     return Dataset(
         name=_figure_id(asymmetry_rate_curves),
         columns=("distance_km", "d", "skr_bits_per_use", "t_star"),
         rows=rows,
+        warn_domain=warn,
     )
 
 

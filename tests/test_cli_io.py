@@ -6,6 +6,7 @@ import math
 import pytest
 
 from mdicvqkd.cli_io import (
+    _DOMAIN_WARNING,
     _SCENARIO_KEYS,
     ScenarioError,
     SweepSpec,
@@ -146,12 +147,23 @@ def test_cli_keyrate_domain_warning(capsys):
     assert len(doc["warnings"]) == 1
 
 
+def _strict(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
 def test_cli_keyrate_nonphysical_exit(capsys):
     code, out, _ = run_cli("keyrate --variance 1e300 --lac 10".split(), capsys)
     assert code == 2
     doc = json.loads(out)
     assert doc["physical"] is False
     assert doc["skr"] is None
+    # a channel quantity that overflows is written as null, still with exit 2
+    for argv in ("keyrate --eps 1e308", "keyrate --lac 15500"):
+        code, out, err = run_cli(argv.split(), capsys)
+        assert code == 2, err
+        doc = json.loads(out, parse_constant=_strict)
+        assert doc["physical"] is False
+        assert doc["channel"]["eps_th"] is None
 
 
 def test_cli_keyrate_bad_flags(capsys):
@@ -167,18 +179,24 @@ def test_cli_keyrate_bad_flags(capsys):
 
 
 def test_cli_rejects_non_finite(capsys):
-    for argv in (
-        ["keyrate", "--mu", "nan"],
-        ["keyrate", "--mu", "inf"],
-        ["keyrate", "--eps", "nan"],
-        ["figure", "fig4", "--extra-eps", "nan"],
-        ["figure", "fig4", "--extra-eps", "0.001,-1"],
+    distance = "optimize --optimize distance --scheme eight --zpc-t 1 --variance 2.6 --lac 10"
+    for argv, message in (
+        ("keyrate --mu nan", "loss_mu must be finite"),
+        ("keyrate --mu inf", "loss_mu must be finite"),
+        ("keyrate --eps nan", "excess noise must be finite"),
+        ("keyrate --lac 16139", "transmittance underflowed to zero"),
+        ("keyrate --lac 16200", "transmittance underflowed to zero"),
+        ("figure fig4 --extra-eps nan", "--extra-eps: must be finite"),
+        ("figure fig4 --extra-eps 0.001,-1", "--extra-eps: must be finite"),
+        (f"{distance} --tol-km nan", "tol_km must be finite"),
+        (f"{distance} --tol-km inf", "tol_km must be finite"),
+        ("optimize --optimize tv --v-hi inf", "v_hi must be finite"),
     ):
-        code, out, err = run_cli(argv, capsys)
+        code, out, err = run_cli(argv.split(), capsys)
         assert code == 1, argv
         assert out == ""
         assert "Traceback" not in err
-        assert "must be finite" in err
+        assert message in err, argv
 
 
 def test_cli_scenario_with_flag_override(tmp_path, capsys):
@@ -197,6 +215,7 @@ def test_cli_flags_mirror_scenario_keys(tmp_path, capsys):
         serialize_scenario(
             SweepSpec(variance=1.7, beta=0.9, eps_a=0.001, eps_b=0.004, lac=3, lbc=2, mu=0.18)
         ),
+        "scheme = EIGHT\nzpc_t = OFF\nvariance = 1.6\nlac = 12\n",
     )
     for text in texts:
         path = tmp_path / "run.scenario"
@@ -338,6 +357,9 @@ def test_cli_figure_steps_set_registered_axes(fid, tmp_path, capsys):
     manifest = json.loads((tmp_path / f"{fid}_manifest.json").read_text())
     step_keys = FIGURES[fid][2]
     assert manifest["config_echo"] == {"figure": fid, **dict.fromkeys(step_keys, 2)}
+    # fig2 and fig9b evaluate no protocol; each rate figure has a reported
+    # point outside the domain (fig7's eight-state curve runs at V_M = 0.8)
+    assert manifest["warnings"] == ([] if fid in ("fig2", "fig9b") else [_DOMAIN_WARNING])
     # the axis --steps leaves alone: four preset distances, five relay positions
     fixed = {"fig5": 4, "fig8": 4, "fig9a": 5, "fig9b": 5}.get(fid, 1)
     for name in manifest["files"]:

@@ -1,0 +1,118 @@
+"""Property test of the CLI contract on drawn flag values: the exit code is
+0, 1 or 2, nothing but SystemExit escapes, and a printed payload is strict
+JSON."""
+
+import contextlib
+import io
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mdicvqkd.cli_io import _SCENARIO_KEYS, main
+
+HOSTILE = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(
+        ["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0", "-0", "1", "1e300"]
+        + ["off", "OFF", " Off ", "EIGHT", "Four", "GAUSSIAN", "bogus", "", "1_0", "0x1"]
+    ),
+    st.text(max_size=6),
+)
+
+
+def _number(lo: float, hi: float, exclude_min: bool = False):
+    return st.floats(min_value=lo, max_value=hi, exclude_min=exclude_min).map(repr)
+
+
+def _valid(typical, lo: float, hi: float, exclude_min: bool = False):
+    """A flag value in the typical range or anywhere the CLI accepts."""
+    return st.one_of(typical, _number(lo, hi, exclude_min))
+
+
+# A valid flag set, which every call must accept (exit 0 or 2), and up
+# to two keys overridden by hostile text, which may be refused (exit 1).
+VALID = st.fixed_dictionaries(
+    {},
+    optional={
+        "scheme": st.sampled_from(["four", "Eight", "GAUSSIAN"]),
+        "zpc_t": _valid(st.sampled_from(["off", "OFF"]), 0.0, 1.0, exclude_min=True),
+        "variance": _valid(_number(1.01, 12.0), 1.0, 1e308, exclude_min=True),
+        "beta": _valid(_number(0.5, 1.0), 0.0, 1.0, exclude_min=True),
+        "eps_a": _valid(_number(0.0, 0.1), 0.0, 1e308),
+        "eps_b": _valid(_number(0.0, 0.1), 0.0, 1e308),
+        # at most 3000 dB per link: a transmittance that underflows to
+        # zero, past about 3230 dB, is refused
+        "lac": _valid(_number(0.0, 100.0), 0.0, 15000.0),
+        "lbc": _valid(_number(0.0, 100.0), 0.0, 15000.0),
+        "mu": _valid(_number(0.01, 0.2), 0.0, 0.2, exclude_min=True),
+    },
+)
+HOSTILE_PROTOCOL = st.dictionaries(st.sampled_from(list(_SCENARIO_KEYS)), HOSTILE, max_size=2)
+VALID_BOUNDS = st.fixed_dictionaries(
+    {}, optional={"t_lo": _number(0.0, 0.49), "t_hi": _number(0.5, 1.0)}
+)
+HOSTILE_BOUNDS = st.dictionaries(st.sampled_from(["t_lo", "t_hi"]), HOSTILE, max_size=1)
+
+FUZZ = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _argv(flags: dict) -> list[str]:
+    # --flag=value, so a value such as "-inf" reaches the flag as its text
+    return [f"--{key.replace('_', '-')}={text}" for key, text in flags.items()]
+
+
+def _strict(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+def _check(argv: list[str], valid: bool) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert not (valid and code == 1), (argv, err.getvalue())
+    if code == 1:
+        assert out.getvalue() == "", argv
+    else:
+        json.loads(out.getvalue(), parse_constant=_strict)
+
+
+@FUZZ
+@given(VALID, HOSTILE_PROTOCOL)
+def test_keyrate_flags_keep_the_cli_contract(flags, hostile):
+    _check(["keyrate", *_argv({**flags, **hostile})], valid=not hostile)
+
+
+@FUZZ
+@given(
+    VALID,
+    HOSTILE_PROTOCOL,
+    VALID_BOUNDS,
+    HOSTILE_BOUNDS,
+    st.integers(min_value=-1, max_value=20),
+    st.integers(min_value=-1, max_value=3),
+)
+def test_optimize_t_flags_keep_the_cli_contract(
+    flags, hostile, bounds, hostile_bounds, t_steps, refine_iters
+):
+    grid = ["--t-steps", str(t_steps), "--refine-iters", str(refine_iters)]
+    argv = _argv({**flags, **hostile}) + _argv({**bounds, **hostile_bounds}) + grid
+    # --optimize t refuses '--zpc-t off' and a grid of fewer than two steps
+    valid = (
+        not (hostile or hostile_bounds)
+        and flags.get("zpc_t", "").lower() != "off"
+        and t_steps >= 2
+        and refine_iters >= 0
+    )
+    _check(["optimize", "--optimize", "t", *argv], valid)

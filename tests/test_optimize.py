@@ -50,6 +50,10 @@ def test_grid_validation():
         OptimizationGrid(t_steps=1)
     with pytest.raises(ValueError):
         OptimizationGrid(refine_iters=-1)
+    for name in ("t_lo", "t_hi", "v_lo", "v_hi"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                OptimizationGrid(**{name: bad})
 
 
 def test_golden_section_finds_parabola_peak():
@@ -154,8 +158,18 @@ def test_max_distance_no_key_at_zero():
 
 
 def test_max_distance_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        max_distance(config(), tol_km=0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol_km"):
+            max_distance(config(), tol_km=bad)
+
+
+def test_max_distance_tolerance_below_float_spacing_terminates():
+    cfg = config(l_ac=10.0)
+    grid = OptimizationGrid(t_steps=20, refine_iters=3)
+    fine = max_distance(cfg, grid, tol_km=1e-300)
+    coarse = max_distance(cfg, grid)
+    assert not fine.no_key
+    assert abs(fine.distance_km - coarse.distance_km) < 0.05
 
 
 def test_deterministic_repeat():

@@ -128,8 +128,28 @@ def test_nonphysical_best_rate_written_as_nan(monkeypatch):
     monkeypatch.setattr(scenarios, "best_rate", lambda cfg, grid=None: (-math.inf, 1.0))
     surface = rate_surface(Case.ASYMMETRIC, v_steps=2, l_steps=2)
     beta = rate_vs_beta(Case.SYMMETRIC, beta_steps=2, distances=(0.1,))
-    for ds in surface + beta:
+    asym = asymmetry_rate_curves(d_list=(0.0, 0.5), l_steps=2, l_max=10.0)
+    for ds in surface + beta + [asym]:
         assert all(math.isnan(row[2]) for row in ds.rows), ds.name
+
+
+def test_dataset_warn_domain_judged_at_t_star(monkeypatch):
+    # at T* = 0.1 the catalysis variants stay in the domain up to V = 6;
+    # the plain variants run at T = 1, so V = 5 is outside it
+    monkeypatch.setattr(scenarios, "best_rate", lambda cfg, grid=None: (1.0, 0.1))
+    surface = rate_surface(Case.ASYMMETRIC, v_lo=1.05, v_hi=5.0, v_steps=2, l_steps=2)
+    assert {ds.name: ds.warn_domain for ds in surface} == {
+        "fig3_four": True,
+        "fig3_eight": True,
+        "fig3_four_zpc": False,
+        "fig3_eight_zpc": False,
+    }
+    assert not asymmetry_rate_curves(d_list=(0.0,), l_steps=2, l_max=10.0).warn_domain
+    monkeypatch.setattr(scenarios, "best_rate", lambda cfg, grid=None: (1.0, 1.0))
+    assert asymmetry_rate_curves(d_list=(0.0,), l_steps=2, l_max=10.0).warn_domain
+    curves = rate_vs_distance(Case.SYMMETRIC, l_steps=2, extra_eps=())
+    assert [ds.warn_domain for ds in curves] == [False, True, True, True]  # V = 1.5/1.8/2.6/2.7
+    assert not correlation_curves(steps=2).warn_domain
 
 
 def test_beta_zero_crossing_plain():

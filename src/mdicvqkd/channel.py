@@ -82,12 +82,8 @@ class EquivalentChannel:
 
 
 def equivalent_excess_noise(geometry: LinkGeometry, eps_a: float, eps_b: float) -> float:
-    """eps_th at the mismatch-cancelling gain; independent of v_bob."""
-    t_a = fiber_transmittance(geometry.l_ac, geometry.loss_mu)
-    t_b = fiber_transmittance(geometry.l_bc, geometry.loss_mu)
-    chi_a = (1.0 - t_a) / t_a + eps_a
-    chi_b = (1.0 - t_b) / t_b + eps_b
-    return 1.0 + chi_a + (t_b / t_a) * (chi_b - 1.0)
+    """eps_th at the mismatch-cancelling gain, where every v_bob > 1 gives the same value."""
+    return equivalent_channel(geometry, eps_a, eps_b, v_bob=2.0).eps_th
 
 
 def equivalent_excess_noise_curve(
@@ -128,8 +124,8 @@ def equivalent_channel(
     """
     if v_bob <= 1.0:
         raise ValueError(f"v_bob must exceed 1 (vacuum) to define a gain, got {v_bob}")
-    if eps_a < 0.0 or eps_b < 0.0:
-        raise ValueError("excess noise must be >= 0")
+    if not (eps_a >= 0.0 and eps_b >= 0.0):
+        raise ValueError(f"excess noise must be >= 0, got {eps_a}, {eps_b}")
     t_a = fiber_transmittance(geometry.l_ac, geometry.loss_mu)
     t_b = fiber_transmittance(geometry.l_bc, geometry.loss_mu)
     if t_a == 0.0 or t_b == 0.0:

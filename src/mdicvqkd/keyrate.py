@@ -11,6 +11,7 @@ mean no key at those settings and are reported as-is.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .channel import EquivalentChannel, LinkGeometry, equivalent_channel
@@ -109,7 +110,6 @@ class KeyRateResult:
 class Evaluation:
     """Key-rate result bundled with the intermediates that produced it."""
 
-    config: ProtocolConfig
     result: KeyRateResult
     channel: EquivalentChannel
     covariance: FinalCovariance | None
@@ -120,27 +120,6 @@ def _channel(config: ProtocolConfig) -> EquivalentChannel:
     return equivalent_channel(
         config.geometry, config.eps_a, config.eps_b, v_bob=config.variance_v
     )
-
-
-def _covariance(
-    config: ProtocolConfig, atten: float, chan: EquivalentChannel
-) -> FinalCovariance:
-    x_t = 1.0 + 2.0 * atten
-    z_t = correlation_z(config.scheme, atten)
-    return FinalCovariance(
-        a=x_t, b=chan.t_c * (x_t + chan.chi_t), c=math.sqrt(chan.t_c) * z_t
-    )
-
-
-def final_covariance(config: ProtocolConfig) -> FinalCovariance:
-    """Covariance of Alice's kept mode and the channel output mode.
-
-    Alice's variance and the correlation are those of the attenuated
-    source (a = 1 + 2 T alpha^2, Z at T alpha^2); the channel stretch
-    and added noise act on the b and c entries.
-    """
-    atten, _ = apply_zpc(config.alpha_sq, config.zpc)
-    return _covariance(config, atten, _channel(config))
 
 
 def mutual_information(cov: FinalCovariance) -> float:
@@ -186,17 +165,52 @@ def symplectic_eigenvalues(cov: FinalCovariance) -> tuple[float, float, float]:
     return kappa1, kappa2, kappa3
 
 
-def _holevo(kappa1: float, kappa2: float, kappa3: float) -> float:
-    return (
-        von_neumann_g((kappa1 - 1.0) / 2.0)
-        + von_neumann_g((kappa2 - 1.0) / 2.0)
-        - von_neumann_g((kappa3 - 1.0) / 2.0)
-    )
+def _score(
+    config: ProtocolConfig, zpc: ZpcSetting, chan: EquivalentChannel
+) -> tuple[KeyRateResult, FinalCovariance | None, float]:
+    """Score config under catalysis setting zpc through channel chan.
+
+    Alice's variance and the correlation are those of the attenuated
+    source (a = 1 + 2 T alpha^2, Z at T alpha^2); the channel stretch and
+    added noise act on the b and c entries.  Returns the result, the
+    covariance (None when non-physical) and T alpha^2.
+    """
+    atten, p_d = apply_zpc(config.alpha_sq, zpc)
+    x_t = 1.0 + 2.0 * atten
+    try:
+        cov = FinalCovariance(
+            a=x_t,
+            b=chan.t_c * (x_t + chan.chi_t),
+            c=math.sqrt(chan.t_c) * correlation_z(config.scheme, atten),
+        )
+        kappa1, kappa2, kappa3 = symplectic_eigenvalues(cov)
+        i_ab = mutual_information(cov)
+        chi_be = (
+            von_neumann_g((kappa1 - 1.0) / 2.0)
+            + von_neumann_g((kappa2 - 1.0) / 2.0)
+            - von_neumann_g((kappa3 - 1.0) / 2.0)
+        )
+        skr = p_d * (config.beta * i_ab - chi_be)
+        if not (math.isfinite(i_ab) and math.isfinite(chi_be) and math.isfinite(skr)):
+            raise NonPhysicalStateError("non-finite rate")
+    except NonPhysicalStateError:
+        return KeyRateResult(p_d, None, None, None, None, None, None, False), None, atten
+    return KeyRateResult(p_d, i_ab, chi_be, kappa1, kappa2, kappa3, skr, True), cov, atten
 
 
-def holevo_bound(cov: FinalCovariance) -> float:
-    """Eavesdropper information bound chi_BE, bits per use."""
-    return _holevo(*symplectic_eigenvalues(cov))
+def rate_over_t(config: ProtocolConfig) -> Callable[[float], KeyRateResult]:
+    """The key rate of config as a function of the catalysis transmittance.
+
+    The channel does not depend on T (Bob's arm carries the unattenuated
+    V), so it is built once here and no config is built per T: rate(t)
+    equals secret_key_rate(config.at_t(t)) bit for bit.
+    """
+    chan = _channel(config)
+
+    def rate(t: float) -> KeyRateResult:
+        return _score(config, config.zpc.with_t(t), chan)[0]
+
+    return rate
 
 
 def evaluate_protocol(config: ProtocolConfig) -> Evaluation:
@@ -205,28 +219,9 @@ def evaluate_protocol(config: ProtocolConfig) -> Evaluation:
     Non-physical covariances do not raise; they yield a result with
     physical = False and the score fields unset.
     """
-    atten, p_d = apply_zpc(config.alpha_sq, config.zpc)
     chan = _channel(config)
-    try:
-        cov = _covariance(config, atten, chan)
-        kappas = symplectic_eigenvalues(cov)
-        i_ab = mutual_information(cov)
-        chi_be = _holevo(*kappas)
-        skr = p_d * (config.beta * i_ab - chi_be)
-        if not (math.isfinite(i_ab) and math.isfinite(chi_be) and math.isfinite(skr)):
-            raise NonPhysicalStateError("non-finite rate")
-    except NonPhysicalStateError:
-        cov = None
-        result = KeyRateResult(p_d, None, None, None, None, None, None, physical=False)
-    else:
-        result = KeyRateResult(p_d, i_ab, chi_be, *kappas, skr, physical=True)
-    return Evaluation(
-        config=config,
-        result=result,
-        channel=chan,
-        covariance=cov,
-        attenuated_alpha_sq=atten,
-    )
+    result, cov, atten = _score(config, config.zpc, chan)
+    return Evaluation(result=result, channel=chan, covariance=cov, attenuated_alpha_sq=atten)
 
 
 def secret_key_rate(config: ProtocolConfig) -> KeyRateResult:

@@ -156,10 +156,11 @@ def lambdas(scheme: Scheme, alpha_sq: float) -> list[float]:
 
 
 def gaussian_z(alpha_sq: float) -> float:
-    """EPR correlation sqrt((V_M + 1)^2 - 1) of Gaussian modulation."""
+    """EPR correlation sqrt((V_M + 1)^2 - 1) = sqrt(V_M (V_M + 2)) of Gaussian
+    modulation; the factored form does not cancel at small V_M."""
     x = _check_alpha_sq(alpha_sq)
     v_m = 2.0 * x
-    return math.sqrt((v_m + 1.0) * (v_m + 1.0) - 1.0)
+    return math.sqrt(v_m * (v_m + 2.0))
 
 
 def correlation_z(scheme: Scheme, alpha_sq: float) -> float:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .channel import LinkGeometry
-from .keyrate import KeyRateResult, ProtocolConfig, secret_key_rate
+from .keyrate import KeyRateResult, ProtocolConfig, rate_over_t, secret_key_rate
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -122,11 +122,8 @@ def _scan_and_refine(f, points: list[float], lo_cap: float, hi_cap: float, iters
     return points[best_i], best_f
 
 
-def _skr_of(config: ProtocolConfig) -> float:
-    r = secret_key_rate(config)
-    if not r.physical or r.skr is None:
-        return -math.inf
-    return r.skr
+def _skr(r: KeyRateResult) -> float:
+    return r.skr if r.physical else -math.inf
 
 
 def optimize_t(config: ProtocolConfig, grid: OptimizationGrid | None = None) -> TOptimum:
@@ -138,18 +135,14 @@ def optimize_t(config: ProtocolConfig, grid: OptimizationGrid | None = None) -> 
     if not config.zpc.enabled:
         raise ValueError("optimize_t requires an enabled catalysis setting")
     grid = grid or OptimizationGrid()
-
-    def f(t: float) -> float:
-        return _skr_of(config.at_t(t))
-
+    rate = rate_over_t(config)
     t_star, skr_star = _scan_and_refine(
-        f, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
+        lambda t: _skr(rate(t)), grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
     )
-    result = secret_key_rate(config.at_t(t_star))
     return TOptimum(
         t_star=t_star,
         skr_star=skr_star,
-        result=result,
+        result=rate(t_star),
         no_key=not (skr_star > 0.0),
     )
 
@@ -159,7 +152,7 @@ def best_rate(config: ProtocolConfig, grid: OptimizationGrid | None = None) -> t
     if config.zpc.enabled:
         opt = optimize_t(config, grid)
         return opt.skr_star, opt.t_star
-    return _skr_of(config), 1.0
+    return _skr(secret_key_rate(config)), 1.0
 
 
 def optimize_tv(config: ProtocolConfig, grid: OptimizationGrid | None = None) -> TvOptimum:
@@ -202,10 +195,11 @@ def beta_zero_crossing(
     inf means no physical operating point at all.
     """
     grid = grid or OptimizationGrid()
+    rate = rate_over_t(config)
 
     def neg_ratio(t: float) -> float:
-        res = secret_key_rate(config.at_t(t))
-        if not res.physical or res.i_ab is None or res.i_ab <= 0.0:
+        res = rate(t)
+        if not res.physical or res.i_ab <= 0.0:
             return -math.inf
         return -res.chi_be / res.i_ab
 

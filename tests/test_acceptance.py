@@ -19,7 +19,6 @@ from mdicvqkd.keyrate import (
     FinalCovariance,
     ProtocolConfig,
     evaluate_protocol,
-    final_covariance,
     secret_key_rate,
     symplectic_eigenvalues,
 )
@@ -107,7 +106,7 @@ def test_criterion_04_symplectic_physicality():
     worst_det = 0.0
     min_kappa = math.inf
     for _ in range(10_000):
-        cov = final_covariance(_random_config(rng))
+        cov = evaluate_protocol(_random_config(rng)).covariance
         k1, k2, _ = symplectic_eigenvalues(cov)
         det = cov.a * cov.b - cov.c * cov.c
         worst_det = max(worst_det, abs(k1 * k2 - det))

@@ -127,3 +127,11 @@ def test_validation():
         equivalent_channel(geom, 0.002, 0.002, v_bob=1.5, g_sq=0.0)
     with pytest.raises(ValueError):
         equivalent_channel(LinkGeometry(40000.0, 0.0), 0.002, 0.002, v_bob=1.5)
+    # eps_th alone refuses the same links the full channel refuses
+    for bad in (
+        (LinkGeometry(40000.0, 0.0), 0.002, 0.002),
+        (geom, -0.001, 0.002),
+        (geom, 0.002, math.nan),
+    ):
+        with pytest.raises(ValueError):
+            equivalent_excess_noise(*bad)

@@ -53,6 +53,17 @@ VALID_BOUNDS = st.fixed_dictionaries(
     {}, optional={"t_lo": _number(0.0, 0.49), "t_hi": _number(0.5, 1.0)}
 )
 HOSTILE_BOUNDS = st.dictionaries(st.sampled_from(["t_lo", "t_hi"]), HOSTILE, max_size=1)
+# Reduced grids keep a drawn optimize call to milliseconds; any of their
+# flags may be overridden by hostile text as the protocol keys are.
+REDUCED_GRID = st.fixed_dictionaries(
+    {
+        "t_steps": st.integers(2, 6).map(str),
+        "v_steps": st.integers(2, 4).map(str),
+        "refine_iters": st.integers(0, 2).map(str),
+    },
+    optional={"v_lo": _number(1.0, 4.99, exclude_min=True), "v_hi": _number(5.0, 12.0)},
+)
+GRID_KEYS = ["t_lo", "t_hi", "t_steps", "v_lo", "v_hi", "v_steps", "refine_iters"]
 
 FUZZ = settings(
     max_examples=100,
@@ -72,7 +83,8 @@ def _strict(token):
     raise ValueError(f"non-strict JSON constant {token}")
 
 
-def _check(argv: list[str], valid: bool) -> None:
+def _check(argv: list[str], valid: bool, refusal: str = "") -> None:
+    """refusal: a message with which a valid call may still exit 1."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -81,7 +93,8 @@ def _check(argv: list[str], valid: bool) -> None:
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    assert not (valid and code == 1), (argv, err.getvalue())
+    if valid and code == 1:
+        assert refusal and refusal in err.getvalue(), (argv, err.getvalue())
     if code == 1:
         assert out.getvalue() == "", argv
     else:
@@ -116,3 +129,30 @@ def test_optimize_t_flags_keep_the_cli_contract(
         and refine_iters >= 0
     )
     _check(["optimize", "--optimize", "t", *argv], valid)
+
+
+def _hostile_over(*keys: str):
+    return st.dictionaries(st.sampled_from(list(_SCENARIO_KEYS) + list(keys)), HOSTILE, max_size=2)
+
+
+@FUZZ
+@given(VALID, VALID_BOUNDS, REDUCED_GRID, _hostile_over(*GRID_KEYS))
+def test_optimize_tv_flags_keep_the_cli_contract(flags, bounds, grid, hostile):
+    argv = _argv({**flags, **bounds, **grid, **hostile})
+    _check(["optimize", "--optimize", "tv", *argv], valid=not hostile)
+
+
+@FUZZ
+@given(
+    VALID,
+    VALID_BOUNDS,
+    REDUCED_GRID,
+    st.fixed_dictionaries({}, optional={"tol_km": _number(0.05, 50.0)}),
+    _hostile_over(*GRID_KEYS, "tol_km"),
+)
+def test_optimize_distance_flags_keep_the_cli_contract(flags, bounds, grid, tol, hostile):
+    argv = _argv({**flags, **bounds, **grid, **tol, **hostile})
+    # a key that outlasts the doubling bracket (a tiny --mu) is refused by name
+    _check(
+        ["optimize", "--optimize", "distance", *argv], not hostile, "no zero crossing found"
+    )

@@ -5,6 +5,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdicvqkd.keyrate
 from mdicvqkd.channel import LinkGeometry, equivalent_channel
@@ -13,15 +15,15 @@ from mdicvqkd.keyrate import (
     NonPhysicalStateError,
     ProtocolConfig,
     evaluate_protocol,
-    final_covariance,
-    holevo_bound,
     mutual_information,
+    rate_over_t,
     secret_key_rate,
     symplectic_eigenvalues,
     von_neumann_g,
 )
 from mdicvqkd.modulation import Scheme, correlation_z
-from mdicvqkd.zpc import ZpcSetting
+from mdicvqkd.optimize import OptimizationGrid, beta_zero_crossing, optimize_t
+from mdicvqkd.zpc import ZpcSetting, apply_zpc
 
 
 def config(
@@ -82,7 +84,7 @@ def test_frozen_catalysis_point():
 
 def test_covariance_assembly():
     cfg = config(zpc=ZpcSetting.on(0.7), variance_v=2.0, l_ac=15.0, l_bc=3.0)
-    cov = final_covariance(cfg)
+    cov = evaluate_protocol(cfg).covariance
     atten = 0.7 * cfg.alpha_sq
     chan = equivalent_channel(cfg.geometry, cfg.eps_a, cfg.eps_b, v_bob=cfg.variance_v)
     assert cov.a == pytest.approx(1.0 + 2.0 * atten, rel=1e-14)
@@ -137,7 +139,7 @@ def test_symplectic_product_state():
 def test_symplectic_determinant_identity():
     rng = random.Random(3)
     for _ in range(500):
-        cov = final_covariance(random_config(rng))
+        cov = evaluate_protocol(random_config(rng)).covariance
         k1, k2, _ = symplectic_eigenvalues(cov)
         det = cov.a * cov.b - cov.c * cov.c
         assert k1 * k2 == pytest.approx(det, rel=1e-12)
@@ -158,15 +160,18 @@ def test_covariance_validation():
         FinalCovariance(a=math.inf, b=2.0, c=0.0)
 
 
-def test_holevo_composition():
-    cov = final_covariance(config())
+def _holevo(cov: FinalCovariance) -> float:
     k1, k2, k3 = symplectic_eigenvalues(cov)
-    want = (
+    return (
         von_neumann_g((k1 - 1.0) / 2.0)
         + von_neumann_g((k2 - 1.0) / 2.0)
         - von_neumann_g((k3 - 1.0) / 2.0)
     )
-    assert holevo_bound(cov) == pytest.approx(want, rel=1e-14)
+
+
+def test_holevo_composition():
+    ev = evaluate_protocol(config())
+    assert ev.result.chi_be == pytest.approx(_holevo(ev.covariance), rel=1e-14)
 
 
 def test_negative_rate_reported_as_is():
@@ -216,7 +221,7 @@ def test_secret_key_rate_is_evaluation_result():
 
 
 def test_evaluation_is_single_pass(monkeypatch):
-    calls = {"equivalent_channel": 0, "apply_zpc": 0}
+    calls = {"equivalent_channel": 0, "apply_zpc": 0, "config_init": 0}
 
     def counted(name):
         fn = getattr(mdicvqkd.keyrate, name)
@@ -227,10 +232,28 @@ def test_evaluation_is_single_pass(monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    for name in ("equivalent_channel", "apply_zpc"):
         monkeypatch.setattr(mdicvqkd.keyrate, name, counted(name))
-    evaluate_protocol(config(zpc=ZpcSetting.on(0.6), variance_v=2.6))
-    assert calls == {"equivalent_channel": 1, "apply_zpc": 1}
+    cfg = config(zpc=ZpcSetting.on(0.6), variance_v=2.6)
+    evaluate_protocol(cfg)
+    assert calls == {"equivalent_channel": 1, "apply_zpc": 1, "config_init": 0}
+
+    # a T sweep builds its channel once and no config per T: one catalysis
+    # step per evaluated T (the coarse scan, two golden-section probes, one
+    # per refinement step, and for optimize_t the result at t*)
+    init = ProtocolConfig.__post_init__
+
+    def counted_init(self):
+        calls["config_init"] += 1
+        init(self)
+
+    monkeypatch.setattr(ProtocolConfig, "__post_init__", counted_init)
+    grid = OptimizationGrid(t_steps=20, refine_iters=5)
+    for optimizer, final in ((optimize_t, 1), (beta_zero_crossing, 0)):
+        calls.update(dict.fromkeys(calls, 0))
+        optimizer(cfg, grid)
+        evaluated = grid.t_steps + 2 + grid.refine_iters + final
+        assert calls == {"equivalent_channel": 1, "apply_zpc": evaluated, "config_init": 0}
 
 
 def test_evaluation_matches_separate_steps():
@@ -239,8 +262,15 @@ def test_evaluation_matches_separate_steps():
         cfg = random_config(rng)
         ev = evaluate_protocol(cfg)
         assert ev.result.physical
-        assert ev.covariance == final_covariance(cfg)
-        assert ev.result.chi_be == holevo_bound(ev.covariance)
+        atten, _ = apply_zpc(cfg.alpha_sq, cfg.zpc)
+        assert ev.attenuated_alpha_sq == atten
+        chan = ev.channel
+        assert ev.covariance == FinalCovariance(
+            a=1.0 + 2.0 * atten,
+            b=chan.t_c * (1.0 + 2.0 * atten + chan.chi_t),
+            c=math.sqrt(chan.t_c) * correlation_z(cfg.scheme, atten),
+        )
+        assert ev.result.chi_be == _holevo(ev.covariance)
         assert (ev.result.kappa1, ev.result.kappa2, ev.result.kappa3) == (
             symplectic_eigenvalues(ev.covariance)
         )
@@ -256,3 +286,27 @@ def test_nonphysical_evaluation_keeps_intermediates():
     assert ev.covariance is None
     assert ev.attenuated_alpha_sq == 0.5 * cfg.alpha_sq
     assert ev.channel.t_c > 0.0
+
+
+# Any scheme, catalysis on or off, any relay position, and variances and
+# noises large enough to reach non-physical states.
+CONFIGS = st.builds(
+    ProtocolConfig,
+    scheme=st.sampled_from(Scheme),
+    zpc=st.one_of(
+        st.just(ZpcSetting.off()), st.floats(0.0, 1.0, exclude_min=True).map(ZpcSetting.on)
+    ),
+    variance_v=st.floats(1.0, 1e300, exclude_min=True),
+    beta=st.floats(0.0, 1.0, exclude_min=True),
+    eps_a=st.floats(0.0, 1e3),
+    eps_b=st.floats(0.0, 1e3),
+    geometry=st.builds(
+        LinkGeometry, st.floats(0.0, 500.0), st.floats(0.0, 500.0), st.floats(0.01, 1.0)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(CONFIGS, st.floats(0.0, 1.0, exclude_min=True))
+def test_rate_over_t_is_the_per_t_path(cfg, t):
+    assert repr(rate_over_t(cfg)(t)) == repr(secret_key_rate(cfg.at_t(t)))

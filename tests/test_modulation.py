@@ -1,5 +1,6 @@
 """Constellation weights and correlation coefficients."""
 
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -148,8 +149,8 @@ def test_zero_amplitude():
 
 
 def test_correlation_ordering():
-    for i in range(1, 101):
-        x = 2.0 * i / 100  # v_m up to 4
+    # v_m up to 4, plus small amplitudes where a cancelling Gaussian Z fell below Z8
+    for x in [2.0 * i / 100 for i in range(1, 101)] + [1e-12, 1e-8, 1e-6]:
         z4 = correlation_z(Scheme.FOUR, x)
         z8 = correlation_z(Scheme.EIGHT, x)
         zg = correlation_z(Scheme.GAUSSIAN, x)
@@ -165,6 +166,15 @@ def test_eight_approaches_gaussian_at_small_amplitude():
 
 def test_gaussian_closed_form():
     assert gaussian_z(1.5) == pytest.approx(math.sqrt(4.0 * 4.0 - 1.0), rel=1e-15)
+    # against 50 digits over 10^[-12, 1.5]: the two roundings under the
+    # root count half each, the root's own once, so the error stays below 2^-52
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for i in range(300):
+            x = 10.0 ** (-12.0 + 13.5 * i / 299)
+            v_m = 2 * decimal.Decimal(x)
+            want = (v_m * (v_m + 2)).sqrt()
+            assert abs(decimal.Decimal(gaussian_z(x)) - want) <= want * decimal.Decimal(2.0**-52)
 
 
 def test_gaussian_scheme_has_no_weights():

@@ -10,8 +10,11 @@ from mdicvqkd.keyrate import ProtocolConfig, secret_key_rate
 from mdicvqkd.modulation import Scheme
 from mdicvqkd.optimize import (
     OptimizationGrid,
+    TOptimum,
     _golden_max,
+    _scan_and_refine,
     best_rate,
+    beta_zero_crossing,
     max_distance,
     optimize_t,
     optimize_tv,
@@ -108,6 +111,48 @@ def test_best_rate_matches_optimize_t():
     skr, t = best_rate(cfg)
     opt = optimize_t(cfg)
     assert (skr, t) == (opt.skr_star, opt.t_star)
+
+
+def _per_t_optimize_t(cfg: ProtocolConfig, grid: OptimizationGrid) -> TOptimum:
+    """Reference for optimize_t: a config and a full evaluation at every T."""
+
+    def skr(t: float) -> float:
+        r = secret_key_rate(cfg.at_t(t))
+        return r.skr if r.physical else -math.inf
+
+    t_star, skr_star = _scan_and_refine(
+        skr, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
+    )
+    return TOptimum(t_star, skr_star, secret_key_rate(cfg.at_t(t_star)), not (skr_star > 0.0))
+
+
+def _per_t_beta_zero_crossing(cfg: ProtocolConfig, grid: OptimizationGrid):
+    """Reference for beta_zero_crossing, per-T like _per_t_optimize_t."""
+
+    def neg_ratio(t: float) -> float:
+        r = secret_key_rate(cfg.at_t(t))
+        if not r.physical or r.i_ab <= 0.0:
+            return -math.inf
+        return -r.chi_be / r.i_ab
+
+    if not cfg.zpc.enabled:
+        return -neg_ratio(1.0), 1.0
+    t_at, neg_beta = _scan_and_refine(
+        neg_ratio, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
+    )
+    return -neg_beta, t_at
+
+
+def test_t_sweeps_match_the_per_t_path():
+    grid = OptimizationGrid(t_steps=40, refine_iters=10)
+    for scheme in Scheme:
+        for l_ac, l_bc in ((5.0, 0.0), (30.0, 0.0), (0.6, 0.6), (12.0, 4.0)):
+            for v in (1.3, 2.6, 6.0, 1e300):
+                cfg = replace(config(variance_v=v, l_ac=l_ac, l_bc=l_bc), scheme=scheme)
+                assert repr(optimize_t(cfg, grid)) == repr(_per_t_optimize_t(cfg, grid))
+                for c in (cfg, replace(cfg, zpc=ZpcSetting.off())):
+                    got = beta_zero_crossing(c, grid)
+                    assert repr(got) == repr(_per_t_beta_zero_crossing(c, grid))
 
 
 def test_optimize_tv_frozen_point():

@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,35 +39,17 @@ class ScenarioError(ValueError):
     """Raised for malformed or contradictory scenario files."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A fully resolved run configuration, the scenario-file contents.
-
-    Defaults describe the baseline study: eight-state, no catalysis,
-    beta 0.95, excess noise 0.002 per link, 0.2 dB/km fiber.
-    """
-
-    scheme: Scheme = Scheme.EIGHT
-    zpc: ZpcSetting = ZpcSetting.off()
-    variance: float = 1.5
-    beta: float = 0.95
-    eps_a: float = 0.002
-    eps_b: float = 0.002
-    lac: float = 0.0
-    lbc: float = 0.0
-    mu: float = 0.2
-
-    def config(self) -> ProtocolConfig:
-        return ProtocolConfig(
-            scheme=self.scheme,
-            zpc=self.zpc,
-            variance_v=self.variance,
-            beta=self.beta,
-            eps_a=self.eps_a,
-            eps_b=self.eps_b,
-            geometry=LinkGeometry(self.lac, self.lbc, self.mu),
-        )
-
+# What an unspecified scenario key takes: eight-state, no catalysis,
+# beta 0.95, excess noise 0.002 per link, 0.2 dB/km fiber, zero length.
+DEFAULT_CONFIG = ProtocolConfig(
+    scheme=Scheme.EIGHT,
+    zpc=ZpcSetting.off(),
+    variance_v=1.5,
+    beta=0.95,
+    eps_a=0.002,
+    eps_b=0.002,
+    geometry=LinkGeometry(0.0, 0.0, 0.2),
+)
 
 # Scenario-file keys -> help of the flag that sets the same value, which
 # is --key with "-" for "_".  eps sets eps_a and eps_b together.
@@ -83,13 +65,18 @@ _SCENARIO_KEYS = {
     "lbc": "Bob-relay fiber length, km",
     "mu": "fiber loss, dB/km (default 0.2)",
 }
+# Scenario keys whose field has another name; lac, lbc and mu are fields
+# of the geometry.
+_FIELDS = {"variance": "variance_v", "lac": "l_ac", "lbc": "l_bc", "mu": "loss_mu"}
+_GEOMETRY_KEYS = ("lac", "lbc", "mu")
 
 
-def _spec_fields(values: dict[str, str]) -> dict:
-    """SweepSpec fields from scenario-key text, as a file or the flags give it."""
+def _with_keys(base: ProtocolConfig, values: dict[str, str]) -> ProtocolConfig:
+    """base with the scenario keys in values set from their text, as a
+    file or the flags give it."""
     if "eps" in values and ("eps_a" in values or "eps_b" in values):
         raise ValueError("eps conflicts with eps_a/eps_b; give one or the other")
-    out = {}
+    out, geometry = {}, {}
     for key, text in values.items():
         try:
             if key == "scheme":
@@ -100,14 +87,15 @@ def _spec_fields(values: dict[str, str]) -> dict:
             elif key == "eps":
                 out["eps_a"] = out["eps_b"] = float(text)
             else:
-                out[key] = float(text)
+                into = geometry if key in _GEOMETRY_KEYS else out
+                into[_FIELDS.get(key, key)] = float(text)
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
-    return out
+    return replace(base, geometry=replace(base.geometry, **geometry), **out)
 
 
-def parse_scenario(text: str) -> SweepSpec:
-    """Resolve `key = value` lines (with # comments) into a SweepSpec.
+def parse_scenario(text: str) -> ProtocolConfig:
+    """Resolve `key = value` lines (with # comments) into a config.
 
     Unknown keys, duplicates, and an eps next to eps_a/eps_b are hard
     errors; everything unspecified takes its default.
@@ -127,14 +115,12 @@ def parse_scenario(text: str) -> SweepSpec:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
         seen[key] = value
     try:
-        spec = SweepSpec(**_spec_fields(seen))
-        spec.config()  # validate ranges eagerly
+        return _with_keys(DEFAULT_CONFIG, seen)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    return spec
 
 
-def load_scenario_file(path) -> SweepSpec:
+def load_scenario_file(path) -> ProtocolConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -142,21 +128,22 @@ def load_scenario_file(path) -> SweepSpec:
     return parse_scenario(text)
 
 
-def serialize_scenario(spec: SweepSpec) -> str:
-    """Scenario-file text that parses back to an equal SweepSpec."""
-    return "".join(f"{key} = {format_value(v)}\n" for key, v in _spec_echo(spec).items())
+def serialize_scenario(config: ProtocolConfig) -> str:
+    """Scenario-file text that parses back to an equal config."""
+    return "".join(f"{key} = {format_value(v)}\n" for key, v in _spec_echo(config).items())
 
 
-def _spec_echo(spec: SweepSpec) -> dict:
-    """The spec under its scenario keys, eps written as eps_a and eps_b."""
+def _spec_echo(config: ProtocolConfig) -> dict:
+    """The config under its scenario keys, eps written as eps_a and eps_b."""
     echo = {}
     for key in _SCENARIO_KEYS:
         if key == "scheme":
-            echo[key] = spec.scheme.value
+            echo[key] = config.scheme.value
         elif key == "zpc_t":
-            echo[key] = spec.zpc.t if spec.zpc.enabled else "off"
+            echo[key] = config.zpc.t if config.zpc.enabled else "off"
         elif key != "eps":
-            echo[key] = getattr(spec, key)
+            owner = config.geometry if key in _GEOMETRY_KEYS else config
+            echo[key] = getattr(owner, _FIELDS.get(key, key))
     return echo
 
 
@@ -240,13 +227,11 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default))
 
 
-def _resolve_spec(args) -> SweepSpec:
+def _resolve_spec(args) -> ProtocolConfig:
     """The scenario file, if any, overridden by the protocol flags given."""
     given = {key: getattr(args, key) for key in _SCENARIO_KEYS if getattr(args, key) is not None}
-    base = load_scenario_file(args.scenario) if args.scenario else SweepSpec()
-    spec = replace(base, **_spec_fields(given))
-    spec.config()  # validate ranges eagerly
-    return spec
+    base = load_scenario_file(args.scenario) if args.scenario else DEFAULT_CONFIG
+    return _with_keys(base, given)
 
 
 def _resolve_grid(args) -> OptimizationGrid:
@@ -269,12 +254,11 @@ def _print_json(payload: dict) -> None:
 
 
 def _cmd_keyrate(args) -> int:
-    spec = _resolve_spec(args)
-    cfg = spec.config()
+    cfg = _resolve_spec(args)
     ev = evaluate_protocol(cfg)
     payload = {
         "tool_version": __version__,
-        "config": _spec_echo(spec),
+        "config": _spec_echo(cfg),
         **asdict(ev.result),
         "attenuated_alpha_sq": ev.attenuated_alpha_sq,
         "channel": asdict(ev.channel),
@@ -285,19 +269,18 @@ def _cmd_keyrate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    spec = _resolve_spec(args)
+    cfg = _resolve_spec(args)
     grid = _resolve_grid(args)
     mode = args.optimize
     if mode == "t":
-        if not spec.zpc.enabled:
+        if not cfg.zpc.enabled:
             if args.zpc_t is not None:
                 raise ValueError("--optimize t needs catalysis; drop '--zpc-t off'")
             # t is the optimized variable, so an omitted flag means "on"
-            spec = replace(spec, zpc=ZpcSetting.on(1.0))
-    cfg = spec.config()
+            cfg = replace(cfg, zpc=ZpcSetting.on(1.0))
     payload = {
         "tool_version": __version__,
-        "config": _spec_echo(spec),
+        "config": _spec_echo(cfg),
         "mode": mode,
         "grid": asdict(grid),
     }

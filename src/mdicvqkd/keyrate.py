@@ -22,6 +22,12 @@ from .zpc import ZpcSetting, apply_zpc
 # honest rounding at pure-state boundaries where kappa = 1 exactly.
 KAPPA_TOL = 1e-9
 
+# Above this the two products in G(x) = (x+1) log2(x+1) - x log2 x cancel
+# to a relative error of about x * 2^-53, all digits by x = 2^53, so G is
+# summed as log2(x+1) + x log2(1 + 1/x) instead.  Below it the first form
+# is within about 2e-13 and is kept, so every rate there keeps its digits.
+_G_CANCELS = 1e3
+
 # Proven security region of the discrete-modulation argument: the
 # effective modulation variance reaching the channel has to stay small
 # for the Gaussian-channel reduction to hold.
@@ -136,6 +142,8 @@ def von_neumann_g(x: float) -> float:
         raise ValueError(f"G requires x >= 0, got {x}")
     if x <= 0.0:
         return 0.0
+    if x > _G_CANCELS:
+        return math.log2(x + 1.0) + x * math.log1p(1.0 / x) / math.log(2.0)
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 

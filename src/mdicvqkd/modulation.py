@@ -124,35 +124,25 @@ def _lambdas_four_closed(x: float) -> list[float]:
     ]
 
 
-def lambdas_eight(alpha_sq: float) -> list[float]:
-    """Weights of the eight orthogonal constellation states.
+def lambdas(scheme: Scheme, alpha_sq: float) -> list[float]:
+    """Weights of the orthogonal constellation states (empty for Gaussian).
 
     lambda_k is the probability that a Poisson variable with mean
-    alpha_sq equals k mod 8.  The weights are non-negative and sum to 1.
+    alpha_sq equals k mod M, M = 8 or 4.  The weights are non-negative
+    and sum to 1.
     """
-    x = _check_alpha_sq(alpha_sq)
-    if x < _CLOSED_FORM_MIN or x > _CLOSED_FORM_MAX:
-        return _poisson_residue_sums(x, 8)
-    return _lambdas_eight_closed(x)
-
-
-def lambdas_four(alpha_sq: float) -> list[float]:
-    """Weights of the four orthogonal constellation states (mod-4 classes)."""
-    x = _check_alpha_sq(alpha_sq)
-    if x < _CLOSED_FORM_MIN or x > _CLOSED_FORM_MAX:
-        return _poisson_residue_sums(x, 4)
-    return _lambdas_four_closed(x)
-
-
-def lambdas(scheme: Scheme, alpha_sq: float) -> list[float]:
-    """Constellation weights for a discrete scheme (empty for Gaussian)."""
-    if scheme is Scheme.EIGHT:
-        return lambdas_eight(alpha_sq)
-    if scheme is Scheme.FOUR:
-        return lambdas_four(alpha_sq)
     if scheme is Scheme.GAUSSIAN:
         return []
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme is Scheme.EIGHT:
+        modulus, closed = 8, _lambdas_eight_closed
+    elif scheme is Scheme.FOUR:
+        modulus, closed = 4, _lambdas_four_closed
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    x = _check_alpha_sq(alpha_sq)
+    if x < _CLOSED_FORM_MIN or x > _CLOSED_FORM_MAX:
+        return _poisson_residue_sums(x, modulus)
+    return closed(x)
 
 
 def gaussian_z(alpha_sq: float) -> float:

@@ -18,6 +18,14 @@ from .keyrate import KeyRateResult, ProtocolConfig, rate_over_t, secret_key_rate
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def linspace(lo: float, hi: float, steps: int) -> list[float]:
+    """steps evenly spaced points from lo to hi; the last is hi itself,
+    which lo + (hi - lo) * k / k can miss by an ulp."""
+    if steps < 2:
+        raise ValueError("steps must be >= 2")
+    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps - 1)] + [hi]
+
+
 @dataclass(frozen=True)
 class OptimizationGrid:
     """Scan ranges and refinement depth shared by all optimizers.
@@ -50,14 +58,10 @@ class OptimizationGrid:
 
     def t_points(self) -> list[float]:
         """Grid over (t_lo, t_hi]: lo excluded, hi included."""
-        span = self.t_hi - self.t_lo
-        return [self.t_lo + span * (i + 1) / self.t_steps for i in range(self.t_steps)]
+        return linspace(self.t_lo, self.t_hi, self.t_steps + 1)[1:]
 
     def v_points(self) -> list[float]:
-        return [
-            self.v_lo + (self.v_hi - self.v_lo) * i / (self.v_steps - 1)
-            for i in range(self.v_steps)
-        ]
+        return linspace(self.v_lo, self.v_hi, self.v_steps)
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,11 @@ def _skr(r: KeyRateResult) -> float:
     return r.skr if r.physical else -math.inf
 
 
+def _optimum(t_star: float, result: KeyRateResult) -> TOptimum:
+    skr = _skr(result)
+    return TOptimum(t_star=t_star, skr_star=skr, result=result, no_key=not (skr > 0.0))
+
+
 def optimize_t(config: ProtocolConfig, grid: OptimizationGrid | None = None) -> TOptimum:
     """Transmittance maximizing the key rate, everything else fixed.
 
@@ -136,23 +145,18 @@ def optimize_t(config: ProtocolConfig, grid: OptimizationGrid | None = None) -> 
         raise ValueError("optimize_t requires an enabled catalysis setting")
     grid = grid or OptimizationGrid()
     rate = rate_over_t(config)
-    t_star, skr_star = _scan_and_refine(
+    t_star, _ = _scan_and_refine(
         lambda t: _skr(rate(t)), grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
     )
-    return TOptimum(
-        t_star=t_star,
-        skr_star=skr_star,
-        result=rate(t_star),
-        no_key=not (skr_star > 0.0),
-    )
+    return _optimum(t_star, rate(t_star))
 
 
-def best_rate(config: ProtocolConfig, grid: OptimizationGrid | None = None) -> tuple[float, float]:
-    """(skr, t) with T optimized when catalysis is on, pinned to 1 otherwise."""
+def best_rate(config: ProtocolConfig, grid: OptimizationGrid | None = None) -> TOptimum:
+    """The rate optimum with T optimized when catalysis is on, pinned to 1
+    otherwise."""
     if config.zpc.enabled:
-        opt = optimize_t(config, grid)
-        return opt.skr_star, opt.t_star
-    return _skr(secret_key_rate(config)), 1.0
+        return optimize_t(config, grid)
+    return _optimum(1.0, secret_key_rate(config))
 
 
 def optimize_tv(config: ProtocolConfig, grid: OptimizationGrid | None = None) -> TvOptimum:
@@ -167,9 +171,9 @@ def optimize_tv(config: ProtocolConfig, grid: OptimizationGrid | None = None) ->
     t_for: dict[float, float] = {}
 
     def f(v: float) -> float:
-        skr, t = best_rate(replace(config, variance_v=v), grid)
-        t_for[v] = t
-        return skr
+        opt = best_rate(replace(config, variance_v=v), grid)
+        t_for[v] = opt.t_star
+        return opt.skr_star
 
     v_star, skr_star = _scan_and_refine(
         f, grid.v_points(), grid.v_lo, grid.v_hi, grid.refine_iters
@@ -232,7 +236,7 @@ def max_distance(
         base = LinkGeometry(1.0, 0.0, base.loss_mu)
 
     def rate_at(total_km: float) -> float:
-        return best_rate(replace(config, geometry=base.scaled(total_km)), grid)[0]
+        return best_rate(replace(config, geometry=base.scaled(total_km)), grid).skr_star
 
     if not (rate_at(0.0) > 0.0):
         return MaxDistance(distance_km=0.0, no_key=True)

@@ -12,11 +12,12 @@ convention appears in practice).
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 
 from .channel import LinkGeometry, equivalent_excess_noise_curve
-from .keyrate import ProtocolConfig, secret_key_rate
+from .keyrate import ProtocolConfig
 from .modulation import Scheme, correlation_z
-from .optimize import OptimizationGrid, beta_zero_crossing, best_rate  # noqa: F401
+from .optimize import OptimizationGrid, beta_zero_crossing, best_rate, linspace  # noqa: F401
 from .zpc import ZpcSetting
 
 DEFAULT_BETA = 0.95
@@ -133,17 +134,11 @@ def config_for(
     )
 
 
-def _linspace(lo: float, hi: float, steps: int) -> list[float]:
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-
-
 def correlation_curves(v_m_max: float = 4.0, steps: int = 200) -> Dataset:
     """Correlation coefficient of the three modulations versus the
     effective modulation variance."""
     rows = []
-    for v_m in _linspace(0.0, v_m_max, steps):
+    for v_m in linspace(0.0, v_m_max, steps):
         x = v_m / 2.0
         rows.append(
             (
@@ -158,6 +153,36 @@ def correlation_curves(v_m_max: float = 4.0, steps: int = 200) -> Dataset:
     )
 
 
+def _or_nan(x: float | None) -> float:
+    return math.nan if x is None else x
+
+
+def _rate_table(
+    name: str,
+    axes: tuple[str, ...],
+    points: list[tuple],
+    make_config,
+    grid: OptimizationGrid | None,
+    fields: tuple[str, ...] = (),
+) -> Dataset:
+    """One row per point: its axis values, the best rate over T at
+    make_config(*point), the given KeyRateResult fields there, and that
+    T.  Undefined values (no physical T) are written as nan."""
+    rows, warn = [], False
+    for point in points:
+        cfg = make_config(*point)
+        opt = best_rate(cfg, grid)
+        values = (_or_nan(getattr(opt.result, f)) for f in ("skr", *fields))
+        rows.append((*point, *values, opt.t_star))
+        warn = warn or cfg.at_t(opt.t_star).warn_domain
+    return Dataset(
+        name=name,
+        columns=(*axes, "skr_bits_per_use", *fields, "t_star"),
+        rows=rows,
+        warn_domain=warn,
+    )
+
+
 def _best_rate_tables(
     name: str,
     axes: tuple[str, ...],
@@ -165,26 +190,12 @@ def _best_rate_tables(
     make_config,
     grid: OptimizationGrid | None,
 ) -> list[Dataset]:
-    """One table per variant: each point's axis values, the best rate
-    over T at make_config(variant, *point), and that T.  A non-finite
-    best rate (no physical T) is written as nan."""
-    out = []
-    for variant in Variant:
-        rows, warn = [], False
-        for point in points:
-            cfg = make_config(variant, *point)
-            skr, t_star = best_rate(cfg, grid)
-            rows.append((*point, skr if math.isfinite(skr) else math.nan, t_star))
-            warn = warn or cfg.at_t(t_star).warn_domain
-        out.append(
-            Dataset(
-                name=f"{name}_{variant.value}",
-                columns=(*axes, "skr_bits_per_use", "t_star"),
-                rows=rows,
-                warn_domain=warn,
-            )
-        )
-    return out
+    """One rate table per variant, named name_variant, at
+    make_config(variant, *point)."""
+    return [
+        _rate_table(f"{name}_{v.value}", axes, points, partial(make_config, v), grid)
+        for v in Variant
+    ]
 
 
 def rate_surface(
@@ -205,7 +216,7 @@ def rate_surface(
     if l_max is None:
         l_max = L_MAX[case]
     points = [
-        (v, l) for v in _linspace(v_lo, v_hi, v_steps) for l in _linspace(0.0, l_max, l_steps)
+        (v, l) for v in linspace(v_lo, v_hi, v_steps) for l in linspace(0.0, l_max, l_steps)
     ]
     return _best_rate_tables(
         _figure_id(rate_surface, case),
@@ -231,33 +242,16 @@ def rate_vs_distance(
     if extra_eps is None:
         extra_eps = EXTRA_EPS[case]
     fig_name = _figure_id(rate_vs_distance, case)
-    distances = _linspace(0.0, l_max, l_steps)
+    distances = [(l,) for l in linspace(0.0, l_max, l_steps)]
 
     def curve(name: str, variant: Variant, eps: float) -> Dataset:
-        rows, warn = [], False
-        for l in distances:
-            cfg = config_for(variant, case, l, eps=eps, sym_per_arm=sym_per_arm)
-            _, t_star = best_rate(cfg, grid)
-            reported = cfg.at_t(t_star)
-            res = secret_key_rate(reported)
-            warn = warn or reported.warn_domain
-            p_d = res.p_d
-            i_ab = res.i_ab if res.i_ab is not None else float("nan")
-            chi_be = res.chi_be if res.chi_be is not None else float("nan")
-            skr_out = res.skr if res.skr is not None else float("nan")
-            rows.append((l, skr_out, p_d, i_ab, chi_be, t_star))
-        return Dataset(
-            name=name,
-            columns=(
-                "distance_km",
-                "skr_bits_per_use",
-                "p_d",
-                "i_ab",
-                "chi_be",
-                "t_star",
-            ),
-            rows=rows,
-            warn_domain=warn,
+        return _rate_table(
+            name,
+            ("distance_km",),
+            distances,
+            lambda l: config_for(variant, case, l, eps=eps, sym_per_arm=sym_per_arm),
+            grid,
+            ("p_d", "i_ab", "chi_be"),
         )
 
     out = [curve(f"{fig_name}_{v.value}", v, DEFAULT_EPS) for v in Variant]
@@ -279,7 +273,7 @@ def rate_vs_beta(
     transmittance re-optimized at every point."""
     if distances is None:
         distances = BETA_SCAN_DISTANCES[case]
-    points = [(l, beta) for l in distances for beta in _linspace(beta_lo, beta_hi, beta_steps)]
+    points = [(l, beta) for l in distances for beta in linspace(beta_lo, beta_hi, beta_steps)]
     return _best_rate_tables(
         _figure_id(rate_vs_beta, case),
         ("distance_km", "beta"),
@@ -305,24 +299,20 @@ def asymmetry_rate_curves(
     instead.  Rows are sorted by distance then d; a non-finite best rate
     is written as nan.
     """
-    base = config_for(Variant.EIGHT_ZPC, Case.ASYMMETRIC, 0.0, variance_v=variance_v)
-    rows, warn = [], False
     for d in d_list:
         if not (0.0 <= d <= 1.0):
             raise ValueError(f"d must be in [0, 1], got {d}")
-        for l_ac in _linspace(0.0, l_max, l_steps):
-            cfg = replace(base, geometry=LinkGeometry(l_ac, d * l_ac, DEFAULT_LOSS_MU))
-            skr, t_star = best_rate(cfg, grid)
-            reported = (1.0 - d) * l_ac if arm_diff_axis else l_ac * (1.0 + d)
-            rows.append((reported, d, skr if math.isfinite(skr) else math.nan, t_star))
-            warn = warn or cfg.at_t(t_star).warn_domain
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return Dataset(
-        name=_figure_id(asymmetry_rate_curves),
-        columns=("distance_km", "d", "skr_bits_per_use", "t_star"),
-        rows=rows,
-        warn_domain=warn,
+    base = config_for(Variant.EIGHT_ZPC, Case.ASYMMETRIC, 0.0, variance_v=variance_v)
+    ds = _rate_table(
+        _figure_id(asymmetry_rate_curves),
+        ("distance_km", "d"),
+        [(l_ac, d) for d in d_list for l_ac in linspace(0.0, l_max, l_steps)],
+        lambda l_ac, d: replace(base, geometry=LinkGeometry(l_ac, d * l_ac, DEFAULT_LOSS_MU)),
+        grid,
     )
+    # the rows carry l_ac until here; report the chosen distance, sorted
+    rows = [((1.0 - d) * l if arm_diff_axis else l * (1.0 + d), d, *r) for l, d, *r in ds.rows]
+    return replace(ds, rows=sorted(rows, key=lambda r: (r[0], r[1])))
 
 
 def excess_noise_transition(
@@ -333,7 +323,7 @@ def excess_noise_transition(
     loss_mu: float = DEFAULT_LOSS_MU,
 ) -> Dataset:
     """Equivalent excess noise versus total distance for each arm ratio."""
-    distances = _linspace(0.0, l_max, l_steps)
+    distances = linspace(0.0, l_max, l_steps)
     rows = []
     for d in d_list:
         for total, eps_th in equivalent_excess_noise_curve(d, distances, eps, eps, loss_mu):

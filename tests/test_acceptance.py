@@ -22,7 +22,7 @@ from mdicvqkd.keyrate import (
     secret_key_rate,
     symplectic_eigenvalues,
 )
-from mdicvqkd.modulation import Scheme, correlation_z, lambdas_eight, lambdas_four
+from mdicvqkd.modulation import Scheme, correlation_z, lambdas
 from mdicvqkd.optimize import OptimizationGrid, _scan_and_refine, max_distance, optimize_tv
 from mdicvqkd.scenarios import (
     Case,
@@ -57,9 +57,9 @@ def test_criterion_01_weight_oracle():
     worst = 0.0
     for _ in range(50):
         x = rng.uniform(0.0, 5.0)
-        for m, fn in ((8, lambdas_eight), (4, lambdas_four)):
+        for m, scheme in ((8, Scheme.EIGHT), (4, Scheme.FOUR)):
             want = poisson_residue_oracle(x, m)
-            got = fn(x)
+            got = lambdas(scheme, x)
             worst = max(worst, max(abs(g - w) for g, w in zip(got, want)))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 1.0
@@ -70,8 +70,8 @@ def test_criterion_02_normalization():
     worst = 0.0
     for i in range(1000):
         x = 10.0 * i / 999
-        for fn in (lambdas_eight, lambdas_four):
-            worst = max(worst, abs(sum(fn(x)) - 1.0))
+        for scheme in (Scheme.EIGHT, Scheme.FOUR):
+            worst = max(worst, abs(sum(lambdas(scheme, x)) - 1.0))
     ok = worst < 1e-12
     _report(2, ok, f"max |sum(lambda) - 1| = {worst:.2e} (< 1e-12) over both schemes")
 

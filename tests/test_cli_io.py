@@ -1,15 +1,19 @@
 """CLI behavior, scenario files, and CSV serialization."""
 
+import hashlib
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from mdicvqkd.channel import LinkGeometry
 from mdicvqkd.cli_io import (
     _DOMAIN_WARNING,
     _SCENARIO_KEYS,
+    DEFAULT_CONFIG,
     ScenarioError,
-    SweepSpec,
     dataset_to_csv,
     format_value,
     load_scenario_file,
@@ -62,10 +66,10 @@ def test_dataset_to_csv():
 
 def test_empty_scenario_gives_defaults():
     spec = parse_scenario("")
-    assert spec == SweepSpec()
+    assert spec == DEFAULT_CONFIG
     assert spec.scheme is Scheme.EIGHT
     assert not spec.zpc.enabled
-    assert (spec.beta, spec.eps_a, spec.mu) == (0.95, 0.002, 0.2)
+    assert (spec.beta, spec.eps_a, spec.geometry.loss_mu) == (0.95, 0.002, 0.2)
 
 
 def test_scenario_parsing():
@@ -80,8 +84,8 @@ def test_scenario_parsing():
     spec = parse_scenario(text)
     assert spec.scheme is Scheme.FOUR
     assert spec.zpc == ZpcSetting.on(0.75)
-    assert spec.variance == 2.5
-    assert spec.lac == 30.0 and spec.lbc == 0.0
+    assert spec.variance_v == 2.5
+    assert spec.geometry.l_ac == 30.0 and spec.geometry.l_bc == 0.0
     assert spec.eps_a == spec.eps_b == 0.003
 
 
@@ -104,9 +108,17 @@ def test_scenario_errors():
 
 def test_scenario_round_trip():
     specs = [
-        SweepSpec(),
-        SweepSpec(scheme=Scheme.FOUR, zpc=ZpcSetting.on(0.3), variance=2.7, lac=12.5, lbc=4.25),
-        SweepSpec(eps_a=0.0015, eps_b=0.0035, mu=0.18, beta=1.0),
+        DEFAULT_CONFIG,
+        replace(
+            DEFAULT_CONFIG,
+            scheme=Scheme.FOUR,
+            zpc=ZpcSetting.on(0.3),
+            variance_v=2.7,
+            geometry=LinkGeometry(12.5, 4.25, 0.2),
+        ),
+        replace(
+            DEFAULT_CONFIG, eps_a=0.0015, eps_b=0.0035, geometry=LinkGeometry(0, 0, 0.18), beta=1.0
+        ),
     ]
     for spec in specs:
         assert parse_scenario(serialize_scenario(spec)) == spec
@@ -116,7 +128,7 @@ def test_load_scenario_file(tmp_path):
     p = tmp_path / "run.scenario"
     p.write_text("variance = 3.0\nzpc_t = off\n", encoding="utf-8")
     spec = load_scenario_file(p)
-    assert spec.variance == 3.0 and not spec.zpc.enabled
+    assert spec.variance_v == 3.0 and not spec.zpc.enabled
     with pytest.raises(ScenarioError, match="cannot read"):
         load_scenario_file(tmp_path / "missing.scenario")
 
@@ -213,7 +225,14 @@ def test_cli_flags_mirror_scenario_keys(tmp_path, capsys):
     texts = (
         "scheme = four\nzpc_t = 0.75\nvariance = 2.5\nlac = 30\neps = 0.003\n",
         serialize_scenario(
-            SweepSpec(variance=1.7, beta=0.9, eps_a=0.001, eps_b=0.004, lac=3, lbc=2, mu=0.18)
+            replace(
+                DEFAULT_CONFIG,
+                variance_v=1.7,
+                beta=0.9,
+                eps_a=0.001,
+                eps_b=0.004,
+                geometry=LinkGeometry(3, 2, 0.18),
+            )
         ),
         "scheme = EIGHT\nzpc_t = OFF\nvariance = 1.6\nlac = 12\n",
     )
@@ -319,6 +338,15 @@ def test_cli_optimize_grid_override(capsys):
     assert doc["grid"]["refine_iters"] == 5
 
 
+def test_cli_optimize_t_grid_ends_on_its_bound(capsys):
+    # 0.1 + 0.9 * 13 / 13 is 1.0000000000000002, a T the catalysis setting
+    # refuses, so the grid's last point must be t_hi itself
+    argv = "optimize --optimize t --t-lo 0.1 --t-steps 13 --variance 2.6 --lac 20"
+    code, out, err = run_cli(argv.split(), capsys)
+    assert code == 0, err
+    assert 0.1 < json.loads(out)["t_star"] <= 1.0
+
+
 # --- figure command ------------------------------------------------------
 
 
@@ -348,6 +376,7 @@ def test_cli_figure_deterministic(tmp_path, capsys):
 
 
 FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9a", "fig9b")
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 @pytest.mark.parametrize("fid", FIGURE_IDS)
@@ -366,6 +395,18 @@ def test_cli_figure_steps_set_registered_axes(fid, tmp_path, capsys):
         assert name.startswith(fid)
         lines = (tmp_path / name).read_text().splitlines()
         assert len(lines) - 2 == 2 ** len(step_keys) * fixed, name
+
+
+@pytest.mark.parametrize("fid", FIGURE_IDS)
+def test_cli_figure_matches_reference_digests(fid, tmp_path, capsys):
+    # the committed byte-identity gate: every CSV of `figure ID --steps 3`
+    # hashes to the digest recorded beside the reference CSVs
+    digests = json.loads((REFERENCE / "digests.json").read_text(encoding="utf-8"))[fid]
+    code, _, err = run_cli(["figure", fid, "--steps", "3", "--out", str(tmp_path)], capsys)
+    assert code == 0, err
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(digests)
+    for name, sha in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha, name
 
 
 def test_cli_figure_flag_scoping(tmp_path, capsys):

@@ -48,11 +48,9 @@ VALID = st.fixed_dictionaries(
         "mu": _valid(_number(0.01, 0.2), 0.0, 0.2, exclude_min=True),
     },
 )
-HOSTILE_PROTOCOL = st.dictionaries(st.sampled_from(list(_SCENARIO_KEYS)), HOSTILE, max_size=2)
 VALID_BOUNDS = st.fixed_dictionaries(
     {}, optional={"t_lo": _number(0.0, 0.49), "t_hi": _number(0.5, 1.0)}
 )
-HOSTILE_BOUNDS = st.dictionaries(st.sampled_from(["t_lo", "t_hi"]), HOSTILE, max_size=1)
 # Reduced grids keep a drawn optimize call to milliseconds; any of their
 # flags may be overridden by hostile text as the protocol keys are.
 REDUCED_GRID = st.fixed_dictionaries(
@@ -64,6 +62,11 @@ REDUCED_GRID = st.fixed_dictionaries(
     optional={"v_lo": _number(1.0, 4.99, exclude_min=True), "v_hi": _number(5.0, 12.0)},
 )
 GRID_KEYS = ["t_lo", "t_hi", "t_steps", "v_lo", "v_hi", "v_steps", "refine_iters"]
+
+
+def _hostile_over(*keys: str):
+    return st.dictionaries(st.sampled_from(list(_SCENARIO_KEYS) + list(keys)), HOSTILE, max_size=2)
+
 
 FUZZ = settings(
     max_examples=100,
@@ -102,37 +105,18 @@ def _check(argv: list[str], valid: bool, refusal: str = "") -> None:
 
 
 @FUZZ
-@given(VALID, HOSTILE_PROTOCOL)
+@given(VALID, _hostile_over())
 def test_keyrate_flags_keep_the_cli_contract(flags, hostile):
     _check(["keyrate", *_argv({**flags, **hostile})], valid=not hostile)
 
 
 @FUZZ
-@given(
-    VALID,
-    HOSTILE_PROTOCOL,
-    VALID_BOUNDS,
-    HOSTILE_BOUNDS,
-    st.integers(min_value=-1, max_value=20),
-    st.integers(min_value=-1, max_value=3),
-)
-def test_optimize_t_flags_keep_the_cli_contract(
-    flags, hostile, bounds, hostile_bounds, t_steps, refine_iters
-):
-    grid = ["--t-steps", str(t_steps), "--refine-iters", str(refine_iters)]
-    argv = _argv({**flags, **hostile}) + _argv({**bounds, **hostile_bounds}) + grid
-    # --optimize t refuses '--zpc-t off' and a grid of fewer than two steps
-    valid = (
-        not (hostile or hostile_bounds)
-        and flags.get("zpc_t", "").lower() != "off"
-        and t_steps >= 2
-        and refine_iters >= 0
-    )
+@given(VALID, VALID_BOUNDS, REDUCED_GRID, _hostile_over(*GRID_KEYS))
+def test_optimize_t_flags_keep_the_cli_contract(flags, bounds, grid, hostile):
+    argv = _argv({**flags, **bounds, **grid, **hostile})
+    # --optimize t refuses '--zpc-t off'
+    valid = not hostile and flags.get("zpc_t", "").lower() != "off"
     _check(["optimize", "--optimize", "t", *argv], valid)
-
-
-def _hostile_over(*keys: str):
-    return st.dictionaries(st.sampled_from(list(_SCENARIO_KEYS) + list(keys)), HOSTILE, max_size=2)
 
 
 @FUZZ

@@ -1,5 +1,6 @@
 """Covariance assembly, entropic quantities, and the rate itself."""
 
+import decimal
 import math
 import random
 from dataclasses import replace
@@ -119,6 +120,14 @@ def test_entropy_function():
     assert von_neumann_g(x) == pytest.approx(want, rel=1e-14)
     with pytest.raises(ValueError):
         von_neumann_g(-0.01)
+    # where the two products of the textbook form cancel (to 0 at x = 5e16,
+    # which made a 170 dB link look secure), against 80 digits
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        for x in (2e3, 1e8, 5e16, 1e20):
+            d = decimal.Decimal(x)
+            want = ((d + 1) * (d + 1).ln() - d * d.ln()) / decimal.Decimal(2).ln()
+            assert von_neumann_g(x) == pytest.approx(float(want), rel=1e-14)
 
 
 def test_symplectic_pure_squeezed_state():
@@ -310,3 +319,51 @@ CONFIGS = st.builds(
 @given(CONFIGS, st.floats(0.0, 1.0, exclude_min=True))
 def test_rate_over_t_is_the_per_t_path(cfg, t):
     assert repr(rate_over_t(cfg)(t)) == repr(secret_key_rate(cfg.at_t(t)))
+
+
+# The physics properties of the rate over CONFIGS, each on a second config
+# that differs in one quantity; a non-physical rate counts as -inf.  Where
+# the quantity moves the rate by less than its rounding (a link of 100+ dB
+# swamps any excess noise), the rate may wobble by a few ulps either way.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _rate(cfg: ProtocolConfig) -> float:
+    r = secret_key_rate(cfg)
+    return r.skr if r.physical else -math.inf
+
+
+def _not_above(x: float, y: float) -> bool:
+    return x <= y or math.isclose(x, y, rel_tol=1e-12)
+
+
+@PROPERTY
+@given(CONFIGS, st.floats(0.0, 1e3))
+def test_rate_does_not_rise_with_excess_noise(cfg, more):
+    assert _not_above(_rate(replace(cfg, eps_a=cfg.eps_a + more)), _rate(cfg))
+
+
+@PROPERTY
+@given(CONFIGS, st.floats(0.0, 1.0, exclude_min=True))
+def test_rate_does_not_fall_with_beta(cfg, beta):
+    lo, hi = sorted((cfg.beta, beta))
+    assert _not_above(_rate(replace(cfg, beta=lo)), _rate(replace(cfg, beta=hi)))
+
+
+@PROPERTY
+@given(CONFIGS)
+def test_physical_results_have_kappa_at_least_one(cfg):
+    r = secret_key_rate(cfg)
+    if r.physical:
+        assert min(r.kappa1, r.kappa2, r.kappa3) >= 1.0 - 1e-9
+
+
+@PROPERTY
+@given(CONFIGS, st.floats(1.0, 6.0))
+def test_positive_rate_does_not_rise_with_distance(cfg, stretch):
+    # both arms stretched by one factor, so the relay keeps its place; at
+    # most 3000 dB per arm, short of the ~3230 dB where a link is refused
+    g = cfg.geometry
+    far = _rate(replace(cfg, geometry=LinkGeometry(g.l_ac * stretch, g.l_bc * stretch, g.loss_mu)))
+    if far > 0.0:
+        assert _not_above(far, _rate(cfg))

@@ -15,8 +15,6 @@ from mdicvqkd.modulation import (
     correlation_z,
     gaussian_z,
     lambdas,
-    lambdas_eight,
-    lambdas_four,
 )
 
 
@@ -62,8 +60,8 @@ LAMBDA4_QUARTER = (
 
 
 def test_frozen_quarter_point():
-    got8 = lambdas_eight(0.25)
-    got4 = lambdas_four(0.25)
+    got8 = lambdas(Scheme.EIGHT, 0.25)
+    got4 = lambdas(Scheme.FOUR, 0.25)
     for got, want in zip(got8, LAMBDA8_QUARTER):
         assert got == pytest.approx(want, rel=1e-14)
     for got, want in zip(got4, LAMBDA4_QUARTER):
@@ -79,9 +77,9 @@ def test_matches_oracle_across_regimes():
     xs = [rng.uniform(0.0, 5.0) for _ in range(30)]
     xs += [0.001, 0.5, 0.999, 1.0, 1.001, 4.9]
     for x in xs:
-        for m, fn in ((8, lambdas_eight), (4, lambdas_four)):
+        for m, scheme in ((8, Scheme.EIGHT), (4, Scheme.FOUR)):
             want = poisson_residue_oracle(x, m)
-            got = fn(x)
+            got = lambdas(scheme, x)
             err = max(abs(g - w) for g, w in zip(got, want))
             assert err < 1e-13, f"x={x} m={m} err={err}"
 
@@ -128,22 +126,22 @@ def test_branches_agree_at_upper_switch():
 def test_normalized_and_nonnegative():
     for i in range(200):
         x = 10.0 * i / 199
-        for fn in (lambdas_eight, lambdas_four):
-            lams = fn(x)
+        for scheme in (Scheme.EIGHT, Scheme.FOUR):
+            lams = lambdas(scheme, x)
             assert all(l >= 0.0 for l in lams)
             assert sum(lams) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_uniform_limit():
     # beyond the series regime every class holds an equal share
-    for m, fn in ((8, lambdas_eight), (4, lambdas_four)):
-        lams = fn(600.0)
+    for m, scheme in ((8, Scheme.EIGHT), (4, Scheme.FOUR)):
+        lams = lambdas(scheme, 600.0)
         assert all(l == pytest.approx(1.0 / m, rel=1e-12) for l in lams)
 
 
 def test_zero_amplitude():
-    assert lambdas_eight(0.0) == [1.0] + [0.0] * 7
-    assert lambdas_four(0.0) == [1.0] + [0.0] * 3
+    assert lambdas(Scheme.EIGHT, 0.0) == [1.0] + [0.0] * 7
+    assert lambdas(Scheme.FOUR, 0.0) == [1.0] + [0.0] * 3
     for scheme in Scheme:
         assert correlation_z(scheme, 0.0) == 0.0
 
@@ -179,11 +177,13 @@ def test_gaussian_closed_form():
 
 def test_gaussian_scheme_has_no_weights():
     assert lambdas(Scheme.GAUSSIAN, 1.0) == []
+    with pytest.raises(ValueError, match="unknown scheme"):
+        lambdas("eight", 1.0)
 
 
 def test_rejects_bad_amplitude():
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
-            lambdas_eight(bad)
+            lambdas(Scheme.EIGHT, bad)
         with pytest.raises(ValueError):
             correlation_z(Scheme.FOUR, bad)

@@ -15,6 +15,7 @@ from mdicvqkd.optimize import (
     _scan_and_refine,
     best_rate,
     beta_zero_crossing,
+    linspace,
     max_distance,
     optimize_t,
     optimize_tv,
@@ -42,6 +43,19 @@ def test_grid_points():
     assert ts[-1] == grid.t_hi
     vs = grid.v_points()
     assert vs == [grid.v_lo, (grid.v_lo + grid.v_hi) / 2.0, grid.v_hi]
+
+
+def test_grid_ends_exactly_on_its_bounds():
+    # lo + (hi - lo) * k / k can miss hi by an ulp either way: 1.0000000000000002
+    # at (0.1, 1] in 13 steps, 0.9999999999999999 at (0.01, 1] in 12
+    for t_lo, t_steps in ((0.1, 13), (0.01, 12), (0.01, 3), (0.37, 7)):
+        ts = OptimizationGrid(t_lo=t_lo, t_steps=t_steps).t_points()
+        assert len(ts) == t_steps and ts[-1] == 1.0
+        assert ts[:-1] == [t_lo + (1.0 - t_lo) * k / t_steps for k in range(1, t_steps)]
+    xs = linspace(0.8, 1.0, 4)
+    assert (len(xs), xs[0], xs[-1]) == (4, 0.8, 1.0)
+    with pytest.raises(ValueError):
+        linspace(0.0, 1.0, 1)
 
 
 def test_grid_validation():
@@ -101,16 +115,15 @@ def test_optimize_t_no_key_flag():
 
 def test_best_rate_pins_plain_protocol_at_unit_t():
     cfg = config(zpc=ZpcSetting.off(), variance_v=1.5)
-    skr, t = best_rate(cfg)
-    assert t == 1.0
-    assert skr == secret_key_rate(cfg).skr
+    opt = best_rate(cfg)
+    assert opt.t_star == 1.0
+    assert opt.skr_star == secret_key_rate(cfg).skr
+    assert opt.result == secret_key_rate(cfg)
 
 
 def test_best_rate_matches_optimize_t():
     cfg = config()
-    skr, t = best_rate(cfg)
-    opt = optimize_t(cfg)
-    assert (skr, t) == (opt.skr_star, opt.t_star)
+    assert best_rate(cfg) == optimize_t(cfg)
 
 
 def _per_t_optimize_t(cfg: ProtocolConfig, grid: OptimizationGrid) -> TOptimum:
@@ -168,8 +181,7 @@ def test_optimize_tv_beats_variance_sweep():
     cfg = config(l_ac=30.0)
     opt = optimize_tv(cfg)
     for v in (1.5, 2.0, 2.6, 3.5, 5.0):
-        skr, _ = best_rate(replace(cfg, variance_v=v))
-        assert skr <= opt.skr_star + 1e-15
+        assert best_rate(replace(cfg, variance_v=v)).skr_star <= opt.skr_star + 1e-15
 
 
 def test_max_distance_brackets_the_crossing():
@@ -180,8 +192,8 @@ def test_max_distance_brackets_the_crossing():
     geom = cfg.geometry
     above = replace(cfg, geometry=geom.scaled(md.distance_km - 0.2))
     below = replace(cfg, geometry=geom.scaled(md.distance_km + 0.2))
-    assert best_rate(above)[0] > 0.0
-    assert best_rate(below)[0] < 0.0
+    assert best_rate(above).skr_star > 0.0
+    assert best_rate(below).skr_star < 0.0
 
 
 def test_max_distance_preserves_arm_ratio():
@@ -192,7 +204,7 @@ def test_max_distance_preserves_arm_ratio():
     assert 0.3 < md.distance_km < 1.5
     arm = md.distance_km / 2.0
     edge = replace(cfg, geometry=LinkGeometry(arm + 0.2, arm + 0.2))
-    assert best_rate(edge)[0] < 0.0
+    assert best_rate(edge).skr_star < 0.0
 
 
 def test_max_distance_no_key_at_zero():

@@ -8,9 +8,9 @@ import pytest
 import mdicvqkd
 from mdicvqkd import optimize, scenarios
 from mdicvqkd.channel import LinkGeometry, equivalent_excess_noise
-from mdicvqkd.keyrate import evaluate_protocol
+from mdicvqkd.keyrate import KeyRateResult, evaluate_protocol
 from mdicvqkd.modulation import Scheme
-from mdicvqkd.optimize import OptimizationGrid
+from mdicvqkd.optimize import OptimizationGrid, TOptimum
 from mdicvqkd.scenarios import (
     BETA_SCAN_DISTANCES,
     DEFAULT_BETA,
@@ -124,8 +124,17 @@ def test_surface_datasets():
         assert axis == sorted(axis)
 
 
+def _fixed_best_rate(skr: float, t_star: float):
+    """A stand-in for best_rate: the optimum (skr, t_star) at every config."""
+    physical = math.isfinite(skr)
+    x = 0.5 if physical else None
+    result = KeyRateResult(1.0, x, x, x, x, x, skr if physical else None, physical)
+    opt = TOptimum(t_star=t_star, skr_star=skr, result=result, no_key=not (skr > 0.0))
+    return lambda cfg, grid=None: opt
+
+
 def test_nonphysical_best_rate_written_as_nan(monkeypatch):
-    monkeypatch.setattr(scenarios, "best_rate", lambda cfg, grid=None: (-math.inf, 1.0))
+    monkeypatch.setattr(scenarios, "best_rate", _fixed_best_rate(-math.inf, 1.0))
     surface = rate_surface(Case.ASYMMETRIC, v_steps=2, l_steps=2)
     beta = rate_vs_beta(Case.SYMMETRIC, beta_steps=2, distances=(0.1,))
     asym = asymmetry_rate_curves(d_list=(0.0, 0.5), l_steps=2, l_max=10.0)
@@ -136,7 +145,7 @@ def test_nonphysical_best_rate_written_as_nan(monkeypatch):
 def test_dataset_warn_domain_judged_at_t_star(monkeypatch):
     # at T* = 0.1 the catalysis variants stay in the domain up to V = 6;
     # the plain variants run at T = 1, so V = 5 is outside it
-    monkeypatch.setattr(scenarios, "best_rate", lambda cfg, grid=None: (1.0, 0.1))
+    monkeypatch.setattr(scenarios, "best_rate", _fixed_best_rate(1.0, 0.1))
     surface = rate_surface(Case.ASYMMETRIC, v_lo=1.05, v_hi=5.0, v_steps=2, l_steps=2)
     assert {ds.name: ds.warn_domain for ds in surface} == {
         "fig3_four": True,
@@ -145,7 +154,7 @@ def test_dataset_warn_domain_judged_at_t_star(monkeypatch):
         "fig3_eight_zpc": False,
     }
     assert not asymmetry_rate_curves(d_list=(0.0,), l_steps=2, l_max=10.0).warn_domain
-    monkeypatch.setattr(scenarios, "best_rate", lambda cfg, grid=None: (1.0, 1.0))
+    monkeypatch.setattr(scenarios, "best_rate", _fixed_best_rate(1.0, 1.0))
     assert asymmetry_rate_curves(d_list=(0.0,), l_steps=2, l_max=10.0).warn_domain
     curves = rate_vs_distance(Case.SYMMETRIC, l_steps=2, extra_eps=())
     assert [ds.warn_domain for ds in curves] == [False, True, True, True]  # V = 1.5/1.8/2.6/2.7

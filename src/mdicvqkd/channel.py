@@ -87,11 +87,7 @@ def equivalent_excess_noise(geometry: LinkGeometry, eps_a: float, eps_b: float) 
 
 
 def equivalent_excess_noise_curve(
-    d_ratio: float,
-    distances_km: list[float],
-    eps_a: float,
-    eps_b: float,
-    loss_mu: float = FIBER_LOSS_DB_PER_KM,
+    d_ratio: float, distances_km: list[float], eps_a: float, eps_b: float
 ) -> list[tuple[float, float]]:
     """eps_th sampled over total Alice-Bob distances for one arm ratio.
 
@@ -104,7 +100,7 @@ def equivalent_excess_noise_curve(
     out = []
     for total in distances_km:
         l_ac = total / (1.0 + d_ratio)
-        geom = LinkGeometry(l_ac, d_ratio * l_ac, loss_mu)
+        geom = LinkGeometry(l_ac, d_ratio * l_ac)
         out.append((total, equivalent_excess_noise(geom, eps_a, eps_b)))
     return out
 

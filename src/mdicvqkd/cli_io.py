@@ -18,15 +18,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .keyrate import ProtocolConfig, evaluate_protocol
-from .channel import LinkGeometry
+from .keyrate import DOMAIN_V_M_MAX, ProtocolConfig, evaluate_protocol
 from .modulation import Scheme
-from .optimize import OptimizationGrid, max_distance, optimize_t, optimize_tv
-from .scenarios import FIGURE_IDS, FIGURES, Dataset, run_figure
+from .optimize import TOL_KM, OptimizationGrid, max_distance, optimize_t, optimize_tv
+from .scenarios import FIGURE_IDS, FIGURES, Case, Dataset, Variant, config_for, run_figure
 from .zpc import ZpcSetting
 
 _DOMAIN_WARNING = (
-    "effective modulation variance exceeds 0.5 shot-noise units; "
+    f"effective modulation variance exceeds {DOMAIN_V_M_MAX} shot-noise units; "
     "the bound is outside its trusted domain"
 )
 
@@ -39,17 +38,9 @@ class ScenarioError(ValueError):
     """Raised for malformed or contradictory scenario files."""
 
 
-# What an unspecified scenario key takes: eight-state, no catalysis,
-# beta 0.95, excess noise 0.002 per link, 0.2 dB/km fiber, zero length.
-DEFAULT_CONFIG = ProtocolConfig(
-    scheme=Scheme.EIGHT,
-    zpc=ZpcSetting.off(),
-    variance_v=1.5,
-    beta=0.95,
-    eps_a=0.002,
-    eps_b=0.002,
-    geometry=LinkGeometry(0.0, 0.0, 0.2),
-)
+# What an unspecified scenario key takes: the eight-state preset of the
+# figures at zero length.
+DEFAULT_CONFIG = config_for(Variant.EIGHT, Case.ASYMMETRIC, 0.0)
 
 # Scenario-file keys -> help of the flag that sets the same value, which
 # is --key with "-" for "_".  eps sets eps_a and eps_b together.
@@ -63,7 +54,7 @@ _SCENARIO_KEYS = {
     "eps_b": "excess noise of the Bob-relay link",
     "lac": "Alice-relay fiber length, km",
     "lbc": "Bob-relay fiber length, km",
-    "mu": "fiber loss, dB/km (default 0.2)",
+    "mu": f"fiber loss, dB/km (default {DEFAULT_CONFIG.geometry.loss_mu})",
 }
 # Scenario keys whose field has another name; lac, lbc and mu are fields
 # of the geometry.
@@ -123,7 +114,7 @@ def parse_scenario(text: str) -> ProtocolConfig:
 def load_scenario_file(path) -> ProtocolConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     return parse_scenario(text)
 
@@ -306,20 +297,13 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-# Figure flags -> the optional builder keyword each sets.
-_FIGURE_FLAGS = {
-    "--extra-eps": "extra_eps",
-    "--per-arm": "sym_per_arm",
-    "--arm-diff": "arm_diff_axis",
-}
-
-
 def _figures_taking(keyword: str) -> str:
     return "/".join(fid for fid, fig in FIGURES.items() if keyword in fig[3])
 
 
 def _eps_list(text: str) -> tuple[float, ...]:
-    """The --extra-eps value: comma-separated excess noises, finite and >= 0."""
+    """The --extra-eps value: comma-separated excess noises, finite, >= 0
+    and distinct, since each names one curve and its file."""
     try:
         eps = tuple(float(s) for s in text.split(","))
     except ValueError:
@@ -327,7 +311,31 @@ def _eps_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(msg) from None
     if any(not (e >= 0.0) or math.isinf(e) for e in eps):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    for i, e in enumerate(eps):
+        if e in eps[:i]:
+            raise argparse.ArgumentTypeError(f"repeats {e!r}, got {text!r}")
     return eps
+
+
+# Figure flags -> (the optional builder keyword each sets, its argparse
+# options, its help); the help ends with the figures that take the flag.
+_FIGURE_FLAGS = {
+    "--extra-eps": (
+        "extra_eps",
+        {"metavar": "E1,E2,...", "type": _eps_list},
+        "extra excess-noise curves for the best variant",
+    ),
+    "--per-arm": (
+        "sym_per_arm",
+        {"action": "store_true"},
+        "report per-arm rather than total distance in symmetric figures",
+    ),
+    "--arm-diff": (
+        "arm_diff_axis",
+        {"action": "store_true"},
+        "report the arm difference l_ac-l_bc instead of the traversed total",
+    ),
+}
 
 
 def _figure_overrides(args) -> dict:
@@ -335,7 +343,7 @@ def _figure_overrides(args) -> dict:
     the figure does not take."""
     _, _, step_keys, accepted = FIGURES[args.figure_id]
     overrides = {}
-    for flag, key in _FIGURE_FLAGS.items():
+    for flag, (key, _, _) in _FIGURE_FLAGS.items():
         value = getattr(args, key)
         if value in (None, False):
             continue
@@ -379,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p_opt)
     p_opt.add_argument("--optimize", required=True, choices=("t", "tv", "distance"))
     p_opt.add_argument(
-        "--tol-km", dest="tol_km", type=float, default=0.05, help="distance bisection tolerance"
+        "--tol-km", dest="tol_km", type=float, default=TOL_KM, help="distance bisection tolerance"
     )
     p_opt.set_defaults(func=_cmd_optimize, subparser=p_opt)
 
@@ -387,27 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("figure_id", choices=FIGURE_IDS)
     p_fig.add_argument("--out", default=".", help="output directory (default .)")
     p_fig.add_argument("--steps", type=int, help="points along the primary axis")
-    p_fig.add_argument(
-        "--extra-eps",
-        dest="extra_eps",
-        metavar="E1,E2,...",
-        type=_eps_list,
-        help=f"extra excess-noise curves for the best variant ({_figures_taking('extra_eps')})",
-    )
-    p_fig.add_argument(
-        "--per-arm",
-        dest="sym_per_arm",
-        action="store_true",
-        help="report per-arm rather than total distance in symmetric figures"
-        f" ({_figures_taking('sym_per_arm')})",
-    )
-    p_fig.add_argument(
-        "--arm-diff",
-        dest="arm_diff_axis",
-        action="store_true",
-        help="report the arm difference l_ac-l_bc instead of the traversed total"
-        f" ({_figures_taking('arm_diff_axis')})",
-    )
+    for flag, (key, options, help_text) in _FIGURE_FLAGS.items():
+        p_fig.add_argument(flag, dest=key, help=f"{help_text} ({_figures_taking(key)})", **options)
     p_fig.set_defaults(func=_cmd_figure, subparser=p_fig)
     return parser
 

@@ -17,6 +17,9 @@ from .keyrate import KeyRateResult, ProtocolConfig, rate_over_t, secret_key_rate
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Bisection tolerance of max_distance, km.
+TOL_KM = 0.05
+
 
 def linspace(lo: float, hi: float, steps: int) -> list[float]:
     """steps evenly spaced points from lo to hi; the last is hi itself,
@@ -218,7 +221,7 @@ def beta_zero_crossing(
 def max_distance(
     config: ProtocolConfig,
     grid: OptimizationGrid | None = None,
-    tol_km: float = 0.05,
+    tol_km: float = TOL_KM,
 ) -> MaxDistance:
     """Largest total distance with a positive (T-optimized) key rate.
 

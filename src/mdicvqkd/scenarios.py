@@ -22,7 +22,6 @@ from .zpc import ZpcSetting
 
 DEFAULT_BETA = 0.95
 DEFAULT_EPS = 0.002
-DEFAULT_LOSS_MU = 0.2
 
 
 class Case(Enum):
@@ -71,6 +70,10 @@ BETA_SCAN_DISTANCES = {
     Case.SYMMETRIC: (0.1, 0.2, 0.3, 0.4),
 }
 
+# Relay positions d = l_bc / l_ac of the relay-position studies, from Bob
+# (0) to the middle (1).
+RELAY_POSITIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
 # Extra excess-noise presets for the distance curves of the best variant.
 EXTRA_EPS = {
     Case.ASYMMETRIC: (0.0015, 0.00225, 0.0030),
@@ -90,12 +93,7 @@ class Dataset:
     warn_domain: bool = False
 
 
-def geometry_for(
-    case: Case,
-    distance_km: float,
-    loss_mu: float = DEFAULT_LOSS_MU,
-    sym_per_arm: bool = False,
-) -> LinkGeometry:
+def geometry_for(case: Case, distance_km: float, sym_per_arm: bool = False) -> LinkGeometry:
     """Link geometry whose reported distance is distance_km.
 
     Asymmetric: the whole span is the Alice-relay link.  Symmetric: the
@@ -103,9 +101,9 @@ def geometry_for(
     makes it the length of each arm instead.
     """
     if case is Case.ASYMMETRIC:
-        return LinkGeometry(distance_km, 0.0, loss_mu)
+        return LinkGeometry(distance_km, 0.0)
     arm = distance_km if sym_per_arm else distance_km / 2.0
-    return LinkGeometry(arm, arm, loss_mu)
+    return LinkGeometry(arm, arm)
 
 
 def config_for(
@@ -115,7 +113,6 @@ def config_for(
     variance_v: float | None = None,
     beta: float = DEFAULT_BETA,
     eps: float = DEFAULT_EPS,
-    loss_mu: float = DEFAULT_LOSS_MU,
     sym_per_arm: bool = False,
 ) -> ProtocolConfig:
     """Preset configuration for one variant; T starts at 1 (optimizers
@@ -130,15 +127,15 @@ def config_for(
         beta=beta,
         eps_a=eps,
         eps_b=eps,
-        geometry=geometry_for(case, distance_km, loss_mu, sym_per_arm),
+        geometry=geometry_for(case, distance_km, sym_per_arm),
     )
 
 
-def correlation_curves(v_m_max: float = 4.0, steps: int = 200) -> Dataset:
+def correlation_curves(steps: int = 200) -> Dataset:
     """Correlation coefficient of the three modulations versus the
-    effective modulation variance."""
+    effective modulation variance, over [0, 4]."""
     rows = []
-    for v_m in linspace(0.0, v_m_max, steps):
+    for v_m in linspace(0.0, 4.0, steps):
         x = v_m / 2.0
         rows.append(
             (
@@ -262,18 +259,16 @@ def rate_vs_distance(
 
 def rate_vs_beta(
     case: Case,
-    beta_lo: float = 0.8,
-    beta_hi: float = 1.0,
     beta_steps: int = 200,
     distances: tuple[float, ...] | None = None,
     grid: OptimizationGrid | None = None,
     sym_per_arm: bool = False,
 ) -> list[Dataset]:
-    """Rate against reconciliation efficiency at the preset distances,
-    transmittance re-optimized at every point."""
+    """Rate against reconciliation efficiency in [0.8, 1] at the preset
+    distances, transmittance re-optimized at every point."""
     if distances is None:
         distances = BETA_SCAN_DISTANCES[case]
-    points = [(l, beta) for l in distances for beta in linspace(beta_lo, beta_hi, beta_steps)]
+    points = [(l, beta) for l in distances for beta in linspace(0.8, 1.0, beta_steps)]
     return _best_rate_tables(
         _figure_id(rate_vs_beta, case),
         ("distance_km", "beta"),
@@ -284,15 +279,14 @@ def rate_vs_beta(
 
 
 def asymmetry_rate_curves(
-    d_list: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0),
+    d_list: tuple[float, ...] = RELAY_POSITIONS,
     l_steps: int = 200,
     l_max: float = 50.0,
-    variance_v: float = 2.7,
     grid: OptimizationGrid | None = None,
     arm_diff_axis: bool = False,
 ) -> Dataset:
-    """Rate versus distance as the relay slides from Bob toward the
-    middle; d is the ratio l_bc / l_ac.
+    """Eight-state catalysis rate at V = 2.7 versus distance as the relay
+    slides from Bob toward the middle; d is the ratio l_bc / l_ac.
 
     The distance column is the Alice-Bob total l_ac (1 + d) by default;
     arm_diff_axis reports the arm difference l_ac - l_bc = (1 - d) l_ac
@@ -302,12 +296,12 @@ def asymmetry_rate_curves(
     for d in d_list:
         if not (0.0 <= d <= 1.0):
             raise ValueError(f"d must be in [0, 1], got {d}")
-    base = config_for(Variant.EIGHT_ZPC, Case.ASYMMETRIC, 0.0, variance_v=variance_v)
+    base = config_for(Variant.EIGHT_ZPC, Case.ASYMMETRIC, 0.0, variance_v=2.7)
     ds = _rate_table(
         _figure_id(asymmetry_rate_curves),
         ("distance_km", "d"),
         [(l_ac, d) for d in d_list for l_ac in linspace(0.0, l_max, l_steps)],
-        lambda l_ac, d: replace(base, geometry=LinkGeometry(l_ac, d * l_ac, DEFAULT_LOSS_MU)),
+        lambda l_ac, d: replace(base, geometry=LinkGeometry(l_ac, d * l_ac)),
         grid,
     )
     # the rows carry l_ac until here; report the chosen distance, sorted
@@ -316,17 +310,14 @@ def asymmetry_rate_curves(
 
 
 def excess_noise_transition(
-    d_list: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0),
-    l_steps: int = 200,
-    l_max: float = 60.0,
-    eps: float = DEFAULT_EPS,
-    loss_mu: float = DEFAULT_LOSS_MU,
+    d_list: tuple[float, ...] = RELAY_POSITIONS, l_steps: int = 200, l_max: float = 60.0
 ) -> Dataset:
-    """Equivalent excess noise versus total distance for each arm ratio."""
+    """Equivalent excess noise versus total distance for each arm ratio,
+    at the preset excess noise on both links."""
     distances = linspace(0.0, l_max, l_steps)
     rows = []
     for d in d_list:
-        for total, eps_th in equivalent_excess_noise_curve(d, distances, eps, eps, loss_mu):
+        for total, eps_th in equivalent_excess_noise_curve(d, distances, DEFAULT_EPS, DEFAULT_EPS):
             rows.append((total, d, eps_th))
     rows.sort(key=lambda r: (r[0], r[1]))
     return Dataset(

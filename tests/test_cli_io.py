@@ -69,7 +69,8 @@ def test_empty_scenario_gives_defaults():
     assert spec == DEFAULT_CONFIG
     assert spec.scheme is Scheme.EIGHT
     assert not spec.zpc.enabled
-    assert (spec.beta, spec.eps_a, spec.geometry.loss_mu) == (0.95, 0.002, 0.2)
+    assert (spec.variance_v, spec.beta, spec.eps_a, spec.eps_b) == (1.5, 0.95, 0.002, 0.002)
+    assert (spec.geometry.l_ac, spec.geometry.l_bc, spec.geometry.loss_mu) == (0, 0, 0.2)
 
 
 def test_scenario_parsing():
@@ -131,6 +132,9 @@ def test_load_scenario_file(tmp_path):
     assert spec.variance_v == 3.0 and not spec.zpc.enabled
     with pytest.raises(ScenarioError, match="cannot read"):
         load_scenario_file(tmp_path / "missing.scenario")
+    p.write_bytes(b"variance = 3.0\xff\n")
+    with pytest.raises(ScenarioError, match="cannot read scenario file .*run.scenario: 'utf-8'"):
+        load_scenario_file(p)
 
 
 # --- keyrate command -----------------------------------------------------
@@ -430,6 +434,16 @@ def test_cli_figure_flag_scoping(tmp_path, capsys):
                 assert out == "" and "applies only" in err
     code, _, _ = run_cli(["figure", "nope"], capsys)
     assert code == 1
+
+
+def test_cli_figure_refuses_repeated_extra_eps(tmp_path, capsys):
+    # each --extra-eps value names one curve and its file; -0.0 equals 0
+    for value, repeated in (("0.001,0.001,1e-3", "0.001"), ("-0.0,0", "0.0")):
+        argv = ["figure", "fig4", "--steps", "2", f"--extra-eps={value}", "--out", str(tmp_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1].endswith(f"--extra-eps: repeats {repeated}, got {value!r}")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_figure_unwritable_dir(tmp_path, capsys):

@@ -1,15 +1,18 @@
 """Property test of the CLI contract on drawn flag values: the exit code is
-0, 1 or 2, nothing but SystemExit escapes, and a printed payload is strict
-JSON."""
+0, 1 or 2, nothing but SystemExit escapes, a printed payload is strict
+JSON, and a figure's manifest lists each file it wrote once."""
 
 import contextlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdicvqkd.cli_io import _SCENARIO_KEYS, main
+from mdicvqkd.cli_io import _FIGURE_FLAGS, _SCENARIO_KEYS, main
+from mdicvqkd.scenarios import FIGURE_IDS, FIGURES
 
 HOSTILE = st.one_of(
     st.floats().map(repr),
@@ -68,13 +71,7 @@ def _hostile_over(*keys: str):
     return st.dictionaries(st.sampled_from(list(_SCENARIO_KEYS) + list(keys)), HOSTILE, max_size=2)
 
 
-FUZZ = settings(
-    max_examples=100,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+FUZZ = settings(max_examples=100)
 
 
 def _argv(flags: dict) -> list[str]:
@@ -140,3 +137,82 @@ def test_optimize_distance_flags_keep_the_cli_contract(flags, bounds, grid, tol,
     _check(
         ["optimize", "--optimize", "distance", *argv], not hostile, "no zero crossing found"
     )
+
+
+def _as_int(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+# The figure flags, --steps among them, by keyword.  A drawn figure call takes --steps
+# 2 or 3 and values of the flags its figure takes, which are valid unless
+# an --extra-eps list repeats a value, and possibly hostile overrides:
+# --steps text, --extra-eps text and flags the figure may not take.  An
+# integer above 3 is a valid but slow --steps, so hostile text never
+# parses to one.
+FIGURE_FLAGS = {"steps": "--steps", **{key: flag for flag, (key, _, _) in _FIGURE_FLAGS.items()}}
+FLAG_VALUES = {
+    "extra_eps": st.lists(
+        st.one_of(_number(0.0, 0.01), _number(0.0, 1e308)), min_size=1, max_size=3
+    ).map(",".join),
+    "sym_per_arm": st.just(True),
+    "arm_diff_axis": st.just(True),
+}
+HOSTILE_FIGURE = st.one_of(
+    st.just({}),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "steps": HOSTILE.filter(lambda s: (_as_int(s) or 0) <= 3),
+            "extra_eps": HOSTILE,
+            "sym_per_arm": st.just(True),
+            "arm_diff_axis": st.just(True),
+        },
+    ),
+)
+
+
+def _figure_call(fid: str):
+    takes = FIGURES[fid][3]
+    return st.tuples(
+        st.just(fid),
+        st.sampled_from(["2", "3"]),
+        st.fixed_dictionaries({}, optional={key: FLAG_VALUES[key] for key in takes}),
+        HOSTILE_FIGURE,
+    )
+
+
+@settings(max_examples=50)
+@given(st.sampled_from(FIGURE_IDS).flatmap(_figure_call))
+def test_figure_flags_keep_the_cli_contract(call):
+    fid, steps, flags, hostile = call
+    flags = {"steps": steps, **flags, **hostile}
+    argv = [FIGURE_FLAGS[k] if v is True else f"{FIGURE_FLAGS[k]}={v}" for k, v in flags.items()]
+    eps = flags.get("extra_eps", "0").split(",")
+    valid = (
+        not {"steps", "extra_eps"} & hostile.keys()
+        and len({float(e) for e in eps}) == len(eps)
+        and flags.keys() - {"steps"} <= set(FIGURES[fid][3])
+    )
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["figure", fid, "--out", tmp, *argv])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if valid:
+            assert code == 0, (fid, argv, err.getvalue())
+        if code == 1:
+            assert out.getvalue() == "", argv
+            return
+        # the manifest lists each written file once, and nothing else
+        manifest = f"{fid}_manifest.json"
+        files = json.loads((Path(tmp) / manifest).read_text(encoding="utf-8"))["files"]
+        assert len(set(files)) == len(files), files
+        assert sorted(files) == sorted(p.name for p in Path(tmp).iterdir() if p.name != manifest)
+        assert out.getvalue().splitlines() == [str(Path(tmp) / n) for n in (*files, manifest)]

@@ -315,7 +315,7 @@ CONFIGS = st.builds(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(CONFIGS, st.floats(0.0, 1.0, exclude_min=True))
 def test_rate_over_t_is_the_per_t_path(cfg, t):
     assert repr(rate_over_t(cfg)(t)) == repr(secret_key_rate(cfg.at_t(t)))
@@ -325,7 +325,7 @@ def test_rate_over_t_is_the_per_t_path(cfg, t):
 # that differs in one quantity; a non-physical rate counts as -inf.  Where
 # the quantity moves the rate by less than its rounding (a link of 100+ dB
 # swamps any excess noise), the rate may wobble by a few ulps either way.
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=150)
 
 
 def _rate(cfg: ProtocolConfig) -> float:

@@ -250,9 +250,9 @@ def _cmd_keyrate(args) -> int:
     payload = {
         "tool_version": __version__,
         "config": _spec_echo(cfg),
-        **asdict(ev.result),
+        **ev.result._asdict(),
         "attenuated_alpha_sq": ev.attenuated_alpha_sq,
-        "channel": asdict(ev.channel),
+        "channel": ev.channel._asdict(),
         "warnings": [_DOMAIN_WARNING] if cfg.warn_domain else [],
     }
     _print_json(payload)

@@ -131,6 +131,7 @@ def lambdas(scheme: Scheme, alpha_sq: float) -> list[float]:
     alpha_sq equals k mod M, M = 8 or 4.  The weights are non-negative
     and sum to 1.
     """
+    x = _check_alpha_sq(alpha_sq)
     if scheme is Scheme.GAUSSIAN:
         return []
     if scheme is Scheme.EIGHT:
@@ -139,7 +140,6 @@ def lambdas(scheme: Scheme, alpha_sq: float) -> list[float]:
         modulus, closed = 4, _lambdas_four_closed
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    x = _check_alpha_sq(alpha_sq)
     if x < _CLOSED_FORM_MIN or x > _CLOSED_FORM_MAX:
         return _poisson_residue_sums(x, modulus)
     return closed(x)
@@ -160,13 +160,12 @@ def correlation_z(scheme: Scheme, alpha_sq: float) -> float:
     sqrt(lambda_k) with the index wrapping cyclically; Gaussian modulation
     gives the EPR value.  All three vanish at alpha_sq = 0.
     """
-    x = _check_alpha_sq(alpha_sq)
     if scheme is Scheme.GAUSSIAN:
-        return gaussian_z(x)
-    lams = lambdas(scheme, x)
+        return gaussian_z(alpha_sq)
+    lams = lambdas(scheme, alpha_sq)  # checks alpha_sq
     total = 0.0
-    for k in range(len(lams)):
-        # lams[k - 1] wraps to the last weight at k = 0
-        num = lams[k - 1] ** 1.5
-        total += num / math.sqrt(max(lams[k], _DENOM_FLOOR))
-    return 2.0 * x * total
+    prev = lams[-1]  # lambda_{k-1} wraps to the last weight at k = 0
+    for lam in lams:
+        total += prev**1.5 / math.sqrt(max(lam, _DENOM_FLOOR))
+        prev = lam
+    return 2.0 * alpha_sq * total

@@ -238,6 +238,10 @@ def rate_vs_distance(
         l_max = L_MAX[case]
     if extra_eps is None:
         extra_eps = EXTRA_EPS[case]
+    for i, eps in enumerate(extra_eps):
+        # each value names one curve and its file
+        if eps in extra_eps[:i]:
+            raise ValueError(f"extra_eps repeats {eps!r}")
     fig_name = _figure_id(rate_vs_distance, case)
     distances = [(l,) for l in linspace(0.0, l_max, l_steps)]
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mdicvqkd import __version__
 from mdicvqkd.channel import LinkGeometry
 from mdicvqkd.cli_io import (
     _DOMAIN_WARNING,
@@ -154,6 +155,103 @@ def test_cli_keyrate_json(capsys):
     assert doc["config"]["zpc_t"] == "off"
     assert doc["channel"]["t_b"] == 1.0
     assert doc["warnings"] == []
+
+
+# keyrate stdout byte for byte, key order and every value, for a physical
+# and a non-physical config; @VERSION@ and @WARNING@ stand for the tool
+# version and the domain warning
+KEYRATE_GOLDEN = {
+    "--scheme eight --zpc-t 0.4 --variance 2.6 --eps-a 0.002 --eps-b 0.003 --lac 12.5 --lbc 3": (
+        0,
+        """\
+{
+  "tool_version": "@VERSION@",
+  "config": {
+    "scheme": "eight",
+    "zpc_t": 0.4,
+    "variance": 2.6,
+    "beta": 0.95,
+    "eps_a": 0.002,
+    "eps_b": 0.003,
+    "lac": 12.5,
+    "lbc": 3.0,
+    "mu": 0.2
+  },
+  "p_d": 0.6187833918061408,
+  "i_ab": 0.1146225455460596,
+  "chi_be": 0.433505063697336,
+  "kappa1": 1.472518830509395,
+  "kappa2": 1.149770945191179,
+  "kappa3": 1.4383671705158019,
+  "skr": -0.20086553254485232,
+  "physical": true,
+  "attenuated_alpha_sq": 0.32000000000000006,
+  "channel": {
+    "t_a": 0.5623413251903491,
+    "t_b": 0.8709635899560806,
+    "chi_a": 0.7802794100389229,
+    "chi_b": 0.15115362149688283,
+    "g_sq": 1.0205809968861181,
+    "t_c": 0.2869574351265136,
+    "eps_th": 0.46557203210962084,
+    "chi_t": 2.950409424662703
+  },
+  "warnings": [
+    "@WARNING@"
+  ]
+}
+""",
+    ),
+    "--scheme four --variance 1e300 --lac 10": (
+        2,
+        """\
+{
+  "tool_version": "@VERSION@",
+  "config": {
+    "scheme": "four",
+    "zpc_t": "off",
+    "variance": 1e+300,
+    "beta": 0.95,
+    "eps_a": 0.002,
+    "eps_b": 0.002,
+    "lac": 10.0,
+    "lbc": 0.0,
+    "mu": 0.2
+  },
+  "p_d": 1.0,
+  "i_ab": null,
+  "chi_be": null,
+  "kappa1": null,
+  "kappa2": null,
+  "kappa3": null,
+  "skr": null,
+  "physical": false,
+  "attenuated_alpha_sq": 5e+299,
+  "channel": {
+    "t_a": 0.6309573444801932,
+    "t_b": 1.0,
+    "chi_a": 0.5868931924611135,
+    "chi_b": 0.002,
+    "g_sq": 2.0,
+    "t_c": 0.6309573444801932,
+    "eps_th": 0.005169786384922492,
+    "chi_t": 0.5900629788460359
+  },
+  "warnings": [
+    "@WARNING@"
+  ]
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", KEYRATE_GOLDEN)
+def test_cli_keyrate_golden_bytes(flags, capsys):
+    code, out, _ = run_cli(["keyrate", *flags.split()], capsys)
+    want_code, want = KEYRATE_GOLDEN[flags]
+    assert code == want_code
+    assert out == want.replace("@VERSION@", __version__).replace("@WARNING@", _DOMAIN_WARNING)
 
 
 def test_cli_keyrate_domain_warning(capsys):

@@ -265,6 +265,13 @@ def test_evaluation_is_single_pass(monkeypatch):
         assert calls == {"equivalent_channel": 1, "apply_zpc": evaluated, "config_init": 0}
 
 
+def test_records_are_immutable():
+    ev = evaluate_protocol(config())
+    for record, field in ((ev, "result"), (ev.result, "skr"), (ev.channel, "t_c")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+
+
 def test_evaluation_matches_separate_steps():
     rng = random.Random(23)
     for _ in range(300):

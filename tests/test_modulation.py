@@ -183,7 +183,32 @@ def test_gaussian_scheme_has_no_weights():
 
 def test_rejects_bad_amplitude():
     for bad in (-0.1, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            lambdas(Scheme.EIGHT, bad)
-        with pytest.raises(ValueError):
-            correlation_z(Scheme.FOUR, bad)
+        for scheme in Scheme:
+            with pytest.raises(ValueError, match="alpha_sq"):
+                lambdas(scheme, bad)
+            with pytest.raises(ValueError, match="alpha_sq"):
+                correlation_z(scheme, bad)
+
+
+# Z to the last bit at zero and in each weight band (below 1, [1, 30],
+# above 30), so a rewrite of the sum cannot move a figure digit
+Z_PINS = {
+    Scheme.FOUR: {
+        0.0: 0.0,
+        0.37: 1.3810569087265472,
+        7.25: 14.500010969565071,
+        42.5: 84.99999999999999,
+    },
+    Scheme.EIGHT: {
+        0.0: 0.0,
+        0.37: 1.3954258594532654,
+        7.25: 14.592821287102588,
+        42.5: 85.00000000057548,
+    },
+}
+
+
+def test_correlation_pinned_bits():
+    for scheme, pins in Z_PINS.items():
+        for x, z in pins.items():
+            assert correlation_z(scheme, x) == z, (scheme, x)

@@ -161,6 +161,12 @@ def test_dataset_warn_domain_judged_at_t_star(monkeypatch):
     assert not correlation_curves(steps=2).warn_domain
 
 
+def test_rate_vs_distance_refuses_repeated_extra_eps():
+    # each extra excess noise names one curve and its file
+    with pytest.raises(ValueError, match="repeats 0.001"):
+        run_figure("fig4", l_steps=2, extra_eps=(0.001, 0.001))
+
+
 def test_beta_zero_crossing_plain():
     assert beta_zero_crossing is optimize.beta_zero_crossing is mdicvqkd.beta_zero_crossing
     cfg = config_for(Variant.EIGHT, Case.ASYMMETRIC, 25.0)

@@ -25,13 +25,9 @@ class Scheme(Enum):
 
 _SQRT2 = math.sqrt(2.0)
 
-# Above this mean the closed forms multiply huge cosh/sinh values by a tiny
-# exponential and shed digits; the term-by-term Poisson sum stays exact.
-_CLOSED_FORM_MAX = 30.0
-
 # Below this the closed forms cancel down to values near the 1e-16 noise
 # floor of cosh/cos (the smallest weight scales like alpha_sq^7), so the
-# all-positive Poisson sum is used there as well.
+# all-positive Poisson sum is used there instead.
 _CLOSED_FORM_MIN = 1.0
 
 # Beyond this every residue class holds 1/M to far below double precision
@@ -129,7 +125,9 @@ def lambdas(scheme: Scheme, alpha_sq: float) -> list[float]:
 
     lambda_k is the probability that a Poisson variable with mean
     alpha_sq equals k mod M, M = 8 or 4.  The weights are non-negative
-    and sum to 1.
+    and sum to 1.  They come from the Poisson series below alpha_sq = 1,
+    from the closed forms of Leverrier & Grangier (PRL 102, 180504) on
+    [1, 500], and are uniform, 1/M each, above 500.
     """
     x = _check_alpha_sq(alpha_sq)
     if scheme is Scheme.GAUSSIAN:
@@ -140,7 +138,7 @@ def lambdas(scheme: Scheme, alpha_sq: float) -> list[float]:
         modulus, closed = 4, _lambdas_four_closed
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if x < _CLOSED_FORM_MIN or x > _CLOSED_FORM_MAX:
+    if x < _CLOSED_FORM_MIN or x > _UNIFORM_MAX:
         return _poisson_residue_sums(x, modulus)
     return closed(x)
 

@@ -54,8 +54,9 @@ class OptimizationGrid:
             raise ValueError(f"need 0 <= t_lo < t_hi <= 1, got ({self.t_lo}, {self.t_hi}]")
         if not (1.0 < self.v_lo < self.v_hi):
             raise ValueError(f"need 1 < v_lo < v_hi, got [{self.v_lo}, {self.v_hi}]")
-        if self.t_steps < 2 or self.v_steps < 2:
-            raise ValueError("steps must be >= 2")
+        for name in ("t_steps", "v_steps"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
         if self.refine_iters < 0:
             raise ValueError("refine_iters must be >= 0")
 

@@ -440,6 +440,15 @@ def test_cli_optimize_grid_override(capsys):
     assert doc["grid"]["refine_iters"] == 5
 
 
+@pytest.mark.parametrize("flag, field", [("--t-steps", "t_steps"), ("--v-steps", "v_steps")])
+def test_cli_optimize_refuses_a_one_point_grid(flag, field, capsys):
+    code, out, err = run_cli(f"optimize --optimize t --zpc-t 0.5 {flag} 1".split(), capsys)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"{field} must be >= 2, got 1" in err
+
+
 def test_cli_optimize_t_grid_ends_on_its_bound(capsys):
     # 0.1 + 0.9 * 13 / 13 is 1.0000000000000002, a T the catalysis setting
     # refuses, so the grid's last point must be t_hi itself

@@ -72,13 +72,15 @@ def test_frozen_quarter_point():
 
 
 def test_matches_oracle_across_regimes():
-    # spans the series branch (x < 1), the closed forms, and the switch
+    # spans the series branch (x < 1), the closed forms, and the switch;
+    # up to x = 100 the Poisson mass beyond 400 terms is below 1e-100
     rng = random.Random(7)
     xs = [rng.uniform(0.0, 5.0) for _ in range(30)]
     xs += [0.001, 0.5, 0.999, 1.0, 1.001, 4.9]
+    xs += [30.0, 42.5, 64.0, 99.75]
     for x in xs:
         for m, scheme in ((8, Scheme.EIGHT), (4, Scheme.FOUR)):
-            want = poisson_residue_oracle(x, m)
+            want = poisson_residue_oracle(x, m, terms=400)
             got = lambdas(scheme, x)
             err = max(abs(g - w) for g, w in zip(got, want))
             assert err < 1e-13, f"x={x} m={m} err={err}"
@@ -112,20 +114,53 @@ def test_early_stop_is_bit_identical():
 
 
 def test_branches_agree_at_upper_switch():
-    # the closed forms hand over to the series at x = 30
-    for x in (29.5, 30.0, 30.5):
-        for closed, series, n in (
-            (_lambdas_eight_closed, _poisson_residue_sums, 8),
-            (_lambdas_four_closed, _poisson_residue_sums, 4),
-        ):
+    # the closed forms serve x <= 500 and hand over to the uniform limit above
+    pairs = ((Scheme.EIGHT, _lambdas_eight_closed), (Scheme.FOUR, _lambdas_four_closed))
+    for scheme, closed in pairs:
+        uniform = lambdas(scheme, 500.5)
+        assert len(set(uniform)) == 1
+        for x in (499.5, 500.0, 500.5):
             a = closed(x)
-            b = series(x, n)
-            assert max(abs(p - q) for p, q in zip(a, b)) < 1e-13
+            assert max(abs(p - q) for p, q in zip(a, uniform)) < 1e-13
+            if x <= 500.0:
+                assert lambdas(scheme, x) == a
+
+
+def poisson_residue_decimal(alpha_sq: float, m: int) -> list[decimal.Decimal]:
+    """Residue-class Poisson masses summed term by term in 50-digit decimal,
+    until past the mode the terms fall below 1e-60."""
+    x = decimal.Decimal(alpha_sq)
+    term = (-x).exp()
+    acc = [decimal.Decimal(0)] * m
+    n = 0
+    while n <= alpha_sq or term >= decimal.Decimal("1e-60"):
+        acc[n % m] += term
+        n += 1
+        term = term * x / n
+    return acc
+
+
+def test_closed_forms_within_ulps_of_50_digits():
+    # measured worst cases on 457 points of [30, 500]: 2 ulp on a weight,
+    # 4 on Z; the term-by-term float series reached 31 and 51 there
+    xs = [30.0 + 470.0 * i / 36 for i in range(37)] + [42.5, 499.999]
+    three_halves = decimal.Decimal("1.5")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for x in xs:
+            for m, scheme in ((8, Scheme.EIGHT), (4, Scheme.FOUR)):
+                want = poisson_residue_decimal(x, m)
+                for got, w in zip(lambdas(scheme, x), want):
+                    assert abs(decimal.Decimal(got) - w) <= 4 * math.ulp(float(w)), (x, m)
+                z = sum(want[k - 1] ** three_halves / want[k].sqrt() for k in range(m))
+                z *= 2 * decimal.Decimal(x)
+                got_z = correlation_z(scheme, x)
+                assert abs(decimal.Decimal(got_z) - z) <= 5 * math.ulp(float(z)), (x, m)
 
 
 def test_normalized_and_nonnegative():
-    for i in range(200):
-        x = 10.0 * i / 199
+    xs = [10.0 * i / 199 for i in range(200)] + [500.0 * i / 99 for i in range(100)]
+    for x in xs:
         for scheme in (Scheme.EIGHT, Scheme.FOUR):
             lams = lambdas(scheme, x)
             assert all(l >= 0.0 for l in lams)
@@ -190,20 +225,22 @@ def test_rejects_bad_amplitude():
                 correlation_z(scheme, bad)
 
 
-# Z to the last bit at zero and in each weight band (below 1, [1, 30],
-# above 30), so a rewrite of the sum cannot move a figure digit
+# Z to the last bit at zero and in each weight band (below 1, [1, 500],
+# above 500), so a rewrite of the sum cannot move a figure digit
 Z_PINS = {
     Scheme.FOUR: {
         0.0: 0.0,
         0.37: 1.3810569087265472,
         7.25: 14.500010969565071,
-        42.5: 84.99999999999999,
+        42.5: 85.0,
+        600.0: 1200.0,
     },
     Scheme.EIGHT: {
         0.0: 0.0,
         0.37: 1.3954258594532654,
         7.25: 14.592821287102588,
-        42.5: 85.00000000057548,
+        42.5: 85.00000000057553,
+        600.0: 1200.0,
     },
 }
 

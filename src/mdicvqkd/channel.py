@@ -107,17 +107,13 @@ def equivalent_excess_noise_curve(
 
 
 def equivalent_channel(
-    geometry: LinkGeometry,
-    eps_a: float,
-    eps_b: float,
-    v_bob: float,
-    g_sq: float | None = None,
+    geometry: LinkGeometry, eps_a: float, eps_b: float, v_bob: float
 ) -> EquivalentChannel:
     """Collapse both links and Bob's modulation into one channel.
 
-    v_bob is the variance of Bob's mode entering his fiber.  g_sq
-    defaults to the mismatch-cancelling choice; passing a value keeps
-    the general expression, which adds the quadratic penalty term.
+    v_bob is the variance of Bob's mode entering his fiber.  The gain is
+    the mismatch-cancelling g^2 of optimal_g_sq; any other gain would add
+    (T_B / T_A) (sqrt(2 (V_B - 1) / (g^2 T_B)) - sqrt(V_B + 1))^2 to eps_th.
     """
     if v_bob <= 1.0:
         raise ValueError(f"v_bob must exceed 1 (vacuum) to define a gain, got {v_bob}")
@@ -129,15 +125,8 @@ def equivalent_channel(
         raise ValueError("link so long its transmittance underflowed to zero")
     chi_a = (1.0 - t_a) / t_a + eps_a
     chi_b = (1.0 - t_b) / t_b + eps_b
-    if g_sq is None:
-        g_sq = optimal_g_sq(t_b, v_bob)
-        mismatch = 0.0
-    else:
-        if g_sq <= 0.0:
-            raise ValueError(f"g_sq must be > 0, got {g_sq}")
-        root = math.sqrt(2.0 * (v_bob - 1.0) / (g_sq * t_b)) - math.sqrt(v_bob + 1.0)
-        mismatch = root * root
-    eps_th = 1.0 + chi_a + (t_b / t_a) * (chi_b - 1.0 + mismatch)
+    g_sq = optimal_g_sq(t_b, v_bob)
+    eps_th = 1.0 + chi_a + (t_b / t_a) * (chi_b - 1.0)
     t_c = g_sq * t_a / 2.0
     if t_c == 0.0:
         # t_a was subnormal, so the relay's output underflows instead

@@ -13,16 +13,21 @@ import argparse
 import json
 import math
 import sys
+import time
 from dataclasses import asdict, fields, replace
-from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .keyrate import DOMAIN_V_M_MAX, ProtocolConfig, evaluate_protocol
 from .modulation import Scheme
-from .optimize import TOL_KM, OptimizationGrid, max_distance, optimize_t, optimize_tv
-from .scenarios import FIGURE_IDS, FIGURES, Case, Dataset, Variant, config_for, run_figure
+from .presets import Case, Variant, config_for
 from .zpc import ZpcSetting
+
+# The optimizer and figure layers are imported by the commands that run
+# them, so a keyrate process does not load them.
+if TYPE_CHECKING:
+    from .scenarios import Dataset
 
 _DOMAIN_WARNING = (
     f"effective modulation variance exceeds {DOMAIN_V_M_MAX} shot-noise units; "
@@ -119,11 +124,6 @@ def load_scenario_file(path) -> ProtocolConfig:
     return parse_scenario(text)
 
 
-def serialize_scenario(config: ProtocolConfig) -> str:
-    """Scenario-file text that parses back to an equal config."""
-    return "".join(f"{key} = {format_value(v)}\n" for key, v in _spec_echo(config).items())
-
-
 def _spec_echo(config: ProtocolConfig) -> dict:
     """The config under its scenario keys, eps written as eps_a and eps_b."""
     echo = {}
@@ -156,7 +156,7 @@ def format_value(value) -> str:
     return repr(x)
 
 
-def dataset_to_csv(dataset: Dataset, manifest_name: str = "manifest.json") -> str:
+def dataset_to_csv(dataset: "Dataset", manifest_name: str = "manifest.json") -> str:
     lines = [f"# manifest: {manifest_name}", ",".join(dataset.columns)]
     width = len(dataset.columns)
     for row in dataset.rows:
@@ -167,7 +167,7 @@ def dataset_to_csv(dataset: Dataset, manifest_name: str = "manifest.json") -> st
 
 
 def write_datasets(
-    datasets: list[Dataset],
+    datasets: "list[Dataset]",
     out_dir,
     config_echo: dict,
     manifest_name: str = "manifest.json",
@@ -183,7 +183,7 @@ def write_datasets(
     manifest = {
         "tool_version": __version__,
         "config_echo": config_echo,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         "warnings": [_DOMAIN_WARNING] if any(ds.warn_domain for ds in datasets) else [],
         "files": [p.name for p in paths],
     }
@@ -213,21 +213,11 @@ def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
 
 
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    for f in fields(OptimizationGrid):
-        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default))
-
-
 def _resolve_spec(args) -> ProtocolConfig:
     """The scenario file, if any, overridden by the protocol flags given."""
     given = {key: getattr(args, key) for key in _SCENARIO_KEYS if getattr(args, key) is not None}
     base = load_scenario_file(args.scenario) if args.scenario else DEFAULT_CONFIG
     return _with_keys(base, given)
-
-
-def _resolve_grid(args) -> OptimizationGrid:
-    given = {f.name: getattr(args, f.name) for f in fields(OptimizationGrid)}
-    return OptimizationGrid(**{key: val for key, val in given.items() if val is not None})
 
 
 def _jsonable(x):
@@ -260,8 +250,11 @@ def _cmd_keyrate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from .optimize import OptimizationGrid, max_distance, optimize_t, optimize_tv
+
     cfg = _resolve_spec(args)
-    grid = _resolve_grid(args)
+    given = {f.name: getattr(args, f.name) for f in fields(OptimizationGrid)}
+    grid = OptimizationGrid(**{key: val for key, val in given.items() if val is not None})
     mode = args.optimize
     if mode == "t":
         if not cfg.zpc.enabled:
@@ -281,12 +274,7 @@ def _cmd_optimize(args) -> int:
         reported = cfg.at_t(opt.t_star)
     elif mode == "tv":
         opt = optimize_tv(cfg, grid)
-        payload.update(
-            t_star=opt.t_star,
-            v_star=opt.v_star,
-            skr_star=opt.skr_star,
-            no_key=opt.no_key,
-        )
+        payload.update(opt._asdict())
         reported = replace(cfg.at_t(opt.t_star), variance_v=opt.v_star)
     else:
         md = max_distance(cfg, grid, tol_km=args.tol_km)
@@ -298,6 +286,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _figures_taking(keyword: str) -> str:
+    from .scenarios import FIGURES
+
     return "/".join(fid for fid, fig in FIGURES.items() if keyword in fig[3])
 
 
@@ -341,6 +331,8 @@ _FIGURE_FLAGS = {
 def _figure_overrides(args) -> dict:
     """run_figure keyword arguments from the figure flags, refusing a flag
     the figure does not take."""
+    from .scenarios import FIGURES
+
     _, _, step_keys, accepted = FIGURES[args.figure_id]
     overrides = {}
     for flag, (key, _, _) in _FIGURE_FLAGS.items():
@@ -358,6 +350,8 @@ def _figure_overrides(args) -> dict:
 
 
 def _cmd_figure(args) -> int:
+    from .scenarios import run_figure
+
     overrides = _figure_overrides(args)
     datasets = run_figure(args.figure_id, **overrides)
     echo = {"figure": args.figure_id}
@@ -373,37 +367,55 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _optimize_flags(p: argparse.ArgumentParser) -> None:
+    from .optimize import TOL_KM, OptimizationGrid
+
+    _add_protocol_flags(p)
+    for f in fields(OptimizationGrid):
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default))
+    p.add_argument("--optimize", required=True, choices=("t", "tv", "distance"))
+    p.add_argument(
+        "--tol-km", dest="tol_km", type=float, default=TOL_KM, help="distance bisection tolerance"
+    )
+
+
+def _figure_flags(p: argparse.ArgumentParser) -> None:
+    from .scenarios import FIGURE_IDS
+
+    p.add_argument("figure_id", choices=FIGURE_IDS)
+    p.add_argument("--out", default=".", help="output directory (default .)")
+    p.add_argument("--steps", type=int, help="points along the primary axis")
+    for flag, (key, options, help_text) in _FIGURE_FLAGS.items():
+        p.add_argument(flag, dest=key, help=f"{help_text} ({_figures_taking(key)})", **options)
+
+
+# Subcommands -> (help, the function adding their flags, the function running them).
+_COMMANDS = {
+    "keyrate": ("evaluate one configuration, print JSON", _add_protocol_flags, _cmd_keyrate),
+    "optimize": ("optimize t, (t, v), or reachable distance", _optimize_flags, _cmd_optimize),
+    "figure": ("write a figure's datasets as CSV + manifest", _figure_flags, _cmd_figure),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for argv.  Only the subcommand argv starts with gets its
+    flags, since adding them imports the layers it runs; without a
+    subcommand first, every subcommand gets them."""
     parser = _Parser(prog="mdicvqkd", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_rate = sub.add_parser("keyrate", help="evaluate one configuration, print JSON")
-    _add_protocol_flags(p_rate)
-    p_rate.set_defaults(func=_cmd_keyrate, subparser=p_rate)
-
-    p_opt = sub.add_parser("optimize", help="optimize t, (t, v), or reachable distance")
-    _add_protocol_flags(p_opt)
-    _add_grid_flags(p_opt)
-    p_opt.add_argument("--optimize", required=True, choices=("t", "tv", "distance"))
-    p_opt.add_argument(
-        "--tol-km", dest="tol_km", type=float, default=TOL_KM, help="distance bisection tolerance"
-    )
-    p_opt.set_defaults(func=_cmd_optimize, subparser=p_opt)
-
-    p_fig = sub.add_parser("figure", help="write a figure's datasets as CSV + manifest")
-    p_fig.add_argument("figure_id", choices=FIGURE_IDS)
-    p_fig.add_argument("--out", default=".", help="output directory (default .)")
-    p_fig.add_argument("--steps", type=int, help="points along the primary axis")
-    for flag, (key, options, help_text) in _FIGURE_FLAGS.items():
-        p_fig.add_argument(flag, dest=key, help=f"{help_text} ({_figures_taking(key)})", **options)
-    p_fig.set_defaults(func=_cmd_figure, subparser=p_fig)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (help_text, add_flags, run) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if named in (None, name):
+            add_flags(p)
+        p.set_defaults(func=run, subparser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:

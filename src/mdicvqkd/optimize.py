@@ -11,6 +11,7 @@ only trusted when it beats the coarse scan.
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .channel import LinkGeometry
 from .keyrate import KeyRateResult, ProtocolConfig, rate_over_t, secret_key_rate
@@ -68,24 +69,22 @@ class OptimizationGrid:
         return linspace(self.v_lo, self.v_hi, self.v_steps)
 
 
-@dataclass(frozen=True)
-class TOptimum:
+# NamedTuples, as KeyRateResult: each frozen dataclass adds about 1 ms to start-up.
+class TOptimum(NamedTuple):
     t_star: float
     skr_star: float
     result: KeyRateResult
     no_key: bool
 
 
-@dataclass(frozen=True)
-class TvOptimum:
+class TvOptimum(NamedTuple):
     t_star: float
     v_star: float
     skr_star: float
     no_key: bool
 
 
-@dataclass(frozen=True)
-class MaxDistance:
+class MaxDistance(NamedTuple):
     distance_km: float
     no_key: bool
 
@@ -136,7 +135,7 @@ def _skr(r: KeyRateResult) -> float:
 
 def _optimum(t_star: float, result: KeyRateResult) -> TOptimum:
     skr = _skr(result)
-    return TOptimum(t_star=t_star, skr_star=skr, result=result, no_key=not (skr > 0.0))
+    return TOptimum(t_star, skr, result, not (skr > 0.0))
 
 
 def optimize_t(config: ProtocolConfig, grid: OptimizationGrid | None = None) -> TOptimum:
@@ -182,12 +181,7 @@ def optimize_tv(config: ProtocolConfig, grid: OptimizationGrid | None = None) ->
     v_star, skr_star = _scan_and_refine(
         f, grid.v_points(), grid.v_lo, grid.v_hi, grid.refine_iters
     )
-    return TvOptimum(
-        t_star=t_for[v_star],
-        v_star=v_star,
-        skr_star=skr_star,
-        no_key=not (skr_star > 0.0),
-    )
+    return TvOptimum(t_for[v_star], v_star, skr_star, not (skr_star > 0.0))
 
 
 def beta_zero_crossing(
@@ -243,7 +237,7 @@ def max_distance(
         return best_rate(replace(config, geometry=base.scaled(total_km)), grid).skr_star
 
     if not (rate_at(0.0) > 0.0):
-        return MaxDistance(distance_km=0.0, no_key=True)
+        return MaxDistance(0.0, True)
     lo, hi = 0.0, max(base.total_km, 1.0)
     while rate_at(hi) > 0.0:
         lo, hi = hi, 2.0 * hi
@@ -257,4 +251,4 @@ def max_distance(
             lo = mid
         else:
             hi = mid
-    return MaxDistance(distance_km=0.5 * (lo + hi), no_key=False)
+    return MaxDistance(0.5 * (lo + hi), False)

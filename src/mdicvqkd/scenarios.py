@@ -1,66 +1,21 @@
 """Named parameter studies emitted as tabular datasets.
 
-Each study fixes the conventions used throughout: reconciliation
-efficiency 0.95, excess noise 0.002 on both links, fiber loss 0.2 dB/km,
-and per-variant source variances taken from the variance studies.  The
-asymmetric layout puts the relay at Bob (l_bc = 0) and reports l_ac;
-the symmetric layout splits the reported total distance evenly between
-the two arms (a per-arm reporting switch is available since either axis
-convention appears in practice).
+Each study builds its configs with presets.config_for, where the
+conventions are declared.  The asymmetric layout reports l_ac; the
+symmetric layout reports the total distance, or the per-arm length
+when asked, since either axis convention appears in practice.
 """
 
 import math
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import replace
 from functools import partial
+from typing import NamedTuple
 
 from .channel import LinkGeometry, equivalent_excess_noise_curve
-from .keyrate import ProtocolConfig
 from .modulation import Scheme, correlation_z
 from .optimize import OptimizationGrid, beta_zero_crossing, best_rate, linspace  # noqa: F401
-from .zpc import ZpcSetting
-
-DEFAULT_BETA = 0.95
-DEFAULT_EPS = 0.002
-
-
-class Case(Enum):
-    """Relay placement: at Bob's site or midway."""
-
-    ASYMMETRIC = "asymmetric"
-    SYMMETRIC = "symmetric"
-
-
-class Variant(Enum):
-    """The four protocol flavors compared throughout."""
-
-    FOUR = "four"
-    EIGHT = "eight"
-    FOUR_ZPC = "four_zpc"
-    EIGHT_ZPC = "eight_zpc"
-
-    @property
-    def scheme(self) -> Scheme:
-        return Scheme.FOUR if self in (Variant.FOUR, Variant.FOUR_ZPC) else Scheme.EIGHT
-
-    @property
-    def zpc_enabled(self) -> bool:
-        return self in (Variant.FOUR_ZPC, Variant.EIGHT_ZPC)
-
-
-# Source variances giving the best rate for each variant, from the
-# variance-distance surfaces (asymmetric read near 30 km, symmetric
-# near 0.1 km).
-OPTIMAL_V = {
-    (Case.ASYMMETRIC, Variant.FOUR): 1.4,
-    (Case.ASYMMETRIC, Variant.EIGHT): 1.5,
-    (Case.ASYMMETRIC, Variant.FOUR_ZPC): 2.5,
-    (Case.ASYMMETRIC, Variant.EIGHT_ZPC): 2.6,
-    (Case.SYMMETRIC, Variant.FOUR): 1.5,
-    (Case.SYMMETRIC, Variant.EIGHT): 1.8,
-    (Case.SYMMETRIC, Variant.FOUR_ZPC): 2.6,
-    (Case.SYMMETRIC, Variant.EIGHT_ZPC): 2.7,
-}
+from .presets import DEFAULT_EPS, Case, Variant, config_for
+from .presets import DEFAULT_BETA, OPTIMAL_V, geometry_for  # noqa: F401
 
 # Distance axis of the rate surfaces and distance curves, km.
 L_MAX = {Case.ASYMMETRIC: 60.0, Case.SYMMETRIC: 1.5}
@@ -81,54 +36,15 @@ EXTRA_EPS = {
 }
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     """One table: a name, a column header, and row tuples.  warn_domain
     is set when any row was reported at a config outside the trusted
     domain, judged at that row's T."""
 
     name: str
     columns: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
+    rows: list[tuple]
     warn_domain: bool = False
-
-
-def geometry_for(case: Case, distance_km: float, sym_per_arm: bool = False) -> LinkGeometry:
-    """Link geometry whose reported distance is distance_km.
-
-    Asymmetric: the whole span is the Alice-relay link.  Symmetric: the
-    distance is the Alice-Bob total split in half, unless sym_per_arm
-    makes it the length of each arm instead.
-    """
-    if case is Case.ASYMMETRIC:
-        return LinkGeometry(distance_km, 0.0)
-    arm = distance_km if sym_per_arm else distance_km / 2.0
-    return LinkGeometry(arm, arm)
-
-
-def config_for(
-    variant: Variant,
-    case: Case,
-    distance_km: float,
-    variance_v: float | None = None,
-    beta: float = DEFAULT_BETA,
-    eps: float = DEFAULT_EPS,
-    sym_per_arm: bool = False,
-) -> ProtocolConfig:
-    """Preset configuration for one variant; T starts at 1 (optimizers
-    and sweeps replace it)."""
-    if variance_v is None:
-        variance_v = OPTIMAL_V[(case, variant)]
-    zpc = ZpcSetting.on(1.0) if variant.zpc_enabled else ZpcSetting.off()
-    return ProtocolConfig(
-        scheme=variant.scheme,
-        zpc=zpc,
-        variance_v=variance_v,
-        beta=beta,
-        eps_a=eps,
-        eps_b=eps,
-        geometry=geometry_for(case, distance_km, sym_per_arm),
-    )
 
 
 def correlation_curves(steps: int = 200) -> Dataset:
@@ -145,9 +61,7 @@ def correlation_curves(steps: int = 200) -> Dataset:
                 correlation_z(Scheme.GAUSSIAN, x),
             )
         )
-    return Dataset(
-        name=_figure_id(correlation_curves), columns=("v_m_tilde", "z4", "z8", "zg"), rows=rows
-    )
+    return Dataset(_figure_id(correlation_curves), ("v_m_tilde", "z4", "z8", "zg"), rows)
 
 
 def _or_nan(x: float | None) -> float:
@@ -172,12 +86,7 @@ def _rate_table(
         values = (_or_nan(getattr(opt.result, f)) for f in ("skr", *fields))
         rows.append((*point, *values, opt.t_star))
         warn = warn or cfg.at_t(opt.t_star).warn_domain
-    return Dataset(
-        name=name,
-        columns=(*axes, "skr_bits_per_use", *fields, "t_star"),
-        rows=rows,
-        warn_domain=warn,
-    )
+    return Dataset(name, (*axes, "skr_bits_per_use", *fields, "t_star"), rows, warn)
 
 
 def _best_rate_tables(
@@ -310,7 +219,7 @@ def asymmetry_rate_curves(
     )
     # the rows carry l_ac until here; report the chosen distance, sorted
     rows = [((1.0 - d) * l if arm_diff_axis else l * (1.0 + d), d, *r) for l, d, *r in ds.rows]
-    return replace(ds, rows=sorted(rows, key=lambda r: (r[0], r[1])))
+    return ds._replace(rows=sorted(rows, key=lambda r: (r[0], r[1])))
 
 
 def excess_noise_transition(
@@ -324,9 +233,7 @@ def excess_noise_transition(
         for total, eps_th in equivalent_excess_noise_curve(d, distances, DEFAULT_EPS, DEFAULT_EPS):
             rows.append((total, d, eps_th))
     rows.sort(key=lambda r: (r[0], r[1]))
-    return Dataset(
-        name=_figure_id(excess_noise_transition), columns=("distance_km", "d", "eps_th"), rows=rows
-    )
+    return Dataset(_figure_id(excess_noise_transition), ("distance_km", "d", "eps_th"), rows)
 
 
 # The figures: id -> (builder, its fixed positional arguments, the keyword

@@ -79,13 +79,14 @@ def test_symmetric_noise_identity():
 def test_optimal_gain_cancels_mismatch():
     geom = LinkGeometry(12.0, 7.0)
     v = 2.4
-    auto = equivalent_channel(geom, 0.002, 0.002, v_bob=v)
-    manual = equivalent_channel(geom, 0.002, 0.002, v_bob=v, g_sq=optimal_g_sq(auto.t_b, v))
-    assert manual.eps_th == pytest.approx(auto.eps_th, rel=1e-12)
-    # any other gain only adds noise
-    for g_sq in (0.5 * auto.g_sq, 2.0 * auto.g_sq):
-        worse = equivalent_channel(geom, 0.002, 0.002, v_bob=v, g_sq=g_sq)
-        assert worse.eps_th > auto.eps_th
+    chan = equivalent_channel(geom, 0.002, 0.002, v_bob=v)
+    assert chan.g_sq == optimal_g_sq(chan.t_b, v)
+    # the gain zeroes the mismatch term of the general eps_th ...
+    root = math.sqrt(2.0 * (v - 1.0) / (chan.g_sq * chan.t_b)) - math.sqrt(v + 1.0)
+    assert root == pytest.approx(0.0, abs=1e-12)
+    # ... so eps_th is the rest of it
+    rest = 1.0 + chan.chi_a + (chan.t_b / chan.t_a) * (chan.chi_b - 1.0)
+    assert chan.eps_th == pytest.approx(rest, rel=1e-12)
 
 
 def test_channel_composition():
@@ -129,8 +130,6 @@ def test_validation():
         equivalent_channel(geom, -0.001, 0.002, v_bob=1.5)
     with pytest.raises(ValueError):
         equivalent_channel(geom, 0.002, 0.002, v_bob=1.0)
-    with pytest.raises(ValueError):
-        equivalent_channel(geom, 0.002, 0.002, v_bob=1.5, g_sq=0.0)
     with pytest.raises(ValueError):
         equivalent_channel(LinkGeometry(40000.0, 0.0), 0.002, 0.002, v_bob=1.5)
     # eps_th alone refuses the same links the full channel refuses

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -15,12 +17,13 @@ from mdicvqkd.cli_io import (
     _SCENARIO_KEYS,
     DEFAULT_CONFIG,
     ScenarioError,
+    _spec_echo,
     dataset_to_csv,
     format_value,
     load_scenario_file,
     main,
     parse_scenario,
-    serialize_scenario,
+    write_datasets,
 )
 from mdicvqkd.modulation import Scheme
 from mdicvqkd.scenarios import FIGURES, Dataset
@@ -34,6 +37,11 @@ def run_cli(argv, capsys):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def scenario_text(config) -> str:
+    """A scenario file holding the CLI's echo of config."""
+    return "".join(f"{key} = {format_value(v)}\n" for key, v in _spec_echo(config).items())
 
 
 # --- serialization -------------------------------------------------------
@@ -60,6 +68,14 @@ def test_dataset_to_csv():
     bad = Dataset(name="demo", columns=("a", "b"), rows=[(1.0,)])
     with pytest.raises(ValueError):
         dataset_to_csv(bad)
+
+
+def test_manifest_timestamp_is_utc_to_the_second(tmp_path):
+    ds = Dataset(name="demo", columns=("a",), rows=[(1.0,)])
+    write_datasets([ds], tmp_path, {})
+    stamp = json.loads((tmp_path / "manifest.json").read_text())["timestamp"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+    assert abs(datetime.fromisoformat(stamp) - datetime.now(timezone.utc)) < timedelta(minutes=5)
 
 
 # --- scenario files ------------------------------------------------------
@@ -123,7 +139,7 @@ def test_scenario_round_trip():
         ),
     ]
     for spec in specs:
-        assert parse_scenario(serialize_scenario(spec)) == spec
+        assert parse_scenario(scenario_text(spec)) == spec
 
 
 def test_load_scenario_file(tmp_path):
@@ -136,6 +152,19 @@ def test_load_scenario_file(tmp_path):
     p.write_bytes(b"variance = 3.0\xff\n")
     with pytest.raises(ScenarioError, match="cannot read scenario file .*run.scenario: 'utf-8'"):
         load_scenario_file(p)
+
+
+# --- parser --------------------------------------------------------------
+
+# Exit code, stdout and stderr of the help texts and the top-level errors,
+# keyed by argv; argparse wraps to the terminal, so they hold at COLUMNS=80.
+HELP_GOLDEN = json.loads(Path(__file__).with_name("cli_help_golden.json").read_text("utf-8"))
+
+
+@pytest.mark.parametrize("argv", HELP_GOLDEN)
+def test_cli_help_and_top_level_errors_golden(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert list(run_cli(argv.split(), capsys)) == HELP_GOLDEN[argv]
 
 
 # --- keyrate command -----------------------------------------------------
@@ -326,7 +355,7 @@ def test_cli_scenario_with_flag_override(tmp_path, capsys):
 def test_cli_flags_mirror_scenario_keys(tmp_path, capsys):
     texts = (
         "scheme = four\nzpc_t = 0.75\nvariance = 2.5\nlac = 30\neps = 0.003\n",
-        serialize_scenario(
+        scenario_text(
             replace(
                 DEFAULT_CONFIG,
                 variance_v=1.7,

@@ -1,0 +1,79 @@
+"""What importing the package and running each CLI command loads: the
+optimizer and figure layers only when a command runs them."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mdicvqkd
+
+SRC = str(Path(mdicvqkd.__file__).resolve().parents[1])
+
+
+def run_fresh(code: str, *argv: str) -> str:
+    """stdout of code run in a new interpreter with argv, importing this
+    checkout's package."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# main() with no argument reads sys.argv[1:], as the console script calls it.
+_CLI_MODULES = """
+import contextlib, io, json, sys
+from mdicvqkd import cli_io
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli_io.main()
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("mdicvqkd"))]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, absent",
+    [
+        (["keyrate"], ["keyrate"], ["optimize", "scenarios"]),
+        (["optimize", "--optimize", "t", "--t-steps", "20"], ["optimize"], ["scenarios"]),
+    ],
+)
+def test_cli_command_imports_only_its_layers(argv, loaded, absent):
+    code, modules = json.loads(run_fresh(_CLI_MODULES, *argv))
+    assert code == 0
+    assert all(f"mdicvqkd.{m}" in modules for m in loaded), modules
+    assert not any(f"mdicvqkd.{m}" in modules for m in absent), modules
+
+
+_PACKAGE = """
+import sys
+import mdicvqkd
+before = sorted(m for m in sys.modules if m.startswith("mdicvqkd"))
+print(before, mdicvqkd.optimize.__name__, mdicvqkd.scenarios.__name__)
+star = {}
+exec("from mdicvqkd import *", star)
+print(sorted(set(mdicvqkd.__all__) - set(star)))
+"""
+
+
+def test_package_loads_the_optimizer_and_figures_on_first_access():
+    first, unbound = run_fresh(_PACKAGE).splitlines()
+    before, optimize, scenarios = first.rsplit(" ", 2)
+    assert "mdicvqkd.optimize" not in before and "mdicvqkd.scenarios" not in before
+    assert (optimize, scenarios) == ("mdicvqkd.optimize", "mdicvqkd.scenarios")
+    assert unbound == "[]"  # from mdicvqkd import * binds every name in __all__
+
+
+def test_package_names_resolve():
+    for name in mdicvqkd.__all__:
+        assert getattr(mdicvqkd, name) is not None
+    assert mdicvqkd.optimize_t is mdicvqkd.optimize.optimize_t
+    assert mdicvqkd.run_figure is mdicvqkd.scenarios.run_figure
+    assert mdicvqkd.Case is mdicvqkd.scenarios.Case
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mdicvqkd.no_such_name

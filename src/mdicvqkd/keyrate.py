@@ -74,29 +74,11 @@ class ProtocolConfig:
         """True when the effective modulation variance T V_M leaves the
         region where the security argument is proven; evaluation still
         proceeds."""
-        t = self.zpc.t if self.zpc.enabled else 1.0
-        return t * (self.variance_v - 1.0) > DOMAIN_V_M_MAX
+        return self.zpc.t * (self.variance_v - 1.0) > DOMAIN_V_M_MAX
 
     def at_t(self, t: float) -> "ProtocolConfig":
         """This config with the catalysis transmittance set to t."""
         return replace(self, zpc=self.zpc.with_t(t))
-
-
-@dataclass(frozen=True)
-class FinalCovariance:
-    """Two-mode covariance (a, b diagonal blocks, c correlation block)."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.c)):
-            raise NonPhysicalStateError("covariance entries must be finite")
-        if self.a < 1.0 - KAPPA_TOL or self.b < 1.0 - KAPPA_TOL:
-            raise NonPhysicalStateError(
-                f"single-mode variances below vacuum: a={self.a}, b={self.b}"
-            )
 
 
 # NamedTuples, built positionally: one per evaluation, 4x cheaper than a frozen dataclass.
@@ -118,7 +100,6 @@ class Evaluation(NamedTuple):
 
     result: KeyRateResult
     channel: EquivalentChannel
-    covariance: FinalCovariance | None
     attenuated_alpha_sq: float
 
 
@@ -128,12 +109,12 @@ def _channel(config: ProtocolConfig) -> EquivalentChannel:
     )
 
 
-def mutual_information(cov: FinalCovariance) -> float:
+def mutual_information(a: float, b: float, c: float) -> float:
     """Shannon information of the heterodyne outcomes, bits per use."""
-    denom = (cov.a + 1.0) - cov.c * cov.c / (cov.b + 1.0)
+    denom = (a + 1.0) - c * c / (b + 1.0)
     if denom <= 0.0:
-        raise NonPhysicalStateError(f"correlation exceeds the physical bound: c={cov.c}")
-    return math.log2((cov.a + 1.0) / denom)
+        raise NonPhysicalStateError(f"correlation exceeds the physical bound: c={c}")
+    return math.log2((a + 1.0) / denom)
 
 
 def von_neumann_g(x: float) -> float:
@@ -147,8 +128,9 @@ def von_neumann_g(x: float) -> float:
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
-def symplectic_eigenvalues(cov: FinalCovariance) -> tuple[float, float, float]:
-    """Symplectic spectrum (kappa1 >= kappa2) plus the conditional kappa3.
+def symplectic_eigenvalues(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """Symplectic spectrum (kappa1 >= kappa2) plus the conditional kappa3
+    of the two-mode covariance with diagonal blocks a, b and correlation c.
 
     kappa_{1,2}^2 = [Delta +- sqrt(Delta^2 - 4 F^2)] / 2 with
     Delta = a^2 + b^2 - 2 c^2 and F = ab - c^2.  The discriminant is
@@ -156,7 +138,10 @@ def symplectic_eigenvalues(cov: FinalCovariance) -> tuple[float, float, float]:
     as F / kappa1, both to dodge cancellation; kappa1 kappa2 = F then
     holds to rounding by construction.
     """
-    a, b, c = cov.a, cov.b, cov.c
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise NonPhysicalStateError("covariance entries must be finite")
+    if a < 1.0 - KAPPA_TOL or b < 1.0 - KAPPA_TOL:
+        raise NonPhysicalStateError(f"single-mode variances below vacuum: a={a}, b={b}")
     f = a * b - c * c
     # products, not **: float pow raises OverflowError where * yields inf,
     # and inf is handled below as a non-physical state
@@ -175,24 +160,20 @@ def symplectic_eigenvalues(cov: FinalCovariance) -> tuple[float, float, float]:
 
 def _score(
     config: ProtocolConfig, zpc: ZpcSetting, chan: EquivalentChannel
-) -> tuple[KeyRateResult, FinalCovariance | None, float]:
+) -> tuple[KeyRateResult, float]:
     """Score config under catalysis setting zpc through channel chan.
 
     Alice's variance and the correlation are those of the attenuated
     source (a = 1 + 2 T alpha^2, Z at T alpha^2); the channel stretch and
-    added noise act on the b and c entries.  Returns the result, the
-    covariance (None when non-physical) and T alpha^2.
+    added noise act on the b and c entries.  Returns the result and T alpha^2.
     """
     atten, p_d = apply_zpc(config.alpha_sq, zpc)
     x_t = 1.0 + 2.0 * atten
+    b = chan.t_c * (x_t + chan.chi_t)
+    c = math.sqrt(chan.t_c) * correlation_z(config.scheme, atten)
     try:
-        cov = FinalCovariance(
-            x_t,
-            chan.t_c * (x_t + chan.chi_t),
-            math.sqrt(chan.t_c) * correlation_z(config.scheme, atten),
-        )
-        kappa1, kappa2, kappa3 = symplectic_eigenvalues(cov)
-        i_ab = mutual_information(cov)
+        kappa1, kappa2, kappa3 = symplectic_eigenvalues(x_t, b, c)
+        i_ab = mutual_information(x_t, b, c)
         chi_be = (
             von_neumann_g((kappa1 - 1.0) / 2.0)
             + von_neumann_g((kappa2 - 1.0) / 2.0)
@@ -202,8 +183,8 @@ def _score(
         if not (math.isfinite(i_ab) and math.isfinite(chi_be) and math.isfinite(skr)):
             raise NonPhysicalStateError("non-finite rate")
     except NonPhysicalStateError:
-        return KeyRateResult(p_d, None, None, None, None, None, None, False), None, atten
-    return KeyRateResult(p_d, i_ab, chi_be, kappa1, kappa2, kappa3, skr, True), cov, atten
+        return KeyRateResult(p_d, None, None, None, None, None, None, False), atten
+    return KeyRateResult(p_d, i_ab, chi_be, kappa1, kappa2, kappa3, skr, True), atten
 
 
 def rate_over_t(config: ProtocolConfig) -> Callable[[float], KeyRateResult]:
@@ -222,14 +203,14 @@ def rate_over_t(config: ProtocolConfig) -> Callable[[float], KeyRateResult]:
 
 
 def evaluate_protocol(config: ProtocolConfig) -> Evaluation:
-    """Run the full pipeline, keeping channel and covariance intermediates.
+    """Run the full pipeline, keeping the channel and T alpha^2 it scored.
 
     Non-physical covariances do not raise; they yield a result with
     physical = False and the score fields unset.
     """
     chan = _channel(config)
-    result, cov, atten = _score(config, config.zpc, chan)
-    return Evaluation(result, chan, cov, atten)
+    result, atten = _score(config, config.zpc, chan)
+    return Evaluation(result, chan, atten)
 
 
 def secret_key_rate(config: ProtocolConfig) -> KeyRateResult:

@@ -13,9 +13,8 @@ from typing import NamedTuple
 
 from .channel import LinkGeometry, equivalent_excess_noise_curve
 from .modulation import Scheme, correlation_z
-from .optimize import OptimizationGrid, beta_zero_crossing, best_rate, linspace  # noqa: F401
+from .optimize import OptimizationGrid, best_rate, linspace
 from .presets import DEFAULT_EPS, Case, Variant, config_for
-from .presets import DEFAULT_BETA, OPTIMAL_V, geometry_for  # noqa: F401
 
 # Distance axis of the rate surfaces and distance curves, km.
 L_MAX = {Case.ASYMMETRIC: 60.0, Case.SYMMETRIC: 1.5}

@@ -14,15 +14,16 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ZpcSetting:
-    """Catalysis configuration: enabled flag and beam-splitter transmittance t."""
+    """Catalysis configuration: enabled flag and transmittance t (1 when off)."""
 
     enabled: bool
     t: float = 1.0
 
     def __post_init__(self):
-        if self.enabled:
-            if not (0.0 < self.t <= 1.0):
-                raise ValueError(f"catalysis transmittance must be in (0, 1], got {self.t}")
+        if not (0.0 < self.t <= 1.0):
+            raise ValueError(f"catalysis transmittance must be in (0, 1], got {self.t}")
+        if not self.enabled and self.t != 1.0:
+            raise ValueError(f"disabled catalysis has t = 1, got {self.t}")
 
     @classmethod
     def off(cls) -> "ZpcSetting":
@@ -42,12 +43,10 @@ class ZpcSetting:
 def apply_zpc(alpha_sq: float, setting: ZpcSetting) -> tuple[float, float]:
     """Attenuate a mean photon number through the catalysis herald.
 
-    Returns (T alpha^2, exp(alpha^2 (T - 1))).  A disabled setting passes
-    alpha_sq through untouched with unit success probability, so T = 1
-    and disabled are the same operation.
+    Returns (T alpha^2, exp(alpha^2 (T - 1))).  A disabled setting has
+    T = 1, which passes a finite alpha_sq through untouched with unit
+    success probability (1.0 * x == x and exp(x * 0.0) == 1.0).
     """
     if alpha_sq < 0.0:
         raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
-    if not setting.enabled:
-        return alpha_sq, 1.0
     return setting.t * alpha_sq, math.exp(alpha_sq * (setting.t - 1.0))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import mdicvqkd.keyrate
 from mdicvqkd.channel import LinkGeometry, equivalent_channel
 from mdicvqkd.keyrate import (
-    FinalCovariance,
+    Evaluation,
     NonPhysicalStateError,
     ProtocolConfig,
     evaluate_protocol,
@@ -60,6 +60,18 @@ def random_config(rng: random.Random) -> ProtocolConfig:
     )
 
 
+def covariance_of(cfg: ProtocolConfig, ev: Evaluation) -> tuple[float, float, float]:
+    """(a, b, c) that evaluate_protocol(cfg) scored, rebuilt from the
+    attenuated alpha^2 and channel of ev by the formula that
+    test_covariance_assembly pins."""
+    atten, chan = ev.attenuated_alpha_sq, ev.channel
+    return (
+        1.0 + 2.0 * atten,
+        chan.t_c * (1.0 + 2.0 * atten + chan.chi_t),
+        math.sqrt(chan.t_c) * correlation_z(cfg.scheme, atten),
+    )
+
+
 def test_frozen_reference_point():
     r = evaluate_protocol(config()).result
     assert r.physical
@@ -85,14 +97,15 @@ def test_frozen_catalysis_point():
 
 def test_covariance_assembly():
     cfg = config(zpc=ZpcSetting.on(0.7), variance_v=2.0, l_ac=15.0, l_bc=3.0)
-    cov = evaluate_protocol(cfg).covariance
+    r = evaluate_protocol(cfg).result
     atten = 0.7 * cfg.alpha_sq
     chan = equivalent_channel(cfg.geometry, cfg.eps_a, cfg.eps_b, v_bob=cfg.variance_v)
-    assert cov.a == pytest.approx(1.0 + 2.0 * atten, rel=1e-14)
-    assert cov.b == pytest.approx(chan.t_c * (1.0 + 2.0 * atten + chan.chi_t), rel=1e-14)
-    assert cov.c == pytest.approx(
-        math.sqrt(chan.t_c) * correlation_z(cfg.scheme, atten), rel=1e-14
-    )
+    a = 1.0 + 2.0 * atten
+    b = chan.t_c * (1.0 + 2.0 * atten + chan.chi_t)
+    c = math.sqrt(chan.t_c) * correlation_z(cfg.scheme, atten)
+    for got, want in zip((r.kappa1, r.kappa2, r.kappa3), symplectic_eigenvalues(a, b, c)):
+        assert got == pytest.approx(want, rel=1e-14)
+    assert r.i_ab == pytest.approx(mutual_information(a, b, c), rel=1e-14)
 
 
 def test_unit_catalysis_equals_disabled():
@@ -105,11 +118,10 @@ def test_unit_catalysis_equals_disabled():
 
 
 def test_mutual_information_formula():
-    cov = FinalCovariance(a=2.0, b=3.0, c=1.5)
     want = math.log2(3.0 / (3.0 - 2.25 / 4.0))
-    assert mutual_information(cov) == pytest.approx(want, rel=1e-14)
+    assert mutual_information(2.0, 3.0, 1.5) == pytest.approx(want, rel=1e-14)
     with pytest.raises(NonPhysicalStateError):
-        mutual_information(FinalCovariance(a=1.0, b=1.0, c=2.01))
+        mutual_information(1.0, 1.0, 2.01)
 
 
 def test_entropy_function():
@@ -133,44 +145,44 @@ def test_entropy_function():
 def test_symplectic_pure_squeezed_state():
     # a two-mode squeezed vacuum is pure: both eigenvalues sit at 1
     for v in (1.1, 2.0, 7.5):
-        cov = FinalCovariance(a=v, b=v, c=math.sqrt(v * v - 1.0))
-        k1, k2, k3 = symplectic_eigenvalues(cov)
+        k1, k2, k3 = symplectic_eigenvalues(v, v, math.sqrt(v * v - 1.0))
         assert k1 == pytest.approx(1.0, abs=1e-9)
         assert k2 == pytest.approx(1.0, abs=1e-9)
         assert k3 == pytest.approx(v - (v * v - 1.0) / (v + 1.0), rel=1e-12)
 
 
 def test_symplectic_product_state():
-    k1, k2, _ = symplectic_eigenvalues(FinalCovariance(a=2.0, b=5.0, c=0.0))
+    k1, k2, _ = symplectic_eigenvalues(2.0, 5.0, 0.0)
     assert (k1, k2) == (5.0, 2.0)
 
 
 def test_symplectic_determinant_identity():
     rng = random.Random(3)
     for _ in range(500):
-        cov = evaluate_protocol(random_config(rng)).covariance
-        k1, k2, _ = symplectic_eigenvalues(cov)
-        det = cov.a * cov.b - cov.c * cov.c
+        cfg = random_config(rng)
+        a, b, c = covariance_of(cfg, evaluate_protocol(cfg))
+        k1, k2, _ = symplectic_eigenvalues(a, b, c)
+        det = a * b - c * c
         assert k1 * k2 == pytest.approx(det, rel=1e-12)
         assert k1 >= 1.0 - 1e-9 and k2 >= 1.0 - 1e-9
 
 
 def test_symplectic_rejects_unphysical():
     with pytest.raises(NonPhysicalStateError):
-        symplectic_eigenvalues(FinalCovariance(a=1.0, b=1.0, c=1.5))  # F < 0
+        symplectic_eigenvalues(1.0, 1.0, 1.5)  # F < 0
     with pytest.raises(NonPhysicalStateError):
-        symplectic_eigenvalues(FinalCovariance(a=2.0, b=1.01, c=1.0))  # kappa2 < 1
+        symplectic_eigenvalues(2.0, 1.01, 1.0)  # kappa2 < 1
 
 
 def test_covariance_validation():
-    with pytest.raises(NonPhysicalStateError):
-        FinalCovariance(a=0.5, b=2.0, c=0.0)
-    with pytest.raises(NonPhysicalStateError):
-        FinalCovariance(a=math.inf, b=2.0, c=0.0)
+    # entries below vacuum or non-finite are refused before the spectrum
+    for a, b, c in ((0.5, 2.0, 0.0), (2.0, 0.5, 0.0), (math.inf, 2.0, 0.0), (2.0, 2.0, math.nan)):
+        with pytest.raises(NonPhysicalStateError):
+            symplectic_eigenvalues(a, b, c)
 
 
-def _holevo(cov: FinalCovariance) -> float:
-    k1, k2, k3 = symplectic_eigenvalues(cov)
+def _holevo(a: float, b: float, c: float) -> float:
+    k1, k2, k3 = symplectic_eigenvalues(a, b, c)
     return (
         von_neumann_g((k1 - 1.0) / 2.0)
         + von_neumann_g((k2 - 1.0) / 2.0)
@@ -179,8 +191,9 @@ def _holevo(cov: FinalCovariance) -> float:
 
 
 def test_holevo_composition():
-    ev = evaluate_protocol(config())
-    assert ev.result.chi_be == pytest.approx(_holevo(ev.covariance), rel=1e-14)
+    cfg = config()
+    ev = evaluate_protocol(cfg)
+    assert ev.result.chi_be == pytest.approx(_holevo(*covariance_of(cfg, ev)), rel=1e-14)
 
 
 def test_negative_rate_reported_as_is():
@@ -278,17 +291,13 @@ def test_evaluation_matches_separate_steps():
         cfg = random_config(rng)
         ev = evaluate_protocol(cfg)
         assert ev.result.physical
-        atten, _ = apply_zpc(cfg.alpha_sq, cfg.zpc)
-        assert ev.attenuated_alpha_sq == atten
-        chan = ev.channel
-        assert ev.covariance == FinalCovariance(
-            a=1.0 + 2.0 * atten,
-            b=chan.t_c * (1.0 + 2.0 * atten + chan.chi_t),
-            c=math.sqrt(chan.t_c) * correlation_z(cfg.scheme, atten),
-        )
-        assert ev.result.chi_be == _holevo(ev.covariance)
+        atten, p_d = apply_zpc(cfg.alpha_sq, cfg.zpc)
+        assert (ev.attenuated_alpha_sq, ev.result.p_d) == (atten, p_d)
+        cov = covariance_of(cfg, ev)
+        assert ev.result.chi_be == _holevo(*cov)
+        assert ev.result.i_ab == mutual_information(*cov)
         assert (ev.result.kappa1, ev.result.kappa2, ev.result.kappa3) == (
-            symplectic_eigenvalues(ev.covariance)
+            symplectic_eigenvalues(*cov)
         )
         assert ev.channel == equivalent_channel(
             cfg.geometry, cfg.eps_a, cfg.eps_b, v_bob=cfg.variance_v
@@ -299,9 +308,11 @@ def test_nonphysical_evaluation_keeps_intermediates():
     cfg = config(variance_v=1e300, zpc=ZpcSetting.on(0.5))
     ev = evaluate_protocol(cfg)
     assert not ev.result.physical
-    assert ev.covariance is None
+    assert ev._fields == ("result", "channel", "attenuated_alpha_sq")
     assert ev.attenuated_alpha_sq == 0.5 * cfg.alpha_sq
     assert ev.channel.t_c > 0.0
+    with pytest.raises(NonPhysicalStateError):
+        symplectic_eigenvalues(*covariance_of(cfg, ev))
 
 
 # Any scheme, catalysis on or off, any relay position, and variances and

@@ -10,20 +10,17 @@ from mdicvqkd import optimize, scenarios
 from mdicvqkd.channel import LinkGeometry, equivalent_excess_noise
 from mdicvqkd.keyrate import KeyRateResult, evaluate_protocol
 from mdicvqkd.modulation import Scheme
-from mdicvqkd.optimize import OptimizationGrid, TOptimum
+from mdicvqkd.optimize import OptimizationGrid, TOptimum, beta_zero_crossing
+from mdicvqkd.presets import DEFAULT_BETA, OPTIMAL_V, geometry_for
 from mdicvqkd.scenarios import (
     BETA_SCAN_DISTANCES,
-    DEFAULT_BETA,
     DEFAULT_EPS,
-    OPTIMAL_V,
     Case,
     Variant,
     asymmetry_rate_curves,
-    beta_zero_crossing,
     config_for,
     correlation_curves,
     excess_noise_transition,
-    geometry_for,
     rate_surface,
     rate_vs_beta,
     rate_vs_distance,
@@ -168,7 +165,7 @@ def test_rate_vs_distance_refuses_repeated_extra_eps():
 
 
 def test_beta_zero_crossing_plain():
-    assert beta_zero_crossing is optimize.beta_zero_crossing is mdicvqkd.beta_zero_crossing
+    assert optimize.beta_zero_crossing is mdicvqkd.beta_zero_crossing
     cfg = config_for(Variant.EIGHT, Case.ASYMMETRIC, 25.0)
     b0, t_at = beta_zero_crossing(cfg)
     assert t_at == 1.0

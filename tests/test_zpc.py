@@ -38,8 +38,11 @@ def test_transmittance_range():
     for bad in (0.0, -0.5, 1.0001, math.nan):
         with pytest.raises(ValueError):
             ZpcSetting.on(bad)
-    # the stored value is irrelevant while disabled
+    # catalysis off is T = 1: a disabled setting holds no other transmittance
     assert ZpcSetting.off().t == 1.0
+    for bad in (0.5, 0.0, math.nan):
+        with pytest.raises(ValueError):
+            ZpcSetting(enabled=False, t=bad)
 
 
 def test_with_t():

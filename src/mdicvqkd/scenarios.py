@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .channel import LinkGeometry, equivalent_excess_noise_curve
 from .modulation import Scheme, correlation_z
-from .optimize import OptimizationGrid, best_rate, linspace
+from .optimize import best_rate, linspace
 from .presets import DEFAULT_EPS, Case, Variant, config_for
 
 # Distance axis of the rate surfaces and distance curves, km.
@@ -72,7 +72,6 @@ def _rate_table(
     axes: tuple[str, ...],
     points: list[tuple],
     make_config,
-    grid: OptimizationGrid | None,
     fields: tuple[str, ...] = (),
 ) -> Dataset:
     """One row per point: its axis values, the best rate over T at
@@ -81,7 +80,7 @@ def _rate_table(
     rows, warn = [], False
     for point in points:
         cfg = make_config(*point)
-        opt = best_rate(cfg, grid)
+        opt = best_rate(cfg)
         values = (_or_nan(getattr(opt.result, f)) for f in ("skr", *fields))
         rows.append((*point, *values, opt.t_star))
         warn = warn or cfg.at_t(opt.t_star).warn_domain
@@ -89,61 +88,46 @@ def _rate_table(
 
 
 def _best_rate_tables(
-    name: str,
-    axes: tuple[str, ...],
-    points: list[tuple],
-    make_config,
-    grid: OptimizationGrid | None,
+    name: str, axes: tuple[str, ...], points: list[tuple], make_config
 ) -> list[Dataset]:
     """One rate table per variant, named name_variant, at
     make_config(variant, *point)."""
     return [
-        _rate_table(f"{name}_{v.value}", axes, points, partial(make_config, v), grid)
+        _rate_table(f"{name}_{v.value}", axes, points, partial(make_config, v))
         for v in Variant
     ]
 
 
 def rate_surface(
-    case: Case,
-    v_lo: float = 1.05,
-    v_hi: float = 10.0,
-    v_steps: int = 100,
-    l_steps: int = 100,
-    l_max: float | None = None,
-    grid: OptimizationGrid | None = None,
-    sym_per_arm: bool = False,
+    case: Case, v_steps: int = 100, l_steps: int = 100, sym_per_arm: bool = False
 ) -> list[Dataset]:
     """Rate over the (variance, distance) plane, one table per variant.
 
-    Distances sample [0, l_max]; non-positive rates are recorded as-is
-    so the positive region's boundary stays visible in the data.
+    Variances sample [1.05, 10] and distances [0, L_MAX[case]];
+    non-positive rates are recorded as-is so the positive region's
+    boundary stays visible in the data.
     """
-    if l_max is None:
-        l_max = L_MAX[case]
     points = [
-        (v, l) for v in linspace(v_lo, v_hi, v_steps) for l in linspace(0.0, l_max, l_steps)
+        (v, l)
+        for v in linspace(1.05, 10.0, v_steps)
+        for l in linspace(0.0, L_MAX[case], l_steps)
     ]
     return _best_rate_tables(
         _figure_id(rate_surface, case),
         ("variance_v", "distance_km"),
         points,
         lambda variant, v, l: config_for(variant, case, l, variance_v=v, sym_per_arm=sym_per_arm),
-        grid,
     )
 
 
 def rate_vs_distance(
     case: Case,
     l_steps: int = 200,
-    l_max: float | None = None,
     extra_eps: tuple[float, ...] | None = None,
-    grid: OptimizationGrid | None = None,
     sym_per_arm: bool = False,
 ) -> list[Dataset]:
     """Rate against distance at each variant's preset variance, plus the
     best variant rerun at alternative excess noises."""
-    if l_max is None:
-        l_max = L_MAX[case]
     if extra_eps is None:
         extra_eps = EXTRA_EPS[case]
     for i, eps in enumerate(extra_eps):
@@ -151,7 +135,7 @@ def rate_vs_distance(
         if eps in extra_eps[:i]:
             raise ValueError(f"extra_eps repeats {eps!r}")
     fig_name = _figure_id(rate_vs_distance, case)
-    distances = [(l,) for l in linspace(0.0, l_max, l_steps)]
+    distances = [(l,) for l in linspace(0.0, L_MAX[case], l_steps)]
 
     def curve(name: str, variant: Variant, eps: float) -> Dataset:
         return _rate_table(
@@ -159,7 +143,6 @@ def rate_vs_distance(
             ("distance_km",),
             distances,
             lambda l: config_for(variant, case, l, eps=eps, sym_per_arm=sym_per_arm),
-            grid,
             ("p_d", "i_ab", "chi_be"),
         )
 
@@ -169,66 +152,47 @@ def rate_vs_distance(
     return out
 
 
-def rate_vs_beta(
-    case: Case,
-    beta_steps: int = 200,
-    distances: tuple[float, ...] | None = None,
-    grid: OptimizationGrid | None = None,
-    sym_per_arm: bool = False,
-) -> list[Dataset]:
+def rate_vs_beta(case: Case, beta_steps: int = 200, sym_per_arm: bool = False) -> list[Dataset]:
     """Rate against reconciliation efficiency in [0.8, 1] at the preset
     distances, transmittance re-optimized at every point."""
-    if distances is None:
-        distances = BETA_SCAN_DISTANCES[case]
-    points = [(l, beta) for l in distances for beta in linspace(0.8, 1.0, beta_steps)]
+    betas = linspace(0.8, 1.0, beta_steps)
+    points = [(l, beta) for l in BETA_SCAN_DISTANCES[case] for beta in betas]
     return _best_rate_tables(
         _figure_id(rate_vs_beta, case),
         ("distance_km", "beta"),
         points,
         lambda variant, l, beta: config_for(variant, case, l, beta=beta, sym_per_arm=sym_per_arm),
-        grid,
     )
 
 
-def asymmetry_rate_curves(
-    d_list: tuple[float, ...] = RELAY_POSITIONS,
-    l_steps: int = 200,
-    l_max: float = 50.0,
-    grid: OptimizationGrid | None = None,
-    arm_diff_axis: bool = False,
-) -> Dataset:
+def asymmetry_rate_curves(l_steps: int = 200, arm_diff_axis: bool = False) -> Dataset:
     """Eight-state catalysis rate at V = 2.7 versus distance as the relay
-    slides from Bob toward the middle; d is the ratio l_bc / l_ac.
+    slides from Bob toward the middle, over l_ac in [0, 50] km at each d
+    of RELAY_POSITIONS; d is the ratio l_bc / l_ac.
 
     The distance column is the Alice-Bob total l_ac (1 + d) by default;
     arm_diff_axis reports the arm difference l_ac - l_bc = (1 - d) l_ac
     instead.  Rows are sorted by distance then d; a non-finite best rate
     is written as nan.
     """
-    for d in d_list:
-        if not (0.0 <= d <= 1.0):
-            raise ValueError(f"d must be in [0, 1], got {d}")
     base = config_for(Variant.EIGHT_ZPC, Case.ASYMMETRIC, 0.0, variance_v=2.7)
     ds = _rate_table(
         _figure_id(asymmetry_rate_curves),
         ("distance_km", "d"),
-        [(l_ac, d) for d in d_list for l_ac in linspace(0.0, l_max, l_steps)],
+        [(l_ac, d) for d in RELAY_POSITIONS for l_ac in linspace(0.0, 50.0, l_steps)],
         lambda l_ac, d: replace(base, geometry=LinkGeometry(l_ac, d * l_ac)),
-        grid,
     )
     # the rows carry l_ac until here; report the chosen distance, sorted
     rows = [((1.0 - d) * l if arm_diff_axis else l * (1.0 + d), d, *r) for l, d, *r in ds.rows]
     return ds._replace(rows=sorted(rows, key=lambda r: (r[0], r[1])))
 
 
-def excess_noise_transition(
-    d_list: tuple[float, ...] = RELAY_POSITIONS, l_steps: int = 200, l_max: float = 60.0
-) -> Dataset:
-    """Equivalent excess noise versus total distance for each arm ratio,
-    at the preset excess noise on both links."""
-    distances = linspace(0.0, l_max, l_steps)
+def excess_noise_transition(l_steps: int = 200) -> Dataset:
+    """Equivalent excess noise versus total distance on [0, 60] km for
+    each relay position, at the preset excess noise on both links."""
+    distances = linspace(0.0, 60.0, l_steps)
     rows = []
-    for d in d_list:
+    for d in RELAY_POSITIONS:
         for total, eps_th in equivalent_excess_noise_curve(d, distances, DEFAULT_EPS, DEFAULT_EPS):
             rows.append((total, d, eps_th))
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -259,9 +223,11 @@ def _figure_id(builder, *args) -> str:
 
 
 def run_figure(figure_id: str, **overrides) -> list[Dataset]:
-    """Build a registered figure's datasets, with optional keyword overrides."""
+    """Build a registered figure's datasets.  figure_id is one of
+    FIGURE_IDS, spelled as registered; the overrides are its `--steps`
+    keys and optional keywords, as FIGURES lists them."""
     try:
-        build, args, _, _ = FIGURES[figure_id.lower()]
+        build, args, _, _ = FIGURES[figure_id]
     except KeyError:
         raise ValueError(f"unknown figure id {figure_id!r}") from None
     out = build(*args, **overrides)

@@ -1,5 +1,6 @@
 """Parameter studies: presets, dataset shapes, and their invariants."""
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -10,11 +11,12 @@ from mdicvqkd import optimize, scenarios
 from mdicvqkd.channel import LinkGeometry, equivalent_excess_noise
 from mdicvqkd.keyrate import KeyRateResult, evaluate_protocol
 from mdicvqkd.modulation import Scheme
-from mdicvqkd.optimize import OptimizationGrid, TOptimum, beta_zero_crossing
+from mdicvqkd.optimize import TOptimum, beta_zero_crossing
 from mdicvqkd.presets import DEFAULT_BETA, OPTIMAL_V, geometry_for
 from mdicvqkd.scenarios import (
     BETA_SCAN_DISTANCES,
     DEFAULT_EPS,
+    FIGURES,
     Case,
     Variant,
     asymmetry_rate_curves,
@@ -26,8 +28,6 @@ from mdicvqkd.scenarios import (
     rate_vs_distance,
     run_figure,
 )
-
-COARSE = OptimizationGrid(t_steps=12, refine_iters=8)
 
 
 def test_variant_properties():
@@ -69,7 +69,7 @@ def test_correlation_curve_dataset():
 
 
 def test_distance_curve_datasets():
-    out = rate_vs_distance(Case.ASYMMETRIC, l_steps=5, l_max=30.0, grid=COARSE)
+    out = rate_vs_distance(Case.ASYMMETRIC, l_steps=5)
     names = [ds.name for ds in out]
     assert names[:4] == ["fig4_four", "fig4_eight", "fig4_four_zpc", "fig4_eight_zpc"]
     assert names[4:] == [
@@ -96,7 +96,7 @@ def test_distance_curve_datasets():
 
 
 def test_beta_curve_datasets():
-    out = rate_vs_beta(Case.SYMMETRIC, beta_steps=6, distances=(0.1, 0.2), grid=COARSE)
+    out = rate_vs_beta(Case.SYMMETRIC, beta_steps=6)
     assert [ds.name for ds in out] == [
         "fig8_four",
         "fig8_eight",
@@ -104,15 +104,15 @@ def test_beta_curve_datasets():
         "fig8_eight_zpc",
     ]
     for ds in out:
-        assert len(ds.rows) == 12
+        assert len(ds.rows) == 24
         # within each distance block the rate rises with beta
-        for l in (0.1, 0.2):
+        for l in BETA_SCAN_DISTANCES[Case.SYMMETRIC]:
             skrs = [r[2] for r in ds.rows if r[0] == l]
             assert skrs == sorted(skrs)
 
 
 def test_surface_datasets():
-    out = rate_surface(Case.ASYMMETRIC, v_steps=4, l_steps=3, l_max=20.0, grid=COARSE)
+    out = rate_surface(Case.ASYMMETRIC, v_steps=4, l_steps=3)
     assert len(out) == 4
     for ds in out:
         assert ds.columns == ("variance_v", "distance_km", "skr_bits_per_use", "t_star")
@@ -127,32 +127,32 @@ def _fixed_best_rate(skr: float, t_star: float):
     x = 0.5 if physical else None
     result = KeyRateResult(1.0, x, x, x, x, x, skr if physical else None, physical)
     opt = TOptimum(t_star=t_star, skr_star=skr, result=result, no_key=not (skr > 0.0))
-    return lambda cfg, grid=None: opt
+    return lambda cfg: opt
 
 
 def test_nonphysical_best_rate_written_as_nan(monkeypatch):
     monkeypatch.setattr(scenarios, "best_rate", _fixed_best_rate(-math.inf, 1.0))
     surface = rate_surface(Case.ASYMMETRIC, v_steps=2, l_steps=2)
-    beta = rate_vs_beta(Case.SYMMETRIC, beta_steps=2, distances=(0.1,))
-    asym = asymmetry_rate_curves(d_list=(0.0, 0.5), l_steps=2, l_max=10.0)
+    beta = rate_vs_beta(Case.SYMMETRIC, beta_steps=2)
+    asym = asymmetry_rate_curves(l_steps=2)
     for ds in surface + beta + [asym]:
         assert all(math.isnan(row[2]) for row in ds.rows), ds.name
 
 
 def test_dataset_warn_domain_judged_at_t_star(monkeypatch):
-    # at T* = 0.1 the catalysis variants stay in the domain up to V = 6;
-    # the plain variants run at T = 1, so V = 5 is outside it
-    monkeypatch.setattr(scenarios, "best_rate", _fixed_best_rate(1.0, 0.1))
-    surface = rate_surface(Case.ASYMMETRIC, v_lo=1.05, v_hi=5.0, v_steps=2, l_steps=2)
+    # at T* = 0.05 the catalysis variants stay in the domain up to V = 11;
+    # the plain variants run at T = 1, so V = 10 is outside it
+    monkeypatch.setattr(scenarios, "best_rate", _fixed_best_rate(1.0, 0.05))
+    surface = rate_surface(Case.ASYMMETRIC, v_steps=2, l_steps=2)
     assert {ds.name: ds.warn_domain for ds in surface} == {
         "fig3_four": True,
         "fig3_eight": True,
         "fig3_four_zpc": False,
         "fig3_eight_zpc": False,
     }
-    assert not asymmetry_rate_curves(d_list=(0.0,), l_steps=2, l_max=10.0).warn_domain
+    assert not asymmetry_rate_curves(l_steps=2).warn_domain
     monkeypatch.setattr(scenarios, "best_rate", _fixed_best_rate(1.0, 1.0))
-    assert asymmetry_rate_curves(d_list=(0.0,), l_steps=2, l_max=10.0).warn_domain
+    assert asymmetry_rate_curves(l_steps=2).warn_domain
     curves = rate_vs_distance(Case.SYMMETRIC, l_steps=2, extra_eps=())
     assert [ds.warn_domain for ds in curves] == [False, True, True, True]  # V = 1.5/1.8/2.6/2.7
     assert not correlation_curves(steps=2).warn_domain
@@ -189,29 +189,25 @@ def test_beta_zero_crossing_catalysis():
 
 
 def test_asymmetry_curveset():
-    ds = asymmetry_rate_curves(d_list=(0.0, 0.5), l_steps=4, l_max=10.0, grid=COARSE)
+    ds = asymmetry_rate_curves(l_steps=4)
     assert ds.name == "fig9a"
     assert ds.columns == ("distance_km", "d", "skr_bits_per_use", "t_star")
-    assert len(ds.rows) == 8
+    assert len(ds.rows) == 20
     axis = [(r[0], r[1]) for r in ds.rows]
     assert axis == sorted(axis)
-    # default distance convention: traversed total l_ac (1 + d)
+    # default distance convention: traversed total l_ac (1 + d), l_ac up to 50 km
     top = max(r[0] for r in ds.rows if r[1] == 0.5)
-    assert top == pytest.approx(15.0, rel=1e-12)
-    diff = asymmetry_rate_curves(
-        d_list=(0.5,), l_steps=4, l_max=10.0, grid=COARSE, arm_diff_axis=True
-    )
-    assert max(r[0] for r in diff.rows) == pytest.approx(5.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        asymmetry_rate_curves(d_list=(1.2,), l_steps=4, l_max=10.0)
+    assert top == pytest.approx(75.0, rel=1e-12)
+    diff = asymmetry_rate_curves(l_steps=4, arm_diff_axis=True)
+    assert max(r[0] for r in diff.rows if r[1] == 0.5) == pytest.approx(25.0, rel=1e-12)
 
 
 def test_excess_noise_curveset():
-    ds = excess_noise_transition(d_list=(0.0, 1.0), l_steps=5, l_max=40.0)
+    ds = excess_noise_transition(l_steps=5)
     assert ds.name == "fig9b"
     assert ds.columns == ("distance_km", "d", "eps_th")
-    sample = [r for r in ds.rows if r[1] == 1.0 and r[0] == 40.0][0]
-    geom = LinkGeometry(20.0, 20.0)
+    sample = [r for r in ds.rows if r[1] == 1.0 and r[0] == 60.0][0]
+    geom = LinkGeometry(30.0, 30.0)
     assert sample[2] == pytest.approx(
         equivalent_excess_noise(geom, DEFAULT_EPS, DEFAULT_EPS), rel=1e-12
     )
@@ -225,7 +221,7 @@ def test_excess_noise_curveset():
 def test_run_figure_dispatch():
     (ds,) = run_figure("fig2", steps=10)
     assert ds.name == "fig2"
-    out = run_figure("fig7", l_steps=3, l_max=0.5, extra_eps=(), grid=COARSE)
+    out = run_figure("fig7", l_steps=3, extra_eps=())
     assert [d.name for d in out] == [
         "fig7_four",
         "fig7_eight",
@@ -234,6 +230,22 @@ def test_run_figure_dispatch():
     ]
     with pytest.raises(ValueError):
         run_figure("fig1")
+    # one spelling per id, the one the CLI's choices admit
+    with pytest.raises(ValueError):
+        run_figure("FIG2")
+
+
+def test_builders_take_only_what_the_figure_command_sets():
+    # a builder's keywords are exactly the --steps keys and flags of the
+    # figure ids registered to it, so the study axes have one setting
+    taken = {}
+    for build, args, step_keys, optional in FIGURES.values():
+        entry = taken.setdefault(build, (len(args), set()))
+        assert entry[0] == len(args), build.__name__
+        entry[1].update(step_keys, optional)
+    for build, (n_fixed, keys) in taken.items():
+        params = list(inspect.signature(build).parameters)[n_fixed:]
+        assert set(params) == keys, build.__name__
 
 
 def test_beta_scan_presets():

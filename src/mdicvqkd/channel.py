@@ -49,11 +49,10 @@ class LinkGeometry:
         return self.l_ac + self.l_bc
 
     def scaled(self, total_km: float) -> "LinkGeometry":
-        """Same arm ratio stretched to a new total length."""
+        """Same arm ratio stretched to a new total length; a zero-length
+        geometry has no ratio and becomes a single Alice-relay link."""
         if self.total_km == 0.0:
-            if total_km == 0.0:
-                return self
-            raise ValueError("cannot scale a zero-length geometry to a nonzero total")
+            return LinkGeometry(total_km, 0.0, self.loss_mu)
         f = total_km / self.total_km
         return LinkGeometry(self.l_ac * f, self.l_bc * f, self.loss_mu)
 

@@ -90,11 +90,11 @@ def _with_keys(base: ProtocolConfig, values: dict[str, str]) -> ProtocolConfig:
     return replace(base, geometry=replace(base.geometry, **geometry), **out)
 
 
-def parse_scenario(text: str) -> ProtocolConfig:
+def parse_scenario(text: str, base: ProtocolConfig = DEFAULT_CONFIG) -> ProtocolConfig:
     """Resolve `key = value` lines (with # comments) into a config.
 
     Unknown keys, duplicates, and an eps next to eps_a/eps_b are hard
-    errors; everything unspecified takes its default.
+    errors; everything unspecified keeps its value in base.
     """
     seen: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -111,17 +111,17 @@ def parse_scenario(text: str) -> ProtocolConfig:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
         seen[key] = value
     try:
-        return _with_keys(DEFAULT_CONFIG, seen)
+        return _with_keys(base, seen)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
 
-def load_scenario_file(path) -> ProtocolConfig:
+def load_scenario_file(path, base: ProtocolConfig = DEFAULT_CONFIG) -> ProtocolConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    return parse_scenario(text)
+    return parse_scenario(text, base)
 
 
 def _spec_echo(config: ProtocolConfig) -> dict:
@@ -213,11 +213,11 @@ def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
 
 
-def _resolve_spec(args) -> ProtocolConfig:
-    """The scenario file, if any, overridden by the protocol flags given."""
+def _resolve_spec(args, base: ProtocolConfig = DEFAULT_CONFIG) -> ProtocolConfig:
+    """base updated by the scenario file, if any, and then by the protocol
+    flags given."""
     given = {key: getattr(args, key) for key in _SCENARIO_KEYS if getattr(args, key) is not None}
-    base = load_scenario_file(args.scenario) if args.scenario else DEFAULT_CONFIG
-    return _with_keys(base, given)
+    return _with_keys(load_scenario_file(args.scenario, base) if args.scenario else base, given)
 
 
 def _jsonable(x):
@@ -252,16 +252,14 @@ def _cmd_keyrate(args) -> int:
 def _cmd_optimize(args) -> int:
     from .optimize import OptimizationGrid, max_distance, optimize_t, optimize_tv
 
-    cfg = _resolve_spec(args)
+    mode = args.optimize
+    # t is the optimized variable, so an unset zpc_t means "on"
+    base = replace(DEFAULT_CONFIG, zpc=ZpcSetting.on(1.0)) if mode == "t" else DEFAULT_CONFIG
+    cfg = _resolve_spec(args, base)
+    if mode == "t" and not cfg.zpc.enabled:
+        raise ValueError("--optimize t needs catalysis; drop zpc_t = off")
     given = {f.name: getattr(args, f.name) for f in fields(OptimizationGrid)}
     grid = OptimizationGrid(**{key: val for key, val in given.items() if val is not None})
-    mode = args.optimize
-    if mode == "t":
-        if not cfg.zpc.enabled:
-            if args.zpc_t is not None:
-                raise ValueError("--optimize t needs catalysis; drop '--zpc-t off'")
-            # t is the optimized variable, so an omitted flag means "on"
-            cfg = replace(cfg, zpc=ZpcSetting.on(1.0))
     payload = {
         "tool_version": __version__,
         "config": _spec_echo(cfg),
@@ -354,8 +352,7 @@ def _cmd_figure(args) -> int:
 
     overrides = _figure_overrides(args)
     datasets = run_figure(args.figure_id, **overrides)
-    echo = {"figure": args.figure_id}
-    echo.update({k: list(v) if isinstance(v, tuple) else v for k, v in overrides.items()})
+    echo = {"figure": args.figure_id, **overrides}
     try:
         # one manifest per figure so several runs can share a directory
         paths = write_datasets(datasets, args.out, echo, f"{args.figure_id}_manifest.json")
@@ -397,17 +394,16 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser for argv.  Only the subcommand argv starts with gets its
-    flags, since adding them imports the layers it runs; without a
-    subcommand first, every subcommand gets them."""
+    flags, since adding them imports the layers it runs; top-level help,
+    --version and errors need none."""
     parser = _Parser(prog="mdicvqkd", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, (help_text, add_flags, run) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if named in (None, name):
+        if name in argv[:1]:
             add_flags(p)
         p.set_defaults(func=run, subparser=p)
     return parser

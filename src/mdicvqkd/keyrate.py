@@ -71,10 +71,11 @@ class ProtocolConfig:
 
     @property
     def warn_domain(self) -> bool:
-        """True when the effective modulation variance T V_M leaves the
-        region where the security argument is proven; evaluation still
-        proceeds."""
-        return self.zpc.t * (self.variance_v - 1.0) > DOMAIN_V_M_MAX
+        """True when a discrete constellation's effective modulation variance
+        T V_M leaves the region where its security argument is proven;
+        evaluation still proceeds.  Gaussian modulation has no such bound."""
+        discrete = self.scheme is not Scheme.GAUSSIAN
+        return discrete and self.zpc.t * (self.variance_v - 1.0) > DOMAIN_V_M_MAX
 
     def at_t(self, t: float) -> "ProtocolConfig":
         """This config with the catalysis transmittance set to t."""

@@ -61,8 +61,6 @@ def _poisson_residue_sums(alpha_sq: float, modulus: int) -> list[float]:
     obtained by summing until the terms fall below 1e-300, which stays
     the exit for alpha_sq = 0 and for classes too small for that floor.
     """
-    if alpha_sq > _UNIFORM_MAX:
-        return [1.0 / modulus] * modulus
     out = [0.0] * modulus
     term = math.exp(-alpha_sq)
     n = 0
@@ -125,9 +123,9 @@ def lambdas(scheme: Scheme, alpha_sq: float) -> list[float]:
 
     lambda_k is the probability that a Poisson variable with mean
     alpha_sq equals k mod M, M = 8 or 4.  The weights are non-negative
-    and sum to 1.  They come from the Poisson series below alpha_sq = 1,
-    from the closed forms of Leverrier & Grangier (PRL 102, 180504) on
-    [1, 500], and are uniform, 1/M each, above 500.
+    and sum to 1.  They come from the Poisson series below alpha_sq = 1
+    and from the closed forms of Leverrier & Grangier (PRL 102, 180504)
+    on [1, 500]; above 500 they are 1/M each, returned here directly.
     """
     x = _check_alpha_sq(alpha_sq)
     if scheme is Scheme.GAUSSIAN:
@@ -138,7 +136,9 @@ def lambdas(scheme: Scheme, alpha_sq: float) -> list[float]:
         modulus, closed = 4, _lambdas_four_closed
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if x < _CLOSED_FORM_MIN or x > _UNIFORM_MAX:
+    if x > _UNIFORM_MAX:
+        return [1.0 / modulus] * modulus
+    if x < _CLOSED_FORM_MIN:
         return _poisson_residue_sums(x, modulus)
     return closed(x)
 

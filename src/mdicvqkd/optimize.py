@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .channel import LinkGeometry
 from .keyrate import KeyRateResult, ProtocolConfig, rate_over_t, secret_key_rate
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -229,9 +228,6 @@ def max_distance(
     if not (tol_km > 0.0 and math.isfinite(tol_km)):
         raise ValueError(f"tol_km must be finite and > 0, got {tol_km}")
     base = config.geometry
-    if base.total_km == 0.0:
-        # no arm ratio to preserve; fall back to a single-link scan
-        base = LinkGeometry(1.0, 0.0, base.loss_mu)
 
     def rate_at(total_km: float) -> float:
         return best_rate(replace(config, geometry=base.scaled(total_km)), grid).skr_star

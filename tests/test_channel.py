@@ -48,8 +48,8 @@ def test_geometry_scaling_preserves_arm_ratio():
     assert s.l_ac / s.l_bc == pytest.approx(3.0, rel=1e-12)
     z = LinkGeometry(0.0, 0.0)
     assert z.scaled(0.0).total_km == 0.0
-    with pytest.raises(ValueError):
-        z.scaled(5.0)
+    # no arm ratio to keep: a zero-length geometry stretches as one Alice-relay link
+    assert z.scaled(5.0) == LinkGeometry(5.0, 0.0)
 
 
 def test_optimal_gain():

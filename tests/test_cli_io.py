@@ -186,6 +186,15 @@ def test_cli_keyrate_json(capsys):
     assert doc["warnings"] == []
 
 
+def test_cli_keyrate_domain_warning_only_for_discrete_schemes(capsys):
+    # T V_M = 0.5 * 2 > 0.5, a bound of the discrete-modulation argument only
+    flags = "--zpc-t 0.5 --variance 3 --lac 5".split()
+    _, out, _ = run_cli(["keyrate", "--scheme", "gaussian", *flags], capsys)
+    assert json.loads(out)["warnings"] == []
+    _, out, _ = run_cli(["keyrate", "--scheme", "eight", *flags], capsys)
+    assert json.loads(out)["warnings"] == [_DOMAIN_WARNING]
+
+
 # keyrate stdout byte for byte, key order and every value, for a physical
 # and a non-physical config; @VERSION@ and @WARNING@ stand for the tool
 # version and the domain warning
@@ -425,6 +434,16 @@ def test_cli_optimize_t_rejects_disabled(capsys):
     assert "catalysis" in err
 
 
+def test_cli_optimize_t_rejects_disabled_in_scenario_file(tmp_path, capsys):
+    # a file and a flag accept the same values, so 'zpc_t = off' is refused too
+    p = tmp_path / "off.scenario"
+    p.write_text("zpc_t = off\nvariance = 2.6\n", encoding="utf-8")
+    code, out, err = run_cli(["optimize", "--optimize", "t", "--scenario", str(p)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "catalysis" in err
+
+
 def test_cli_optimize_tv(capsys):
     code, out, _ = run_cli(
         "optimize --optimize tv --scheme four --zpc-t off --lac 25".split(), capsys
@@ -444,6 +463,19 @@ def test_cli_optimize_distance(capsys):
     # byte-identical on repeat: no timestamps on stdout
     _, out2, _ = run_cli(argv, capsys)
     assert out2 == out
+
+
+@pytest.mark.parametrize(
+    "flags, reach",
+    [
+        ("", 41.078125),  # the default config: a zero-length link
+        ("--lac 0 --lbc 0 --zpc-t 0.5 --variance 2.6", 45.328125),
+    ],
+)
+def test_cli_optimize_distance_from_zero_length(flags, reach, capsys):
+    code, out, _ = run_cli(["optimize", "--optimize", "distance", *flags.split()], capsys)
+    assert code == 0
+    assert json.loads(out)["max_distance_km"] == reach
 
 
 def test_cli_optimize_distance_without_crossing(capsys):

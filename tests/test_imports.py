@@ -31,7 +31,10 @@ _CLI_MODULES = """
 import contextlib, io, json, sys
 from mdicvqkd import cli_io
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli_io.main()
+    try:
+        code = cli_io.main()
+    except SystemExit as exc:  # help, version and parser errors exit here
+        code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("mdicvqkd"))]))
 """
 
@@ -41,11 +44,15 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("mdicvqkd"
     [
         (["keyrate"], ["keyrate"], ["optimize", "scenarios"]),
         (["optimize", "--optimize", "t", "--t-steps", "20"], ["optimize"], ["scenarios"]),
+        # top-level help, version and errors add no subcommand's flags
+        (["--help"], [], ["optimize", "scenarios"]),
+        (["--version"], [], ["optimize", "scenarios"]),
+        (["bogus"], [], ["optimize", "scenarios"]),
     ],
 )
 def test_cli_command_imports_only_its_layers(argv, loaded, absent):
     code, modules = json.loads(run_fresh(_CLI_MODULES, *argv))
-    assert code == 0
+    assert code == (1 if argv == ["bogus"] else 0)  # an unknown subcommand is a flag error
     assert all(f"mdicvqkd.{m}" in modules for m in loaded), modules
     assert not any(f"mdicvqkd.{m}" in modules for m in absent), modules
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from mdicvqkd import modulation
 from mdicvqkd.modulation import (
     Scheme,
     _lambdas_eight_closed,
@@ -167,11 +168,14 @@ def test_normalized_and_nonnegative():
             assert sum(lams) == pytest.approx(1.0, abs=1e-13)
 
 
-def test_uniform_limit():
-    # beyond the series regime every class holds an equal share
+def test_uniform_limit(monkeypatch):
+    # beyond the closed forms every class holds an equal share, with no series run
+    def series(alpha_sq, modulus):
+        raise AssertionError("the series ran above _UNIFORM_MAX")
+
+    monkeypatch.setattr(modulation, "_poisson_residue_sums", series)
     for m, scheme in ((8, Scheme.EIGHT), (4, Scheme.FOUR)):
-        lams = lambdas(scheme, 600.0)
-        assert all(l == pytest.approx(1.0 / m, rel=1e-12) for l in lams)
+        assert lambdas(scheme, 600.0) == [1.0 / m] * m
 
 
 def test_zero_amplitude():

@@ -214,6 +214,11 @@ def test_max_distance_no_key_at_zero():
     assert md.distance_km == 0.0
 
 
+def test_max_distance_from_zero_length_scans_a_single_link():
+    cfg = config(l_ac=0.0)
+    assert max_distance(cfg) == max_distance(replace(cfg, geometry=LinkGeometry(1.0, 0.0)))
+
+
 def test_max_distance_rejects_bad_tolerance():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol_km"):

@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -87,7 +86,7 @@ def _with_keys(base: ProtocolConfig, values: dict[str, str]) -> ProtocolConfig:
                 into[_FIELDS.get(key, key)] = float(text)
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
-    return replace(base, geometry=replace(base.geometry, **geometry), **out)
+    return base._replace(geometry=base.geometry._replace(**geometry), **out)
 
 
 def parse_scenario(text: str, base: ProtocolConfig = DEFAULT_CONFIG) -> ProtocolConfig:
@@ -254,17 +253,16 @@ def _cmd_optimize(args) -> int:
 
     mode = args.optimize
     # t is the optimized variable, so an unset zpc_t means "on"
-    base = replace(DEFAULT_CONFIG, zpc=ZpcSetting.on(1.0)) if mode == "t" else DEFAULT_CONFIG
+    base = DEFAULT_CONFIG._replace(zpc=ZpcSetting.on(1.0)) if mode == "t" else DEFAULT_CONFIG
     cfg = _resolve_spec(args, base)
     if mode == "t" and not cfg.zpc.enabled:
         raise ValueError("--optimize t needs catalysis; drop zpc_t = off")
-    given = {f.name: getattr(args, f.name) for f in fields(OptimizationGrid)}
-    grid = OptimizationGrid(**{key: val for key, val in given.items() if val is not None})
+    grid = OptimizationGrid._make(getattr(args, name) for name in OptimizationGrid._fields)
     payload = {
         "tool_version": __version__,
         "config": _spec_echo(cfg),
         "mode": mode,
-        "grid": asdict(grid),
+        "grid": grid._asdict(),
     }
     if mode == "t":
         opt = optimize_t(cfg, grid)
@@ -273,7 +271,7 @@ def _cmd_optimize(args) -> int:
     elif mode == "tv":
         opt = optimize_tv(cfg, grid)
         payload.update(opt._asdict())
-        reported = replace(cfg.at_t(opt.t_star), variance_v=opt.v_star)
+        reported = cfg.at_t(opt.t_star)._replace(variance_v=opt.v_star)
     else:
         md = max_distance(cfg, grid, tol_km=args.tol_km)
         payload.update(max_distance_km=md.distance_km, no_key=md.no_key)
@@ -368,8 +366,8 @@ def _optimize_flags(p: argparse.ArgumentParser) -> None:
     from .optimize import TOL_KM, OptimizationGrid
 
     _add_protocol_flags(p)
-    for f in fields(OptimizationGrid):
-        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default))
+    for name, default in OptimizationGrid()._asdict().items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--optimize", required=True, choices=("t", "tv", "distance"))
     p.add_argument(
         "--tol-km", dest="tol_km", type=float, default=TOL_KM, help="distance bisection tolerance"

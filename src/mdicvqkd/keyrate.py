@@ -11,8 +11,8 @@ mean no key at those settings and are reported as-is.
 """
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .channel import EquivalentChannel, LinkGeometry, equivalent_channel
@@ -39,31 +39,30 @@ class NonPhysicalStateError(ValueError):
     """Covariance matrix fails the physicality conditions."""
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Complete description of one protocol evaluation.
+class ProtocolConfig(
+    namedtuple("ProtocolConfig", "scheme zpc variance_v beta eps_a eps_b geometry")
+):
+    """Complete description of one protocol evaluation: a Scheme, a
+    ZpcSetting, floats variance_v, beta, eps_a and eps_b, and a LinkGeometry.
 
     variance_v is the source variance V = 1 + V_M shared by both arms;
     the catalysis setting attenuates only Alice's arm.  Excess noises
     are per-link, in shot-noise units.
     """
 
-    scheme: Scheme
-    zpc: ZpcSetting
-    variance_v: float
-    beta: float
-    eps_a: float
-    eps_b: float
-    geometry: LinkGeometry
+    __slots__ = ()
+    # the stock _make, which _replace calls, skips __new__
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self):
-        if not (self.variance_v > 1.0 and math.isfinite(self.variance_v)):
-            raise ValueError(f"variance_v must be > 1, got {self.variance_v}")
-        if not (0.0 < self.beta <= 1.0):
-            raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-        for eps in (self.eps_a, self.eps_b):
+    def __new__(cls, scheme, zpc, variance_v, beta, eps_a, eps_b, geometry):
+        if not (variance_v > 1.0 and math.isfinite(variance_v)):
+            raise ValueError(f"variance_v must be > 1, got {variance_v}")
+        if not (0.0 < beta <= 1.0):
+            raise ValueError(f"beta must be in (0, 1], got {beta}")
+        for eps in (eps_a, eps_b):
             if not (eps >= 0.0) or math.isinf(eps):
                 raise ValueError(f"excess noise must be finite and >= 0, got {eps}")
+        return tuple.__new__(cls, (scheme, zpc, variance_v, beta, eps_a, eps_b, geometry))
 
     @property
     def alpha_sq(self) -> float:
@@ -78,11 +77,11 @@ class ProtocolConfig:
         return discrete and self.zpc.t * (self.variance_v - 1.0) > DOMAIN_V_M_MAX
 
     def at_t(self, t: float) -> "ProtocolConfig":
-        """This config with the catalysis transmittance set to t."""
-        return replace(self, zpc=self.zpc.with_t(t))
+        """This config at catalysis transmittance t; itself when catalysis is off."""
+        return self._replace(zpc=ZpcSetting.on(t)) if self.zpc.enabled else self
 
 
-# NamedTuples, built positionally: one per evaluation, 4x cheaper than a frozen dataclass.
+# Computed, not given: plain NamedTuples (a NamedTuple cannot validate in __new__).
 class KeyRateResult(NamedTuple):
     """Score of one configuration; fields are None when non-physical."""
 
@@ -160,15 +159,15 @@ def symplectic_eigenvalues(a: float, b: float, c: float) -> tuple[float, float, 
 
 
 def _score(
-    config: ProtocolConfig, zpc: ZpcSetting, chan: EquivalentChannel
+    config: ProtocolConfig, t: float, chan: EquivalentChannel
 ) -> tuple[KeyRateResult, float]:
-    """Score config under catalysis setting zpc through channel chan.
+    """Score config at catalysis transmittance t through channel chan.
 
     Alice's variance and the correlation are those of the attenuated
     source (a = 1 + 2 T alpha^2, Z at T alpha^2); the channel stretch and
     added noise act on the b and c entries.  Returns the result and T alpha^2.
     """
-    atten, p_d = apply_zpc(config.alpha_sq, zpc)
+    atten, p_d = apply_zpc(config.alpha_sq, t)
     x_t = 1.0 + 2.0 * atten
     b = chan.t_c * (x_t + chan.chi_t)
     c = math.sqrt(chan.t_c) * correlation_z(config.scheme, atten)
@@ -192,13 +191,13 @@ def rate_over_t(config: ProtocolConfig) -> Callable[[float], KeyRateResult]:
     """The key rate of config as a function of the catalysis transmittance.
 
     The channel does not depend on T (Bob's arm carries the unattenuated
-    V), so it is built once here and no config is built per T: rate(t)
-    equals secret_key_rate(config.at_t(t)) bit for bit.
+    V), so it is built once here and no record is built per T: rate(t)
+    equals secret_key_rate(config.at_t(t)) bit for bit (T = 1 when off).
     """
     chan = _channel(config)
 
     def rate(t: float) -> KeyRateResult:
-        return _score(config, config.zpc.with_t(t), chan)[0]
+        return _score(config, t if config.zpc.enabled else 1.0, chan)[0]
 
     return rate
 
@@ -210,7 +209,7 @@ def evaluate_protocol(config: ProtocolConfig) -> Evaluation:
     physical = False and the score fields unset.
     """
     chan = _channel(config)
-    result, atten = _score(config, config.zpc, chan)
+    result, atten = _score(config, config.zpc.t, chan)
     return Evaluation(result, chan, atten)
 
 

@@ -10,7 +10,7 @@ only trusted when it beats the coarse scan.
 """
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import NamedTuple
 
 from .keyrate import KeyRateResult, ProtocolConfig, rate_over_t, secret_key_rate
@@ -29,8 +29,9 @@ def linspace(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps - 1)] + [hi]
 
 
-@dataclass(frozen=True)
-class OptimizationGrid:
+class OptimizationGrid(
+    namedtuple("OptimizationGrid", "t_lo t_hi t_steps v_lo v_hi v_steps refine_iters")
+):
     """Scan ranges and refinement depth shared by all optimizers.
 
     The transmittance range is open at the bottom (the rate vanishes
@@ -38,15 +39,21 @@ class OptimizationGrid:
     at 1; the variance range is closed on both ends.
     """
 
-    t_lo: float = 0.01
-    t_hi: float = 1.0
-    t_steps: int = 200
-    v_lo: float = 1.01
-    v_hi: float = 10.0
-    v_steps: int = 200
-    refine_iters: int = 30
+    __slots__ = ()
+    # the stock _make, which _replace calls, skips __new__
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self):
+    def __new__(
+        cls,
+        t_lo: float = 0.01,
+        t_hi: float = 1.0,
+        t_steps: int = 200,
+        v_lo: float = 1.01,
+        v_hi: float = 10.0,
+        v_steps: int = 200,
+        refine_iters: int = 30,
+    ):
+        self = tuple.__new__(cls, (t_lo, t_hi, t_steps, v_lo, v_hi, v_steps, refine_iters))
         for name in ("t_lo", "t_hi", "v_lo", "v_hi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -59,6 +66,7 @@ class OptimizationGrid:
                 raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
         if self.refine_iters < 0:
             raise ValueError("refine_iters must be >= 0")
+        return self
 
     def t_points(self) -> list[float]:
         """Grid over (t_lo, t_hi]: lo excluded, hi included."""
@@ -68,7 +76,6 @@ class OptimizationGrid:
         return linspace(self.v_lo, self.v_hi, self.v_steps)
 
 
-# NamedTuples, as KeyRateResult: each frozen dataclass adds about 1 ms to start-up.
 class TOptimum(NamedTuple):
     t_star: float
     skr_star: float
@@ -173,7 +180,7 @@ def optimize_tv(config: ProtocolConfig, grid: OptimizationGrid | None = None) ->
     t_for: dict[float, float] = {}
 
     def f(v: float) -> float:
-        opt = best_rate(replace(config, variance_v=v), grid)
+        opt = best_rate(config._replace(variance_v=v), grid)
         t_for[v] = opt.t_star
         return opt.skr_star
 
@@ -230,7 +237,7 @@ def max_distance(
     base = config.geometry
 
     def rate_at(total_km: float) -> float:
-        return best_rate(replace(config, geometry=base.scaled(total_km)), grid).skr_star
+        return best_rate(config._replace(geometry=base.scaled(total_km)), grid).skr_star
 
     if not (rate_at(0.0) > 0.0):
         return MaxDistance(0.0, True)

@@ -7,7 +7,6 @@ when asked, since either axis convention appears in practice.
 """
 
 import math
-from dataclasses import replace
 from functools import partial
 from typing import NamedTuple
 
@@ -180,7 +179,7 @@ def asymmetry_rate_curves(l_steps: int = 200, arm_diff_axis: bool = False) -> Da
         _figure_id(asymmetry_rate_curves),
         ("distance_km", "d"),
         [(l_ac, d) for d in RELAY_POSITIONS for l_ac in linspace(0.0, 50.0, l_steps)],
-        lambda l_ac, d: replace(base, geometry=LinkGeometry(l_ac, d * l_ac)),
+        lambda l_ac, d: base._replace(geometry=LinkGeometry(l_ac, d * l_ac)),
     )
     # the rows carry l_ac until here; report the chosen distance, sorted
     rows = [((1.0 - d) * l if arm_diff_axis else l * (1.0 + d), d, *r) for l, d, *r in ds.rows]

@@ -9,21 +9,22 @@ at the attenuated amplitude.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class ZpcSetting:
+class ZpcSetting(namedtuple("ZpcSetting", "enabled t")):
     """Catalysis configuration: enabled flag and transmittance t (1 when off)."""
 
-    enabled: bool
-    t: float = 1.0
+    __slots__ = ()
+    # the stock _make, which _replace calls, skips __new__
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self):
-        if not (0.0 < self.t <= 1.0):
-            raise ValueError(f"catalysis transmittance must be in (0, 1], got {self.t}")
-        if not self.enabled and self.t != 1.0:
-            raise ValueError(f"disabled catalysis has t = 1, got {self.t}")
+    def __new__(cls, enabled: bool, t: float = 1.0):
+        if not (0.0 < t <= 1.0):
+            raise ValueError(f"catalysis transmittance must be in (0, 1], got {t}")
+        if not enabled and t != 1.0:
+            raise ValueError(f"disabled catalysis has t = 1, got {t}")
+        return tuple.__new__(cls, (enabled, t))
 
     @classmethod
     def off(cls) -> "ZpcSetting":
@@ -33,20 +34,16 @@ class ZpcSetting:
     def on(cls, t: float) -> "ZpcSetting":
         return cls(enabled=True, t=t)
 
-    def with_t(self, t: float) -> "ZpcSetting":
-        """Same enabled flag, new transmittance (identity when disabled)."""
-        if not self.enabled:
-            return self
-        return ZpcSetting(enabled=True, t=t)
 
+def apply_zpc(alpha_sq: float, t: float) -> tuple[float, float]:
+    """Attenuate a mean photon number through the herald at transmittance t.
 
-def apply_zpc(alpha_sq: float, setting: ZpcSetting) -> tuple[float, float]:
-    """Attenuate a mean photon number through the catalysis herald.
-
-    Returns (T alpha^2, exp(alpha^2 (T - 1))).  A disabled setting has
-    T = 1, which passes a finite alpha_sq through untouched with unit
-    success probability (1.0 * x == x and exp(x * 0.0) == 1.0).
+    Returns (T alpha^2, exp(alpha^2 (T - 1))).  Catalysis off is T = 1,
+    which passes a finite alpha_sq through untouched with unit success
+    probability (1.0 * x == x and exp(x * 0.0) == 1.0).
     """
     if alpha_sq < 0.0:
         raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
-    return setting.t * alpha_sq, math.exp(alpha_sq * (setting.t - 1.0))
+    if not (0.0 < t <= 1.0):
+        raise ValueError(f"catalysis transmittance must be in (0, 1], got {t}")
+    return t * alpha_sq, math.exp(alpha_sq * (t - 1.0))

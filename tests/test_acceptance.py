@@ -9,7 +9,6 @@ loosened here.
 import math
 import random
 import time
-from dataclasses import replace
 
 from test_keyrate import covariance_of
 from test_modulation import poisson_residue_oracle
@@ -54,15 +53,16 @@ def _random_config(rng: random.Random) -> ProtocolConfig:
 
 def test_criterion_01_weight_oracle():
     rng = random.Random(1)
-    start = time.perf_counter()
-    worst = 0.0
+    # the big-integer oracle runs before the timer, which times lambdas only
+    cases = []
     for _ in range(50):
         x = rng.uniform(0.0, 5.0)
         for m, scheme in ((8, Scheme.EIGHT), (4, Scheme.FOUR)):
-            want = poisson_residue_oracle(x, m)
-            got = lambdas(scheme, x)
-            worst = max(worst, max(abs(g - w) for g, w in zip(got, want)))
+            cases.append((scheme, x, poisson_residue_oracle(x, m)))
+    start = time.perf_counter()
+    got = [lambdas(scheme, x) for scheme, x, _ in cases]
     elapsed = time.perf_counter() - start
+    worst = max(abs(g - w) for ws, (_, _, want) in zip(got, cases) for g, w in zip(ws, want))
     ok = worst < 1e-12 and elapsed < 1.0
     _report(1, ok, f"max weight error {worst:.2e} (< 1e-12), runtime {elapsed:.2f} s (< 1 s)")
 
@@ -132,8 +132,8 @@ def test_criterion_05_identity_reduction():
     equal = True
     for _ in range(100):
         base = _random_config(rng)
-        on = evaluate_protocol(replace(base, zpc=ZpcSetting.on(1.0)))
-        off = evaluate_protocol(replace(base, zpc=ZpcSetting.off()))
+        on = evaluate_protocol(base._replace(zpc=ZpcSetting.on(1.0)))
+        off = evaluate_protocol(base._replace(zpc=ZpcSetting.off()))
         if on != off:
             equal = False
             break
@@ -222,7 +222,7 @@ def _beta_threshold(variant: Variant, case: Case, distance_km: float):
     )
     beta0, t_at = crossing[v_star]
     cfg = config_for(variant, case, distance_km, variance_v=v_star)
-    return beta0, replace(cfg, zpc=cfg.zpc.with_t(t_at))
+    return beta0, cfg.at_t(t_at)
 
 
 def test_criterion_10_beta_threshold_ordering():

@@ -4,7 +4,6 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -127,15 +126,14 @@ def test_scenario_errors():
 def test_scenario_round_trip():
     specs = [
         DEFAULT_CONFIG,
-        replace(
-            DEFAULT_CONFIG,
+        DEFAULT_CONFIG._replace(
             scheme=Scheme.FOUR,
             zpc=ZpcSetting.on(0.3),
             variance_v=2.7,
             geometry=LinkGeometry(12.5, 4.25, 0.2),
         ),
-        replace(
-            DEFAULT_CONFIG, eps_a=0.0015, eps_b=0.0035, geometry=LinkGeometry(0, 0, 0.18), beta=1.0
+        DEFAULT_CONFIG._replace(
+            eps_a=0.0015, eps_b=0.0035, geometry=LinkGeometry(0, 0, 0.18), beta=1.0
         ),
     ]
     for spec in specs:
@@ -365,8 +363,7 @@ def test_cli_flags_mirror_scenario_keys(tmp_path, capsys):
     texts = (
         "scheme = four\nzpc_t = 0.75\nvariance = 2.5\nlac = 30\neps = 0.003\n",
         scenario_text(
-            replace(
-                DEFAULT_CONFIG,
+            DEFAULT_CONFIG._replace(
                 variance_v=1.7,
                 beta=0.9,
                 eps_a=0.001,

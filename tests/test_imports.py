@@ -1,5 +1,6 @@
 """What importing the package and running each CLI command loads: the
-optimizer and figure layers only when a command runs them."""
+optimizer and figure layers only when a command runs them, and never
+dataclasses, whose import pulls in inspect, ast, dis and tokenize."""
 
 import json
 import os
@@ -35,7 +36,8 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = cli_io.main()
     except SystemExit as exc:  # help, version and parser errors exit here
         code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("mdicvqkd"))]))
+loaded = [m for m in sys.modules if m.startswith("mdicvqkd") or m == "dataclasses"]
+print(json.dumps([code, sorted(loaded)]))
 """
 
 
@@ -55,6 +57,7 @@ def test_cli_command_imports_only_its_layers(argv, loaded, absent):
     assert code == (1 if argv == ["bogus"] else 0)  # an unknown subcommand is a flag error
     assert all(f"mdicvqkd.{m}" in modules for m in loaded), modules
     assert not any(f"mdicvqkd.{m}" in modules for m in absent), modules
+    assert "dataclasses" not in modules
 
 
 _PACKAGE = """

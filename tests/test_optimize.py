@@ -1,7 +1,6 @@
 """Grid-plus-golden-section searches over T, V, and reachable distance."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -98,7 +97,7 @@ def test_optimize_t_beats_manual_sweep():
     opt = optimize_t(cfg)
     for i in range(1, 51):
         t = i / 50.0
-        skr = secret_key_rate(replace(cfg, zpc=ZpcSetting.on(t))).skr
+        skr = secret_key_rate(cfg._replace(zpc=ZpcSetting.on(t))).skr
         assert skr <= opt.skr_star + 1e-15
 
 
@@ -161,16 +160,16 @@ def test_t_sweeps_match_the_per_t_path():
     for scheme in Scheme:
         for l_ac, l_bc in ((5.0, 0.0), (30.0, 0.0), (0.6, 0.6), (12.0, 4.0)):
             for v in (1.3, 2.6, 6.0, 1e300):
-                cfg = replace(config(variance_v=v, l_ac=l_ac, l_bc=l_bc), scheme=scheme)
+                cfg = config(variance_v=v, l_ac=l_ac, l_bc=l_bc)._replace(scheme=scheme)
                 assert repr(optimize_t(cfg, grid)) == repr(_per_t_optimize_t(cfg, grid))
-                for c in (cfg, replace(cfg, zpc=ZpcSetting.off())):
+                for c in (cfg, cfg._replace(zpc=ZpcSetting.off())):
                     got = beta_zero_crossing(c, grid)
                     assert repr(got) == repr(_per_t_beta_zero_crossing(c, grid))
 
 
 def test_optimize_tv_frozen_point():
     cfg = config(zpc=ZpcSetting.off(), variance_v=1.5, l_ac=25.0)
-    cfg = replace(cfg, scheme=Scheme.FOUR)
+    cfg = cfg._replace(scheme=Scheme.FOUR)
     opt = optimize_tv(cfg)
     assert opt.t_star == 1.0
     assert opt.v_star == pytest.approx(1.4395566593036926, rel=1e-9)
@@ -181,7 +180,7 @@ def test_optimize_tv_beats_variance_sweep():
     cfg = config(l_ac=30.0)
     opt = optimize_tv(cfg)
     for v in (1.5, 2.0, 2.6, 3.5, 5.0):
-        assert best_rate(replace(cfg, variance_v=v)).skr_star <= opt.skr_star + 1e-15
+        assert best_rate(cfg._replace(variance_v=v)).skr_star <= opt.skr_star + 1e-15
 
 
 def test_max_distance_brackets_the_crossing():
@@ -190,8 +189,8 @@ def test_max_distance_brackets_the_crossing():
     assert not md.no_key
     assert 40.0 < md.distance_km < 55.0
     geom = cfg.geometry
-    above = replace(cfg, geometry=geom.scaled(md.distance_km - 0.2))
-    below = replace(cfg, geometry=geom.scaled(md.distance_km + 0.2))
+    above = cfg._replace(geometry=geom.scaled(md.distance_km - 0.2))
+    below = cfg._replace(geometry=geom.scaled(md.distance_km + 0.2))
     assert best_rate(above).skr_star > 0.0
     assert best_rate(below).skr_star < 0.0
 
@@ -203,7 +202,7 @@ def test_max_distance_preserves_arm_ratio():
     # the symmetric split collapses the reach to around a kilometre
     assert 0.3 < md.distance_km < 1.5
     arm = md.distance_km / 2.0
-    edge = replace(cfg, geometry=LinkGeometry(arm + 0.2, arm + 0.2))
+    edge = cfg._replace(geometry=LinkGeometry(arm + 0.2, arm + 0.2))
     assert best_rate(edge).skr_star < 0.0
 
 
@@ -216,7 +215,7 @@ def test_max_distance_no_key_at_zero():
 
 def test_max_distance_from_zero_length_scans_a_single_link():
     cfg = config(l_ac=0.0)
-    assert max_distance(cfg) == max_distance(replace(cfg, geometry=LinkGeometry(1.0, 0.0)))
+    assert max_distance(cfg) == max_distance(cfg._replace(geometry=LinkGeometry(1.0, 0.0)))
 
 
 def test_max_distance_rejects_bad_tolerance():

@@ -1,0 +1,104 @@
+"""The validating input records: immutable tuples whose every way of
+being built (the constructor, _make and _replace) runs their checks."""
+
+import math
+import pickle
+import re
+
+import pytest
+
+from mdicvqkd.channel import LinkGeometry
+from mdicvqkd.keyrate import ProtocolConfig
+from mdicvqkd.modulation import Scheme
+from mdicvqkd.optimize import OptimizationGrid
+from mdicvqkd.zpc import ZpcSetting
+
+
+def config(**changes) -> ProtocolConfig:
+    """A valid config built by keywords, as perfbench/worker.py's
+    scatter_configs builds its configs."""
+    fields = {
+        "scheme": Scheme.EIGHT,
+        "zpc": ZpcSetting.on(0.5),
+        "variance_v": 2.6,
+        "beta": 0.95,
+        "eps_a": 0.002,
+        "eps_b": 0.003,
+        "geometry": LinkGeometry(10.0, 2.0),
+    }
+    return ProtocolConfig(**{**fields, **changes})
+
+
+RECORDS = [ZpcSetting.on(0.5), LinkGeometry(10.0, 2.0), config(), OptimizationGrid()]
+
+# A valid record, one of its fields and a value that field refuses.
+REFUSED = [
+    (ZpcSetting.on(0.5), "t", 1.5),
+    (ZpcSetting.off(), "t", 0.5),
+    (LinkGeometry(10.0, 2.0), "l_bc", -1.0),
+    (LinkGeometry(10.0, 2.0), "loss_mu", math.inf),
+    (config(), "variance_v", 1.0),
+    (config(), "eps_b", math.nan),
+    (OptimizationGrid(), "t_steps", 1),
+    (OptimizationGrid(), "v_lo", 20.0),
+]
+
+
+@pytest.mark.parametrize(
+    "record, field, bad", REFUSED, ids=[f"{type(r).__name__}.{f}={bad}" for r, f, bad in REFUSED]
+)
+def test_replace_and_make_refuse_what_the_constructor_refuses(record, field, bad):
+    cls = type(record)
+    with pytest.raises(ValueError) as direct:
+        cls(**{**record._asdict(), field: bad})
+    message = re.escape(str(direct.value))
+    with pytest.raises(ValueError, match=message):
+        record._replace(**{field: bad})
+    with pytest.raises(ValueError, match=message):
+        cls._make(bad if name == field else value for name, value in zip(record._fields, record))
+    # and both still build the record from valid values
+    assert type(record._replace(**{field: getattr(record, field)})) is cls
+    assert cls._make(tuple(record)) == record
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_no_attribute_can_be_set(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[-1], getattr(record, record._fields[-1]))
+    # __slots__ = () leaves no instance dict to take a new name
+    with pytest.raises(AttributeError):
+        record.note = "set"
+    assert not hasattr(record, "__dict__")
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_survive_pickling(record):
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_keyword_construction_validates():
+    cfg = config(scheme=Scheme.FOUR, zpc=ZpcSetting.off(), geometry=LinkGeometry(4.0, 1.5))
+    assert (cfg.scheme, cfg.zpc, cfg.variance_v) == (Scheme.FOUR, ZpcSetting(False, 1.0), 2.6)
+    assert (cfg.geometry.l_ac, cfg.geometry.l_bc, cfg.geometry.loss_mu) == (4.0, 1.5, 0.2)
+    assert OptimizationGrid(t_steps=20, refine_iters=5)._asdict() == {
+        "t_lo": 0.01,
+        "t_hi": 1.0,
+        "t_steps": 20,
+        "v_lo": 1.01,
+        "v_hi": 10.0,
+        "v_steps": 200,
+        "refine_iters": 5,
+    }
+    for build in (
+        lambda: config(beta=1.5),
+        lambda: config(eps_a=-0.001),
+        lambda: ZpcSetting(enabled=True, t=0.0),
+        lambda: ZpcSetting(enabled=False, t=0.5),
+        lambda: LinkGeometry(l_ac=math.nan, l_bc=0.0),
+        lambda: OptimizationGrid(t_lo=0.5, t_hi=0.4),
+        lambda: OptimizationGrid(refine_iters=-1),
+    ):
+        with pytest.raises(ValueError):
+            build()
+    with pytest.raises(TypeError):
+        LinkGeometry(l_ac=1.0)  # l_bc has no default

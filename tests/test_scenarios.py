@@ -2,7 +2,6 @@
 
 import inspect
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -172,7 +171,7 @@ def test_beta_zero_crossing_plain():
     res = evaluate_protocol(cfg).result
     assert b0 == pytest.approx(res.chi_be / res.i_ab, rel=1e-14)
     # the rate is linear in beta, so it vanishes exactly at the threshold
-    crossing = replace(cfg, beta=min(1.0, b0))
+    crossing = cfg._replace(beta=min(1.0, b0))
     skr = evaluate_protocol(crossing).result.skr
     assert abs(skr) < 1e-15
 
@@ -181,7 +180,7 @@ def test_beta_zero_crossing_catalysis():
     cfg = config_for(Variant.EIGHT_ZPC, Case.ASYMMETRIC, 25.0)
     b0, t_at = beta_zero_crossing(cfg)
     assert 0.0 < t_at <= 1.0
-    res = evaluate_protocol(replace(cfg, zpc=cfg.zpc.with_t(t_at))).result
+    res = evaluate_protocol(cfg.at_t(t_at)).result
     assert b0 == pytest.approx(res.chi_be / res.i_ab, rel=1e-12)
     # optimizing T can only lower the threshold
     at_unit = evaluate_protocol(cfg).result

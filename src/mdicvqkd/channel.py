@@ -85,25 +85,6 @@ def equivalent_excess_noise(geometry: LinkGeometry, eps_a: float, eps_b: float) 
     return equivalent_channel(geometry, eps_a, eps_b, v_bob=2.0).eps_th
 
 
-def equivalent_excess_noise_curve(
-    d_ratio: float, distances_km: list[float], eps_a: float, eps_b: float
-) -> list[tuple[float, float]]:
-    """eps_th sampled over total Alice-Bob distances for one arm ratio.
-
-    d_ratio is l_bc / l_ac, so d_ratio = 0 puts the relay at Bob and
-    d_ratio = 1 in the middle; each total distance splits as
-    l_ac = total / (1 + d_ratio), l_bc = d_ratio * l_ac.
-    """
-    if not (0.0 <= d_ratio <= 1.0):
-        raise ValueError(f"d_ratio must be in [0, 1], got {d_ratio}")
-    out = []
-    for total in distances_km:
-        l_ac = total / (1.0 + d_ratio)
-        geom = LinkGeometry(l_ac, d_ratio * l_ac)
-        out.append((total, equivalent_excess_noise(geom, eps_a, eps_b)))
-    return out
-
-
 def equivalent_channel(
     geometry: LinkGeometry, eps_a: float, eps_b: float, v_bob: float
 ) -> EquivalentChannel:

@@ -150,6 +150,8 @@ def symplectic_eigenvalues(a: float, b: float, c: float) -> tuple[float, float, 
         raise NonPhysicalStateError(f"no real symplectic spectrum: disc={disc}, F={f}")
     delta = a * a + b * b - 2.0 * c * c
     kappa1 = math.sqrt((delta + math.sqrt(disc)) / 2.0)
+    if not (kappa1 > 0.0):
+        raise NonPhysicalStateError(f"Delta + sqrt(disc) rounded to zero with F={f}")
     kappa2 = f / kappa1
     kappa3 = a - c * c / (b + 1.0)
     for k in (kappa1, kappa2, kappa3):

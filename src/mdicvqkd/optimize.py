@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .keyrate import KeyRateResult, ProtocolConfig, rate_over_t, secret_key_rate
+from .keyrate import KeyRateResult, ProtocolConfig, rate_over_t
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -144,31 +144,28 @@ def _optimum(t_star: float, result: KeyRateResult) -> TOptimum:
     return TOptimum(t_star, skr, result, not (skr > 0.0))
 
 
-def optimize_t(config: ProtocolConfig, grid: OptimizationGrid | None = None) -> TOptimum:
-    """Transmittance maximizing the key rate, everything else fixed.
-
-    The catalysis setting must be enabled; the T stored in config is a
-    placeholder and does not bias the search.
-    """
-    if not config.zpc.enabled:
-        raise ValueError("optimize_t requires an enabled catalysis setting")
-    grid = grid or OptimizationGrid()
+def best_rate(config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid()) -> TOptimum:
+    """The rate optimum with T scanned and refined when catalysis is on,
+    a single evaluation at T = 1 otherwise.  The T stored in config is a
+    placeholder and does not bias the search."""
     rate = rate_over_t(config)
+    if not config.zpc.enabled:
+        return _optimum(1.0, rate(1.0))
     t_star, _ = _scan_and_refine(
         lambda t: _skr(rate(t)), grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
     )
     return _optimum(t_star, rate(t_star))
 
 
-def best_rate(config: ProtocolConfig, grid: OptimizationGrid | None = None) -> TOptimum:
-    """The rate optimum with T optimized when catalysis is on, pinned to 1
-    otherwise."""
-    if config.zpc.enabled:
-        return optimize_t(config, grid)
-    return _optimum(1.0, secret_key_rate(config))
+def optimize_t(config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid()) -> TOptimum:
+    """Transmittance maximizing the key rate, everything else fixed; the
+    catalysis setting must be enabled."""
+    if not config.zpc.enabled:
+        raise ValueError("optimize_t requires an enabled catalysis setting")
+    return best_rate(config, grid)
 
 
-def optimize_tv(config: ProtocolConfig, grid: OptimizationGrid | None = None) -> TvOptimum:
+def optimize_tv(config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid()) -> TvOptimum:
     """Joint optimum over source variance and (when enabled) transmittance.
 
     Nested search: a variance scan with the transmittance optimizer
@@ -176,7 +173,6 @@ def optimize_tv(config: ProtocolConfig, grid: OptimizationGrid | None = None) ->
     bracket.  Without catalysis the inner stage is a single evaluation
     at T = 1.
     """
-    grid = grid or OptimizationGrid()
     t_for: dict[float, float] = {}
 
     def f(v: float) -> float:
@@ -191,7 +187,7 @@ def optimize_tv(config: ProtocolConfig, grid: OptimizationGrid | None = None) ->
 
 
 def beta_zero_crossing(
-    config: ProtocolConfig, grid: OptimizationGrid | None = None
+    config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid()
 ) -> tuple[float, float]:
     """Reconciliation efficiency at which the best achievable rate turns
     positive, with the transmittance attaining it.  "Best" is over T at
@@ -202,7 +198,6 @@ def beta_zero_crossing(
     smallest such ratio.  Values above 1 mean no key at any efficiency;
     inf means no physical operating point at all.
     """
-    grid = grid or OptimizationGrid()
     rate = rate_over_t(config)
 
     def neg_ratio(t: float) -> float:
@@ -221,7 +216,7 @@ def beta_zero_crossing(
 
 def max_distance(
     config: ProtocolConfig,
-    grid: OptimizationGrid | None = None,
+    grid: OptimizationGrid = OptimizationGrid(),
     tol_km: float = TOL_KM,
 ) -> MaxDistance:
     """Largest total distance with a positive (T-optimized) key rate.
@@ -231,7 +226,6 @@ def max_distance(
     bisected to tol_km.  Degenerate configs with no key even at zero
     distance return 0 with the no_key flag set.
     """
-    grid = grid or OptimizationGrid()
     if not (tol_km > 0.0 and math.isfinite(tol_km)):
         raise ValueError(f"tol_km must be finite and > 0, got {tol_km}")
     base = config.geometry

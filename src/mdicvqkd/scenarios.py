@@ -10,7 +10,7 @@ import math
 from functools import partial
 from typing import NamedTuple
 
-from .channel import LinkGeometry, equivalent_excess_noise_curve
+from .channel import LinkGeometry, equivalent_excess_noise
 from .modulation import Scheme, correlation_z
 from .optimize import best_rate, linspace
 from .presets import DEFAULT_EPS, Case, Variant, config_for
@@ -188,12 +188,15 @@ def asymmetry_rate_curves(l_steps: int = 200, arm_diff_axis: bool = False) -> Da
 
 def excess_noise_transition(l_steps: int = 200) -> Dataset:
     """Equivalent excess noise versus total distance on [0, 60] km for
-    each relay position, at the preset excess noise on both links."""
+    each relay position, at the preset excess noise on both links.  A
+    total splits as l_ac = total / (1 + d), l_bc = d l_ac."""
     distances = linspace(0.0, 60.0, l_steps)
     rows = []
     for d in RELAY_POSITIONS:
-        for total, eps_th in equivalent_excess_noise_curve(d, distances, DEFAULT_EPS, DEFAULT_EPS):
-            rows.append((total, d, eps_th))
+        for total in distances:
+            l_ac = total / (1.0 + d)
+            geom = LinkGeometry(l_ac, d * l_ac)
+            rows.append((total, d, equivalent_excess_noise(geom, DEFAULT_EPS, DEFAULT_EPS)))
     rows.sort(key=lambda r: (r[0], r[1]))
     return Dataset(_figure_id(excess_noise_transition), ("distance_km", "d", "eps_th"), rows)
 

@@ -13,7 +13,7 @@ import time
 from test_keyrate import covariance_of
 from test_modulation import poisson_residue_oracle
 
-from mdicvqkd.channel import LinkGeometry, equivalent_excess_noise_curve
+from mdicvqkd.channel import LinkGeometry
 from mdicvqkd.cli_io import main
 from mdicvqkd.keyrate import (
     ProtocolConfig,
@@ -29,7 +29,7 @@ from mdicvqkd.optimize import (
     max_distance,
     optimize_tv,
 )
-from mdicvqkd.scenarios import Case, Variant, config_for
+from mdicvqkd.scenarios import Case, Variant, config_for, excess_noise_transition
 from mdicvqkd.zpc import ZpcSetting
 
 
@@ -345,9 +345,10 @@ def test_criterion_13_relay_position_transition():
         )
         reach.append(max_distance(cfg, tol_km=0.01).distance_km)
     decreasing = all(reach[i + 1] < reach[i] for i in range(len(reach) - 1))
-    distances = [60.0 * i / 99 for i in range(100)]
-    eps0 = dict(equivalent_excess_noise_curve(0.0, distances, 0.002, 0.002))
-    eps1 = dict(equivalent_excess_noise_curve(1.0, distances, 0.002, 0.002))
+    rows = excess_noise_transition(l_steps=100).rows
+    eps0 = {l: eps for l, d, eps in rows if d == 0.0}
+    eps1 = {l: eps for l, d, eps in rows if d == 1.0}
+    distances = sorted(eps0)
     gaps = [eps1[l] - eps0[l] for l in distances]
     widening = all(gaps[i + 1] > gaps[i] for i in range(len(gaps) - 1))
     ok = decreasing and widening

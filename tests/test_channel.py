@@ -9,7 +9,6 @@ from mdicvqkd.channel import (
     LinkGeometry,
     equivalent_channel,
     equivalent_excess_noise,
-    equivalent_excess_noise_curve,
     fiber_transmittance,
     optimal_g_sq,
 )
@@ -110,18 +109,6 @@ def test_equivalent_excess_noise_matches_channel():
     eps_th = equivalent_excess_noise(geom, 0.002, 0.002)
     chan = equivalent_channel(geom, 0.002, 0.002, v_bob=3.1)
     assert eps_th == pytest.approx(chan.eps_th, rel=1e-12)
-
-
-def test_excess_noise_curve():
-    pts = equivalent_excess_noise_curve(0.5, [0.0, 30.0], 0.002, 0.002)
-    assert [p[0] for p in pts] == [0.0, 30.0]
-    # zero distance leaves only the intrinsic excess noise on both links
-    assert pts[0][1] == pytest.approx(0.004, abs=1e-12)
-    # the split: l_ac = total / 1.5, l_bc = half of that
-    geom = LinkGeometry(20.0, 10.0)
-    assert pts[1][1] == pytest.approx(equivalent_excess_noise(geom, 0.002, 0.002), rel=1e-12)
-    with pytest.raises(ValueError):
-        equivalent_excess_noise_curve(1.5, [0.0], 0.002, 0.002)
 
 
 def test_validation():

@@ -316,6 +316,19 @@ def test_cli_keyrate_nonphysical_exit(capsys):
         assert doc["channel"]["eps_th"] is None
 
 
+def test_cli_keyrate_spectrum_rounded_to_zero_exits_2(capsys):
+    # kappa1 rounds to 0 at this variance: a non-physical state, not a crash
+    argv = (
+        "keyrate --scheme four --zpc-t off --variance 2.753944526072131e16 --beta 1"
+        " --eps-a 3 --eps-b 0 --lac 0 --lbc 0 --mu 1"
+    )
+    code, out, err = run_cli(argv.split(), capsys)
+    assert code == 2, err
+    doc = json.loads(out, parse_constant=_strict)
+    assert doc["physical"] is False
+    assert doc["skr"] is None and doc["kappa1"] is None
+
+
 def test_cli_keyrate_bad_flags(capsys):
     code, _, err = run_cli("keyrate --zpc-t 1.2".split(), capsys)
     assert code == 1

@@ -173,6 +173,16 @@ def test_symplectic_rejects_unphysical():
         symplectic_eigenvalues(2.0, 1.01, 1.0)  # kappa2 < 1
 
 
+def test_symplectic_rejects_a_spectrum_rounded_to_zero():
+    # F > 0 but Delta + sqrt(disc) rounds to 0, so kappa1 = 0: the state
+    # is refused before F / kappa1 divides by zero
+    a, c = 2.753944526072131e16, 2.753944526072131e16
+    b = 2.7539445260721316e16
+    assert a * b - c * c > 0.0
+    with pytest.raises(NonPhysicalStateError):
+        symplectic_eigenvalues(a, b, c)
+
+
 def test_covariance_validation():
     # entries below vacuum or non-finite are refused before the spectrum
     for a, b, c in ((0.5, 2.0, 0.0), (2.0, 0.5, 0.0), (math.inf, 2.0, 0.0), (2.0, 2.0, math.nan)):

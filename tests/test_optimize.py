@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import mdicvqkd.keyrate
 from mdicvqkd.channel import LinkGeometry
 from mdicvqkd.keyrate import ProtocolConfig, secret_key_rate
 from mdicvqkd.modulation import Scheme
@@ -123,6 +124,38 @@ def test_best_rate_pins_plain_protocol_at_unit_t():
 def test_best_rate_matches_optimize_t():
     cfg = config()
     assert best_rate(cfg) == optimize_t(cfg)
+
+
+def test_every_search_reaches_the_scorer_through_rate_over_t(monkeypatch):
+    def refused(config):
+        raise AssertionError("a search called evaluate_protocol")
+
+    calls = {"equivalent_channel": 0, "apply_zpc": 0}
+
+    def counted(name):
+        fn = getattr(mdicvqkd.keyrate, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(mdicvqkd.keyrate, "evaluate_protocol", refused)
+    for name in calls:
+        monkeypatch.setattr(mdicvqkd.keyrate, name, counted(name))
+    grid = OptimizationGrid(t_steps=10, v_steps=4, refine_iters=3)
+    plain = config(zpc=ZpcSetting.off())
+    for cfg in (config(), plain):
+        best_rate(cfg, grid)
+        optimize_tv(cfg, grid)
+        max_distance(cfg, grid)
+        beta_zero_crossing(cfg, grid)
+    optimize_t(config(), grid)
+    # without catalysis the optimum is one channel and one evaluation at T = 1
+    calls.update(dict.fromkeys(calls, 0))
+    best_rate(plain, grid)
+    assert calls == {"equivalent_channel": 1, "apply_zpc": 1}
 
 
 def _per_t_optimize_t(cfg: ProtocolConfig, grid: OptimizationGrid) -> TOptimum:

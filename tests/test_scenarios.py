@@ -16,6 +16,7 @@ from mdicvqkd.scenarios import (
     BETA_SCAN_DISTANCES,
     DEFAULT_EPS,
     FIGURES,
+    RELAY_POSITIONS,
     Case,
     Variant,
     asymmetry_rate_curves,
@@ -205,11 +206,16 @@ def test_excess_noise_curveset():
     ds = excess_noise_transition(l_steps=5)
     assert ds.name == "fig9b"
     assert ds.columns == ("distance_km", "d", "eps_th")
-    sample = [r for r in ds.rows if r[1] == 1.0 and r[0] == 60.0][0]
-    geom = LinkGeometry(30.0, 30.0)
-    assert sample[2] == pytest.approx(
-        equivalent_excess_noise(geom, DEFAULT_EPS, DEFAULT_EPS), rel=1e-12
-    )
+    eps_at = {(r[0], r[1]): r[2] for r in ds.rows}
+    # zero distance leaves only the intrinsic excess noise on both links
+    for d in RELAY_POSITIONS:
+        assert eps_at[0.0, d] == pytest.approx(0.004, abs=1e-12)
+    # the split l_ac = total / (1 + d), l_bc = d l_ac
+    for total, d, l_ac, l_bc in ((60.0, 1.0, 30.0, 30.0), (30.0, 0.5, 20.0, 10.0)):
+        geom = LinkGeometry(l_ac, l_bc)
+        assert eps_at[total, d] == pytest.approx(
+            equivalent_excess_noise(geom, DEFAULT_EPS, DEFAULT_EPS), rel=1e-12
+        )
     gaps = []
     for l in sorted({r[0] for r in ds.rows}):
         at_l = {r[1]: r[2] for r in ds.rows if r[0] == l}

@@ -61,11 +61,12 @@ class OptimizationGrid(
             raise ValueError(f"need 0 <= t_lo < t_hi <= 1, got ({self.t_lo}, {self.t_hi}]")
         if not (1.0 < self.v_lo < self.v_hi):
             raise ValueError(f"need 1 < v_lo < v_hi, got [{self.v_lo}, {self.v_hi}]")
-        for name in ("t_steps", "v_steps"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
-        if self.refine_iters < 0:
-            raise ValueError("refine_iters must be >= 0")
+        for name, least in (("t_steps", 2), ("v_steps", 2), ("refine_iters", 0)):
+            n = getattr(self, name)
+            if not isinstance(n, int):
+                raise ValueError(f"{name} must be an integer, got {n!r}")
+            if n < least:
+                raise ValueError(f"{name} must be >= {least}, got {n}")
         return self
 
     def t_points(self) -> list[float]:
@@ -95,66 +96,74 @@ class MaxDistance(NamedTuple):
     no_key: bool
 
 
-def _golden_max(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section maximum of f on [lo, hi]; ties keep the left
-    subinterval so the smaller argument wins."""
+def _golden_max(f, key, lo: float, hi: float, iters: int):
+    """Golden-section maximum of key(f(x)) on [lo, hi], as (x, f(x)).  Ties
+    keep the left subinterval so the smaller argument wins; the search stops
+    before a probe that would not lie strictly inside its bracket."""
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc >= fd:
+        if key(fc) >= key(fd):
+            x = d - _INV_PHI * (d - lo)
+            if not lo < x < d:
+                break
             hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
+            c, fc = x, f(x)
         else:
+            x = c + _INV_PHI * (hi - c)
+            if not c < x < hi:
+                break
             lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
+            d, fd = x, f(x)
+    return (c, fc) if key(fc) >= key(fd) else (d, fd)
 
 
-def _scan_and_refine(f, points: list[float], lo_cap: float, hi_cap: float, iters: int):
+def _scan_and_refine(f, key, points: list[float], lo_cap: float, hi_cap: float, iters: int):
     """Best of a coarse scan and a golden pass around its bracket.
 
-    Returns (x, f(x)) with f(x) >= every coarse value; ties on the scan
-    keep the first (smallest) point.
+    Returns (x, f(x)), f(x) being the object f returned at x, with
+    key(f(x)) >= key of every coarse value; ties on the scan keep the
+    first (smallest) point.
     """
-    best_i = 0
-    best_f = f(points[0])
-    for i in range(1, len(points)):
-        fi = f(points[i])
-        if fi > best_f:
-            best_i, best_f = i, fi
+    values = [f(x) for x in points]
+    best_i = max(range(len(points)), key=lambda i: key(values[i]))
     lo = points[best_i - 1] if best_i > 0 else lo_cap
     hi = points[best_i + 1] if best_i + 1 < len(points) else hi_cap
-    x_ref, f_ref = _golden_max(f, lo, hi, iters)
-    if f_ref > best_f:
+    x_ref, f_ref = _golden_max(f, key, lo, hi, iters)
+    if key(f_ref) > key(values[best_i]):
         return x_ref, f_ref
-    return points[best_i], best_f
+    return points[best_i], values[best_i]
 
 
 def _skr(r: KeyRateResult) -> float:
     return r.skr if r.physical else -math.inf
 
 
-def _optimum(t_star: float, result: KeyRateResult) -> TOptimum:
-    skr = _skr(result)
-    return TOptimum(t_star, skr, result, not (skr > 0.0))
+def _neg_ratio(r: KeyRateResult) -> float:
+    """-chi_BE / I_AB, the negated reconciliation efficiency at which r's
+    rate turns positive; -inf where there is no such efficiency."""
+    if not r.physical or r.i_ab <= 0.0:
+        return -math.inf
+    return -r.chi_be / r.i_ab
 
 
-def best_rate(config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid()) -> TOptimum:
-    """The rate optimum with T scanned and refined when catalysis is on,
-    a single evaluation at T = 1 otherwise.  The T stored in config is a
+def _best_t(config: ProtocolConfig, grid: OptimizationGrid, key) -> tuple[float, KeyRateResult]:
+    """(T, result at T) maximizing key(result): the T search of every
+    optimizer.  T is scanned and refined when catalysis is on, and a
+    single evaluation at T = 1 otherwise.  The T stored in config is a
     placeholder and does not bias the search."""
     rate = rate_over_t(config)
     if not config.zpc.enabled:
-        return _optimum(1.0, rate(1.0))
-    t_star, _ = _scan_and_refine(
-        lambda t: _skr(rate(t)), grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
-    )
-    return _optimum(t_star, rate(t_star))
+        return 1.0, rate(1.0)
+    return _scan_and_refine(rate, key, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters)
+
+
+def best_rate(config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid()) -> TOptimum:
+    """The rate optimum over T (T = 1 when catalysis is off)."""
+    t_star, result = _best_t(config, grid, _skr)
+    skr = _skr(result)
+    return TOptimum(t_star, skr, result, not (skr > 0.0))
 
 
 def optimize_t(config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid()) -> TOptimum:
@@ -173,17 +182,14 @@ def optimize_tv(config: ProtocolConfig, grid: OptimizationGrid = OptimizationGri
     bracket.  Without catalysis the inner stage is a single evaluation
     at T = 1.
     """
-    t_for: dict[float, float] = {}
 
-    def f(v: float) -> float:
-        opt = best_rate(config._replace(variance_v=v), grid)
-        t_for[v] = opt.t_star
-        return opt.skr_star
+    def opt_at(v: float) -> TOptimum:
+        return best_rate(config._replace(variance_v=v), grid)
 
-    v_star, skr_star = _scan_and_refine(
-        f, grid.v_points(), grid.v_lo, grid.v_hi, grid.refine_iters
+    v_star, opt = _scan_and_refine(
+        opt_at, lambda o: o.skr_star, grid.v_points(), grid.v_lo, grid.v_hi, grid.refine_iters
     )
-    return TvOptimum(t_for[v_star], v_star, skr_star, not (skr_star > 0.0))
+    return TvOptimum(opt.t_star, v_star, opt.skr_star, opt.no_key)
 
 
 def beta_zero_crossing(
@@ -198,20 +204,8 @@ def beta_zero_crossing(
     smallest such ratio.  Values above 1 mean no key at any efficiency;
     inf means no physical operating point at all.
     """
-    rate = rate_over_t(config)
-
-    def neg_ratio(t: float) -> float:
-        res = rate(t)
-        if not res.physical or res.i_ab <= 0.0:
-            return -math.inf
-        return -res.chi_be / res.i_ab
-
-    if not config.zpc.enabled:
-        return -neg_ratio(1.0), 1.0
-    t_at, neg_beta = _scan_and_refine(
-        neg_ratio, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
-    )
-    return -neg_beta, t_at
+    t_at, result = _best_t(config, grid, _neg_ratio)
+    return -_neg_ratio(result), t_at
 
 
 def max_distance(

@@ -209,18 +209,18 @@ BETA_GRID = OptimizationGrid(v_steps=10, t_steps=25, refine_iters=20)
 
 def _beta_threshold(variant: Variant, case: Case, distance_km: float):
     """Smallest crossing over V, with the config at the (v*, t*) attaining it."""
-    crossing = {}
 
-    def neg_beta(v: float) -> float:
-        crossing[v] = beta_zero_crossing(
-            config_for(variant, case, distance_km, variance_v=v), BETA_GRID
-        )
-        return -crossing[v][0]
+    def crossing(v: float) -> tuple[float, float]:
+        return beta_zero_crossing(config_for(variant, case, distance_km, variance_v=v), BETA_GRID)
 
-    v_star, _ = _scan_and_refine(
-        neg_beta, BETA_GRID.v_points(), BETA_GRID.v_lo, BETA_GRID.v_hi, BETA_GRID.refine_iters
+    v_star, (beta0, t_at) = _scan_and_refine(
+        crossing,
+        lambda c: -c[0],
+        BETA_GRID.v_points(),
+        BETA_GRID.v_lo,
+        BETA_GRID.v_hi,
+        BETA_GRID.refine_iters,
     )
-    beta0, t_at = crossing[v_star]
     cfg = config_for(variant, case, distance_km, variance_v=v_star)
     return beta0, cfg.at_t(t_at)
 

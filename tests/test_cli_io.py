@@ -520,6 +520,18 @@ def test_cli_optimize_refuses_a_one_point_grid(flag, field, capsys):
     assert f"{field} must be >= 2, got 1" in err
 
 
+def test_cli_optimize_t_never_probes_t_zero(capsys):
+    # every rate ties at this variance, so the golden section keeps the left
+    # subinterval until its bracket underflows onto t_lo = 0, a T the
+    # catalysis setting refuses; the search stops short of it
+    argv = "optimize --optimize t --variance 1e300 --t-lo 0 --t-steps 2 --refine-iters 2000"
+    code, out, err = run_cli(argv.split(), capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["no_key"] is True
+    assert 0.0 < doc["t_star"] <= 1.0
+
+
 def test_cli_optimize_t_grid_ends_on_its_bound(capsys):
     # 0.1 + 0.9 * 13 / 13 is 1.0000000000000002, a T the catalysis setting
     # refuses, so the grid's last point must be t_hi itself

@@ -270,8 +270,8 @@ def test_evaluation_is_single_pass(monkeypatch):
     assert calls == {"equivalent_channel": 1, "apply_zpc": 1, "config_new": 0, "zpc_new": 0}
 
     # a T sweep builds its channel once and no record per T: one catalysis
-    # step per evaluated T (the coarse scan, two golden-section probes, one
-    # per refinement step, and for optimize_t the result at t*)
+    # step per evaluated T (the coarse scan, two golden-section probes and
+    # one per refinement step); the optimum is not evaluated again
     def counted_new(record, name):
         new = record.__new__
 
@@ -286,10 +286,10 @@ def test_evaluation_is_single_pass(monkeypatch):
     cfg.at_t(0.5)  # the counters see each construction
     assert (calls["config_new"], calls["zpc_new"]) == (1, 1)
     grid = OptimizationGrid(t_steps=20, refine_iters=5)
-    for optimizer, final in ((optimize_t, 1), (beta_zero_crossing, 0)):
+    for optimizer in (optimize_t, beta_zero_crossing):
         calls.update(dict.fromkeys(calls, 0))
         optimizer(cfg, grid)
-        evaluated = grid.t_steps + 2 + grid.refine_iters + final
+        evaluated = grid.t_steps + 2 + grid.refine_iters
         assert calls == {
             "equivalent_channel": 1,
             "apply_zpc": evaluated,

@@ -73,16 +73,50 @@ def test_grid_validation():
                 OptimizationGrid(**{name: bad})
 
 
+def identity(value):
+    return value
+
+
 def test_golden_section_finds_parabola_peak():
-    x, fx = _golden_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 60)
+    x, fx = _golden_max(lambda x: -(x - 0.3) ** 2, identity, 0.0, 1.0, 60)
     assert x == pytest.approx(0.3, abs=1e-9)
     assert fx == pytest.approx(0.0, abs=1e-15)
 
 
 def test_golden_section_tie_keeps_left():
     # on a flat function the bracket must collapse leftward
-    x, _ = _golden_max(lambda x: 1.0, 0.0, 1.0, 80)
+    x, _ = _golden_max(lambda x: 1.0, identity, 0.0, 1.0, 80)
     assert x < 0.5
+
+
+def test_golden_section_never_probes_an_end_of_its_bracket():
+    # a flat f collapses the bracket onto lo; after about 1 500 steps the
+    # next probe would round onto lo itself, where this f, like the rate
+    # at T = 0, is undefined
+    def flat(x):
+        if x <= 0.0:
+            raise ValueError(f"probed x = {x}")
+        return 1.0
+
+    x, fx = _golden_max(flat, identity, 0.0, 1.0, 2000)
+    assert 0.0 < x < 0.5 and fx == 1.0
+
+
+@pytest.mark.parametrize("peak, refined", [(0.5, False), (0.4, True)])
+def test_scan_and_refine_returns_the_object_f_made(peak, refined):
+    # every call makes a new object; the search hands back the one made at
+    # its x, whether the coarse point (peak on the grid) or the refinement wins
+    made = []
+
+    def f(x):
+        made.append((x, [-((x - peak) ** 2)]))
+        return made[-1][1]
+
+    points = [0.25, 0.5, 0.75, 1.0]
+    x, got = _scan_and_refine(f, lambda v: v[0], points, 0.0, 1.0, 20)
+    assert (x not in points) is refined
+    assert x == pytest.approx(peak, abs=1e-4)
+    assert any(obj is got and at == x for at, obj in made)
 
 
 def test_optimize_t_frozen_point():
@@ -152,10 +186,11 @@ def test_every_search_reaches_the_scorer_through_rate_over_t(monkeypatch):
         max_distance(cfg, grid)
         beta_zero_crossing(cfg, grid)
     optimize_t(config(), grid)
-    # without catalysis the optimum is one channel and one evaluation at T = 1
-    calls.update(dict.fromkeys(calls, 0))
-    best_rate(plain, grid)
-    assert calls == {"equivalent_channel": 1, "apply_zpc": 1}
+    # without catalysis each T search is one channel and one evaluation at T = 1
+    for search in (best_rate, beta_zero_crossing):
+        calls.update(dict.fromkeys(calls, 0))
+        search(plain, grid)
+        assert calls == {"equivalent_channel": 1, "apply_zpc": 1}
 
 
 def _per_t_optimize_t(cfg: ProtocolConfig, grid: OptimizationGrid) -> TOptimum:
@@ -166,7 +201,7 @@ def _per_t_optimize_t(cfg: ProtocolConfig, grid: OptimizationGrid) -> TOptimum:
         return r.skr if r.physical else -math.inf
 
     t_star, skr_star = _scan_and_refine(
-        skr, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
+        skr, identity, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
     )
     return TOptimum(t_star, skr_star, secret_key_rate(cfg.at_t(t_star)), not (skr_star > 0.0))
 
@@ -183,7 +218,7 @@ def _per_t_beta_zero_crossing(cfg: ProtocolConfig, grid: OptimizationGrid):
     if not cfg.zpc.enabled:
         return -neg_ratio(1.0), 1.0
     t_at, neg_beta = _scan_and_refine(
-        neg_ratio, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
+        neg_ratio, identity, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
     )
     return -neg_beta, t_at
 

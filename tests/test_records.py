@@ -40,6 +40,9 @@ REFUSED = [
     (config(), "variance_v", 1.0),
     (config(), "eps_b", math.nan),
     (OptimizationGrid(), "t_steps", 1),
+    (OptimizationGrid(), "t_steps", 20.0),
+    (OptimizationGrid(), "v_steps", 20.0),
+    (OptimizationGrid(), "refine_iters", 5.0),
     (OptimizationGrid(), "v_lo", 20.0),
 ]
 

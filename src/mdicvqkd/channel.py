@@ -94,8 +94,6 @@ def equivalent_channel(
     the mismatch-cancelling g^2 of optimal_g_sq; any other gain would add
     (T_B / T_A) (sqrt(2 (V_B - 1) / (g^2 T_B)) - sqrt(V_B + 1))^2 to eps_th.
     """
-    if v_bob <= 1.0:
-        raise ValueError(f"v_bob must exceed 1 (vacuum) to define a gain, got {v_bob}")
     if not (eps_a >= 0.0 and eps_b >= 0.0):
         raise ValueError(f"excess noise must be >= 0, got {eps_a}, {eps_b}")
     t_a = fiber_transmittance(geometry.l_ac, geometry.loss_mu)

@@ -229,55 +229,54 @@ def _jsonable(x):
     return x
 
 
-def _print_json(payload: dict) -> None:
+def _report(cfg: ProtocolConfig, fields: dict, reported: ProtocolConfig) -> None:
+    """Print the JSON report of cfg: the tool version, its echo, fields,
+    and the domain warning judged at the reported point."""
+    payload = {
+        "tool_version": __version__,
+        "config": _spec_echo(cfg),
+        **fields,
+        "warnings": [_DOMAIN_WARNING] if reported.warn_domain else [],
+    }
     print(json.dumps(_jsonable(payload), indent=2, allow_nan=False))
 
 
 def _cmd_keyrate(args) -> int:
     cfg = _resolve_spec(args)
     ev = evaluate_protocol(cfg)
-    payload = {
-        "tool_version": __version__,
-        "config": _spec_echo(cfg),
+    fields = {
         **ev.result._asdict(),
         "attenuated_alpha_sq": ev.attenuated_alpha_sq,
         "channel": ev.channel._asdict(),
-        "warnings": [_DOMAIN_WARNING] if cfg.warn_domain else [],
     }
-    _print_json(payload)
+    _report(cfg, fields, cfg)
     return 0 if ev.result.physical else 2
 
 
 def _cmd_optimize(args) -> int:
-    from .optimize import OptimizationGrid, max_distance, optimize_t, optimize_tv
+    from .optimize import OptimizationGrid, best_rate, max_distance, optimize_t, optimize_tv
 
     mode = args.optimize
     # t is the optimized variable, so an unset zpc_t means "on"
     base = DEFAULT_CONFIG._replace(zpc=ZpcSetting.on(1.0)) if mode == "t" else DEFAULT_CONFIG
     cfg = _resolve_spec(args, base)
-    if mode == "t" and not cfg.zpc.enabled:
-        raise ValueError("--optimize t needs catalysis; drop zpc_t = off")
     grid = OptimizationGrid._make(getattr(args, name) for name in OptimizationGrid._fields)
-    payload = {
-        "tool_version": __version__,
-        "config": _spec_echo(cfg),
-        "mode": mode,
-        "grid": grid._asdict(),
-    }
+    fields = {"mode": mode, "grid": grid._asdict()}
     if mode == "t":
         opt = optimize_t(cfg, grid)
-        payload.update(t_star=opt.t_star, skr_star=opt.skr_star, no_key=opt.no_key)
+        fields.update(t_star=opt.t_star, skr_star=opt.skr_star, no_key=opt.no_key)
         reported = cfg.at_t(opt.t_star)
     elif mode == "tv":
         opt = optimize_tv(cfg, grid)
-        payload.update(opt._asdict())
+        fields.update(opt._asdict())
         reported = cfg.at_t(opt.t_star)._replace(variance_v=opt.v_star)
     else:
         md = max_distance(cfg, grid, tol_km=args.tol_km)
-        payload.update(max_distance_km=md.distance_km, no_key=md.no_key)
-        reported = cfg  # T and V are the input's; only the distance was searched
-    payload["warnings"] = [_DOMAIN_WARNING] if reported.warn_domain else []
-    _print_json(payload)
+        fields.update(max_distance_km=md.distance_km, no_key=md.no_key)
+        # the search optimized T at every length, so judge the reach at its T*
+        reached = cfg._replace(geometry=cfg.geometry.scaled(md.distance_km))
+        reported = reached.at_t(best_rate(reached, grid).t_star)
+    _report(cfg, fields, reported)
     return 0
 
 
@@ -288,8 +287,9 @@ def _figures_taking(keyword: str) -> str:
 
 
 def _eps_list(text: str) -> tuple[float, ...]:
-    """The --extra-eps value: comma-separated excess noises, finite, >= 0
-    and distinct, since each names one curve and its file."""
+    """The --extra-eps value: comma-separated excess noises, finite and
+    >= 0, checked before fig4 and fig7 build their default curves; the
+    figure itself refuses a repeated value."""
     try:
         eps = tuple(float(s) for s in text.split(","))
     except ValueError:
@@ -297,9 +297,6 @@ def _eps_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(msg) from None
     if any(not (e >= 0.0) or math.isinf(e) for e in eps):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    for i, e in enumerate(eps):
-        if e in eps[:i]:
-            raise argparse.ArgumentTypeError(f"repeats {e!r}, got {text!r}")
     return eps
 
 
@@ -339,8 +336,6 @@ def _figure_overrides(args) -> dict:
             raise ValueError(f"{flag} applies only to {_figures_taking(key)}")
         overrides[key] = value
     if args.steps is not None:
-        if args.steps < 2:
-            raise ValueError("--steps must be >= 2")
         overrides.update(dict.fromkeys(step_keys, args.steps))
     return overrides
 
@@ -355,8 +350,7 @@ def _cmd_figure(args) -> int:
         # one manifest per figure so several runs can share a directory
         paths = write_datasets(datasets, args.out, echo, f"{args.figure_id}_manifest.json")
     except OSError as exc:
-        print(f"{args.subparser.prog}: error: cannot write to {args.out}: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot write to {args.out}: {exc}") from exc
     for p in paths:
         print(p)
     return 0

@@ -63,7 +63,7 @@ class OptimizationGrid(
             raise ValueError(f"need 1 < v_lo < v_hi, got [{self.v_lo}, {self.v_hi}]")
         for name, least in (("t_steps", 2), ("v_steps", 2), ("refine_iters", 0)):
             n = getattr(self, name)
-            if not isinstance(n, int):
+            if not isinstance(n, int) or isinstance(n, bool):
                 raise ValueError(f"{name} must be an integer, got {n!r}")
             if n < least:
                 raise ValueError(f"{name} must be >= {least}, got {n}")

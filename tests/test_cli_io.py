@@ -475,6 +475,23 @@ def test_cli_optimize_distance(capsys):
     assert out2 == out
 
 
+def test_cli_optimize_distance_ignores_the_input_t(capsys):
+    # the reach is searched with T optimized at every length, so the input
+    # T is a placeholder: the domain warning is judged at the reach's T*
+    # (0.283 here, T V_M = 0.453), not at the input's
+    docs = []
+    for t in ("1", "0.2"):
+        argv = f"optimize --optimize distance --variance 2.6 --lac 10 --zpc-t {t}".split()
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        docs.append(json.loads(out))
+    assert docs[0]["max_distance_km"] == 45.33203125
+    assert docs[0]["warnings"] == []
+    assert docs[0]["config"].pop("zpc_t") == 1.0
+    assert docs[1]["config"].pop("zpc_t") == 0.2
+    assert docs[0] == docs[1]
+
+
 @pytest.mark.parametrize(
     "flags, reach",
     [
@@ -632,7 +649,7 @@ def test_cli_figure_refuses_repeated_extra_eps(tmp_path, capsys):
         argv = ["figure", "fig4", "--steps", "2", f"--extra-eps={value}", "--out", str(tmp_path)]
         code, out, err = run_cli(argv, capsys)
         assert code == 1 and out == ""
-        assert err.splitlines()[-1].endswith(f"--extra-eps: repeats {repeated}, got {value!r}")
+        assert err.splitlines()[-1].endswith(f"error: extra_eps repeats {repeated}")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -642,3 +659,29 @@ def test_cli_figure_unwritable_dir(tmp_path, capsys):
     code, _, err = run_cli(["figure", "fig2", "--steps", "5", "--out", str(blocker)], capsys)
     assert code == 1
     assert "cannot write" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("figure fig2 --steps 1", "steps must be >= 2"),
+        ("figure fig4 --steps 2 --extra-eps 0.001,0.001", "extra_eps repeats 0.001"),
+        ("optimize --optimize t --zpc-t off", "catalysis"),
+        ("figure fig2 --steps 2 --out blocker", "cannot write to blocker"),
+    ],
+)
+def test_cli_library_refusals_leave_through_main(argv, message, tmp_path, monkeypatch, capsys):
+    # the library refuses these inputs; the CLI reports its refusal as it
+    # reports a bad flag: the usage, then one error line, and exit 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "blocker").write_text("x", encoding="utf-8")
+    argv = argv.split()
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    prog = f"mdicvqkd {argv[0]}"
+    lines = err.splitlines()
+    assert lines[0].startswith(f"usage: {prog} ")
+    assert lines[-1].startswith(f"{prog}: error: ") and message in lines[-1]
+    assert sum(": error:" in line for line in lines) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]

@@ -43,6 +43,9 @@ REFUSED = [
     (OptimizationGrid(), "t_steps", 20.0),
     (OptimizationGrid(), "v_steps", 20.0),
     (OptimizationGrid(), "refine_iters", 5.0),
+    # bool is an int subclass, but True is no step count
+    (OptimizationGrid(), "t_steps", True),
+    (OptimizationGrid(), "refine_iters", True),
     (OptimizationGrid(), "v_lo", 20.0),
 ]
 

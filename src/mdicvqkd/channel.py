@@ -62,8 +62,8 @@ def optimal_g_sq(t_b: float, v_bob: float) -> float:
     the gain-mismatch noise term."""
     if not (0.0 < t_b <= 1.0):
         raise ValueError(f"t_b must be in (0, 1], got {t_b}")
-    if v_bob <= 1.0:
-        raise ValueError(f"v_bob must exceed 1, got {v_bob}")
+    if not (1.0 < v_bob < math.inf):
+        raise ValueError(f"v_bob must be finite and exceed 1, got {v_bob}")
     return 2.0 * (v_bob - 1.0) / (t_b * (v_bob + 1.0))
 
 
@@ -94,8 +94,8 @@ def equivalent_channel(
     the mismatch-cancelling g^2 of optimal_g_sq; any other gain would add
     (T_B / T_A) (sqrt(2 (V_B - 1) / (g^2 T_B)) - sqrt(V_B + 1))^2 to eps_th.
     """
-    if not (eps_a >= 0.0 and eps_b >= 0.0):
-        raise ValueError(f"excess noise must be >= 0, got {eps_a}, {eps_b}")
+    if not (0.0 <= eps_a < math.inf and 0.0 <= eps_b < math.inf):
+        raise ValueError(f"excess noise must be finite and >= 0, got {eps_a}, {eps_b}")
     t_a = fiber_transmittance(geometry.l_ac, geometry.loss_mu)
     t_b = fiber_transmittance(geometry.l_bc, geometry.loss_mu)
     if t_a == 0.0 or t_b == 0.0:
@@ -109,4 +109,4 @@ def equivalent_channel(
         # t_a was subnormal, so the relay's output underflows instead
         raise ValueError("link so long its transmittance underflowed to zero")
     chi_t = 1.0 / t_c - 1.0 + eps_th
-    return EquivalentChannel(t_a, t_b, chi_a, chi_b, g_sq, t_c, eps_th, chi_t)
+    return tuple.__new__(EquivalentChannel, (t_a, t_b, chi_a, chi_b, g_sq, t_c, eps_th, chi_t))

@@ -81,7 +81,8 @@ class ProtocolConfig(
         return self._replace(zpc=ZpcSetting.on(t)) if self.zpc.enabled else self
 
 
-# Computed, not given: plain NamedTuples (a NamedTuple cannot validate in __new__).
+# Computed, not given: plain NamedTuples (a NamedTuple cannot validate in __new__),
+# which the scorer builds with tuple.__new__, skipping the generated __new__.
 class KeyRateResult(NamedTuple):
     """Score of one configuration; fields are None when non-physical."""
 
@@ -118,14 +119,15 @@ def mutual_information(a: float, b: float, c: float) -> float:
 
 
 def von_neumann_g(x: float) -> float:
-    """Thermal-state entropy G(x) = (x+1) log2(x+1) - x log2 x."""
-    if x < -KAPPA_TOL:
-        raise ValueError(f"G requires x >= 0, got {x}")
-    if x <= 0.0:
-        return 0.0
-    if x > _G_CANCELS:
+    """Thermal-state entropy G(x) = (x+1) log2(x+1) - x log2 x; rounding slop
+    down to -KAPPA_TOL counts as 0, and NaN, inf and lower x are refused."""
+    if 0.0 < x <= _G_CANCELS:
+        return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+    if _G_CANCELS < x < math.inf:
         return math.log2(x + 1.0) + x * math.log1p(1.0 / x) / math.log(2.0)
-    return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+    if -KAPPA_TOL <= x <= 0.0:
+        return 0.0
+    raise ValueError(f"G requires a finite x >= 0, got {x}")
 
 
 def symplectic_eigenvalues(a: float, b: float, c: float) -> tuple[float, float, float]:
@@ -185,8 +187,10 @@ def _score(
         if not (math.isfinite(i_ab) and math.isfinite(chi_be) and math.isfinite(skr)):
             raise NonPhysicalStateError("non-finite rate")
     except NonPhysicalStateError:
-        return KeyRateResult(p_d, None, None, None, None, None, None, False), atten
-    return KeyRateResult(p_d, i_ab, chi_be, kappa1, kappa2, kappa3, skr, True), atten
+        result = (p_d, None, None, None, None, None, None, False)
+        return tuple.__new__(KeyRateResult, result), atten
+    result = (p_d, i_ab, chi_be, kappa1, kappa2, kappa3, skr, True)
+    return tuple.__new__(KeyRateResult, result), atten
 
 
 def rate_over_t(config: ProtocolConfig) -> Callable[[float], KeyRateResult]:
@@ -212,7 +216,7 @@ def evaluate_protocol(config: ProtocolConfig) -> Evaluation:
     """
     chan = _channel(config)
     result, atten = _score(config, config.zpc.t, chan)
-    return Evaluation(result, chan, atten)
+    return tuple.__new__(Evaluation, (result, chan, atten))
 
 
 def secret_key_rate(config: ProtocolConfig) -> KeyRateResult:

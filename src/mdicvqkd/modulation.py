@@ -23,6 +23,9 @@ class Scheme(Enum):
     GAUSSIAN = "gaussian"
 
 
+# Reading a member through its class costs several times a global read.
+_FOUR, _EIGHT, _GAUSSIAN = Scheme.FOUR, Scheme.EIGHT, Scheme.GAUSSIAN
+
 _SQRT2 = math.sqrt(2.0)
 
 # Below this the closed forms cancel down to values near the 1e-16 noise
@@ -128,11 +131,11 @@ def lambdas(scheme: Scheme, alpha_sq: float) -> list[float]:
     on [1, 500]; above 500 they are 1/M each, returned here directly.
     """
     x = _check_alpha_sq(alpha_sq)
-    if scheme is Scheme.GAUSSIAN:
+    if scheme is _GAUSSIAN:
         return []
-    if scheme is Scheme.EIGHT:
+    if scheme is _EIGHT:
         modulus, closed = 8, _lambdas_eight_closed
-    elif scheme is Scheme.FOUR:
+    elif scheme is _FOUR:
         modulus, closed = 4, _lambdas_four_closed
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -158,12 +161,15 @@ def correlation_z(scheme: Scheme, alpha_sq: float) -> float:
     sqrt(lambda_k) with the index wrapping cyclically; Gaussian modulation
     gives the EPR value.  All three vanish at alpha_sq = 0.
     """
-    if scheme is Scheme.GAUSSIAN:
+    if scheme is _GAUSSIAN:
         return gaussian_z(alpha_sq)
     lams = lambdas(scheme, alpha_sq)  # checks alpha_sq
+    sqrt, floor = math.sqrt, _DENOM_FLOOR
     total = 0.0
     prev = lams[-1]  # lambda_{k-1} wraps to the last weight at k = 0
+    # the conditional returns lam wherever max(lam, floor) does, NaN included;
+    # prev * sqrt(prev) rounds differently, and sum() compensates from 3.12
     for lam in lams:
-        total += prev**1.5 / math.sqrt(max(lam, _DENOM_FLOOR))
+        total += prev**1.5 / sqrt(floor if floor > lam else lam)
         prev = lam
     return 2.0 * alpha_sq * total

@@ -42,8 +42,8 @@ def apply_zpc(alpha_sq: float, t: float) -> tuple[float, float]:
     which passes a finite alpha_sq through untouched with unit success
     probability (1.0 * x == x and exp(x * 0.0) == 1.0).
     """
-    if alpha_sq < 0.0:
-        raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
+    if not (0.0 <= alpha_sq < math.inf):
+        raise ValueError(f"alpha_sq must be finite and >= 0, got {alpha_sq}")
     if not (0.0 < t <= 1.0):
         raise ValueError(f"catalysis transmittance must be in (0, 1], got {t}")
     return t * alpha_sq, math.exp(alpha_sq * (t - 1.0))

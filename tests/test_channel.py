@@ -127,3 +127,14 @@ def test_validation():
     ):
         with pytest.raises(ValueError):
             equivalent_excess_noise(*bad)
+
+
+def test_non_finite_inputs_are_refused():
+    # each returned nan or inf before it was refused
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            optimal_g_sq(0.5, bad)
+    geom = LinkGeometry(10.0, 0.0)
+    for eps in ((0.0, math.inf), (math.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            equivalent_channel(geom, *eps, v_bob=2.0)

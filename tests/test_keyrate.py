@@ -141,6 +141,13 @@ def test_entropy_function():
             assert von_neumann_g(x) == pytest.approx(float(want), rel=1e-14)
 
 
+def test_entropy_refuses_non_finite_input():
+    # nan returned nan, and inf gave inf * log1p(0) = nan
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            von_neumann_g(bad)
+
+
 def test_symplectic_pure_squeezed_state():
     # a two-mode squeezed vacuum is pure: both eigenvalues sit at 1
     for v in (1.1, 2.0, 7.5):

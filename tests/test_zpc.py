@@ -50,3 +50,10 @@ def test_transmittance_range():
 def test_rejects_negative_amplitude():
     with pytest.raises(ValueError):
         apply_zpc(-1.0, 1.0)
+
+
+def test_rejects_non_finite_amplitude():
+    # nan gave (nan, nan) and inf gave (inf, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            apply_zpc(bad, 0.5)

@@ -21,8 +21,8 @@ FIBER_LOSS_DB_PER_KM = 0.2
 
 def fiber_transmittance(length_km: float, loss_mu: float = FIBER_LOSS_DB_PER_KM) -> float:
     """Power transmittance of a fiber span, 10^(-mu L / 10)."""
-    if not (length_km >= 0.0):
-        raise ValueError(f"length_km must be >= 0, got {length_km}")
+    if not (0.0 <= length_km < math.inf):
+        raise ValueError(f"length_km must be finite and >= 0, got {length_km}")
     if not (0.0 < loss_mu < math.inf):
         raise ValueError(f"loss_mu must be finite and > 0, got {loss_mu}")
     return 10.0 ** (-loss_mu * length_km / 10.0)
@@ -98,15 +98,14 @@ def equivalent_channel(
         raise ValueError(f"excess noise must be finite and >= 0, got {eps_a}, {eps_b}")
     t_a = fiber_transmittance(geometry.l_ac, geometry.loss_mu)
     t_b = fiber_transmittance(geometry.l_bc, geometry.loss_mu)
-    if t_a == 0.0 or t_b == 0.0:
-        raise ValueError("link so long its transmittance underflowed to zero")
+    g_sq = optimal_g_sq(t_b, v_bob) if t_b > 0.0 else 0.0
+    t_c = g_sq * t_a / 2.0
+    if t_a == 0.0 or t_c == 0.0:
+        # a link underflowed, or a subnormal t_a made the relay's output do so
+        loss_db = geometry.loss_mu * max(geometry.l_ac, geometry.l_bc)
+        raise ValueError(f"a {loss_db:g} dB link: its transmittance underflowed to zero")
     chi_a = (1.0 - t_a) / t_a + eps_a
     chi_b = (1.0 - t_b) / t_b + eps_b
-    g_sq = optimal_g_sq(t_b, v_bob)
     eps_th = 1.0 + chi_a + (t_b / t_a) * (chi_b - 1.0)
-    t_c = g_sq * t_a / 2.0
-    if t_c == 0.0:
-        # t_a was subnormal, so the relay's output underflows instead
-        raise ValueError("link so long its transmittance underflowed to zero")
     chi_t = 1.0 / t_c - 1.0 + eps_th
     return tuple.__new__(EquivalentChannel, (t_a, t_b, chi_a, chi_b, g_sq, t_c, eps_th, chi_t))

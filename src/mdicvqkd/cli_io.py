@@ -280,24 +280,14 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _figures_taking(keyword: str) -> str:
-    from .scenarios import FIGURES
-
-    return "/".join(fid for fid, fig in FIGURES.items() if keyword in fig[3])
-
-
 def _eps_list(text: str) -> tuple[float, ...]:
-    """The --extra-eps value: comma-separated excess noises, finite and
-    >= 0, checked before fig4 and fig7 build their default curves; the
-    figure itself refuses a repeated value."""
+    """The --extra-eps value parsed as comma-separated numbers; the figure
+    itself refuses a bad or repeated value before any evaluation."""
     try:
-        eps = tuple(float(s) for s in text.split(","))
+        return tuple(float(s) for s in text.split(","))
     except ValueError:
         msg = f"expects comma-separated numbers, got {text!r}"
         raise argparse.ArgumentTypeError(msg) from None
-    if any(not (e >= 0.0) or math.isinf(e) for e in eps):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return eps
 
 
 # Figure flags -> (the optional builder keyword each sets, its argparse
@@ -322,21 +312,14 @@ _FIGURE_FLAGS = {
 
 
 def _figure_overrides(args) -> dict:
-    """run_figure keyword arguments from the figure flags, refusing a flag
-    the figure does not take."""
+    """run_figure keyword arguments from the figure flags given; run_figure
+    refuses a keyword the figure does not take."""
     from .scenarios import FIGURES
 
-    _, _, step_keys, accepted = FIGURES[args.figure_id]
-    overrides = {}
-    for flag, (key, _, _) in _FIGURE_FLAGS.items():
-        value = getattr(args, key)
-        if value in (None, False):
-            continue
-        if key not in accepted:
-            raise ValueError(f"{flag} applies only to {_figures_taking(key)}")
-        overrides[key] = value
+    given = ((key, getattr(args, key)) for key, _, _ in _FIGURE_FLAGS.values())
+    overrides = {key: value for key, value in given if value not in (None, False)}
     if args.steps is not None:
-        overrides.update(dict.fromkeys(step_keys, args.steps))
+        overrides.update(dict.fromkeys(FIGURES[args.figure_id][2], args.steps))
     return overrides
 
 
@@ -369,13 +352,13 @@ def _optimize_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _figure_flags(p: argparse.ArgumentParser) -> None:
-    from .scenarios import FIGURE_IDS
+    from .scenarios import FIGURE_IDS, figures_taking
 
     p.add_argument("figure_id", choices=FIGURE_IDS)
     p.add_argument("--out", default=".", help="output directory (default .)")
     p.add_argument("--steps", type=int, help="points along the primary axis")
     for flag, (key, options, help_text) in _FIGURE_FLAGS.items():
-        p.add_argument(flag, dest=key, help=f"{help_text} ({_figures_taking(key)})", **options)
+        p.add_argument(flag, dest=key, help=f"{help_text} ({figures_taking(key)})", **options)
 
 
 # Subcommands -> (help, the function adding their flags, the function running them).

@@ -112,6 +112,8 @@ def _channel(config: ProtocolConfig) -> EquivalentChannel:
 
 def mutual_information(a: float, b: float, c: float) -> float:
     """Shannon information of the heterodyne outcomes, bits per use."""
+    if not (-math.inf < a < math.inf and -math.inf < b < math.inf and -math.inf < c < math.inf):
+        raise NonPhysicalStateError("covariance entries must be finite")
     denom = (a + 1.0) - c * c / (b + 1.0)
     if denom <= 0.0:
         raise NonPhysicalStateError(f"correlation exceeds the physical bound: c={c}")

@@ -87,12 +87,12 @@ def _rate_table(
 
 
 def _best_rate_tables(
-    name: str, axes: tuple[str, ...], points: list[tuple], make_config
+    name: str, axes: tuple[str, ...], points: list[tuple], make_config, fields: tuple[str, ...] = ()
 ) -> list[Dataset]:
     """One rate table per variant, named name_variant, at
-    make_config(variant, *point)."""
+    make_config(variant, *point), with the given KeyRateResult fields."""
     return [
-        _rate_table(f"{name}_{v.value}", axes, points, partial(make_config, v))
+        _rate_table(f"{name}_{v.value}", axes, points, partial(make_config, v), fields)
         for v in Variant
     ]
 
@@ -130,24 +130,20 @@ def rate_vs_distance(
     if extra_eps is None:
         extra_eps = EXTRA_EPS[case]
     for i, eps in enumerate(extra_eps):
-        # each value names one curve and its file
+        # each value names one curve and its file; building that curve's
+        # config refuses a bad value before any curve is evaluated
+        config_for(Variant.EIGHT_ZPC, case, 0.0, eps=eps)
         if eps in extra_eps[:i]:
             raise ValueError(f"extra_eps repeats {eps!r}")
-    fig_name = _figure_id(rate_vs_distance, case)
+    name, axes = _figure_id(rate_vs_distance, case), ("distance_km",)
     distances = [(l,) for l in linspace(0.0, L_MAX[case], l_steps)]
-
-    def curve(name: str, variant: Variant, eps: float) -> Dataset:
-        return _rate_table(
-            name,
-            ("distance_km",),
-            distances,
-            lambda l: config_for(variant, case, l, eps=eps, sym_per_arm=sym_per_arm),
-            ("p_d", "i_ab", "chi_be"),
-        )
-
-    out = [curve(f"{fig_name}_{v.value}", v, DEFAULT_EPS) for v in Variant]
+    fields = ("p_d", "i_ab", "chi_be")
+    out = _best_rate_tables(
+        name, axes, distances, lambda v, l: config_for(v, case, l, sym_per_arm=sym_per_arm), fields
+    )
     for eps in extra_eps:
-        out.append(curve(f"{fig_name}_eight_zpc_eps{eps!r}", Variant.EIGHT_ZPC, eps))
+        at_eps = partial(config_for, Variant.EIGHT_ZPC, case, eps=eps, sym_per_arm=sym_per_arm)
+        out.append(_rate_table(f"{name}_eight_zpc_eps{eps!r}", axes, distances, at_eps, fields))
     return out
 
 
@@ -224,13 +220,25 @@ def _figure_id(builder, *args) -> str:
     return next(fid for fid, fig in FIGURES.items() if fig[:2] == (builder, args))
 
 
+def figures_taking(keyword: str) -> str:
+    """The ids of the figures that take keyword, joined by '/'."""
+    return "/".join(fid for fid, fig in FIGURES.items() if keyword in fig[2] + fig[3])
+
+
 def run_figure(figure_id: str, **overrides) -> list[Dataset]:
     """Build a registered figure's datasets.  figure_id is one of
     FIGURE_IDS, spelled as registered; the overrides are its `--steps`
-    keys and optional keywords, as FIGURES lists them."""
+    keys and optional keywords, as FIGURES lists them.  Any other
+    keyword, and a bad extra_eps, is refused before any evaluation."""
     try:
-        build, args, _, _ = FIGURES[figure_id]
+        build, args, step_keys, optional = FIGURES[figure_id]
     except KeyError:
         raise ValueError(f"unknown figure id {figure_id!r}") from None
+    for key in overrides:
+        if key not in step_keys + optional:
+            takers = figures_taking(key)
+            if takers:
+                raise ValueError(f"{key} applies only to {takers}")
+            raise ValueError(f"{figure_id} takes no keyword {key}")
     out = build(*args, **overrides)
     return out if isinstance(out, list) else [out]

@@ -19,7 +19,7 @@ def test_fiber_transmittance():
     assert fiber_transmittance(50.0) == pytest.approx(0.1, rel=1e-12)
     assert fiber_transmittance(10.0, loss_mu=0.5) == pytest.approx(10.0 ** -0.5, rel=1e-12)
     assert FIBER_LOSS_DB_PER_KM == 0.2
-    for length in (math.nan, -1.0):
+    for length in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="length_km"):
             fiber_transmittance(length)
     for loss in (math.nan, math.inf, 0.0, -0.2):

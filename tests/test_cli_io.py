@@ -349,8 +349,10 @@ def test_cli_rejects_non_finite(capsys):
         ("keyrate --eps nan", "excess noise must be finite"),
         ("keyrate --lac 16139", "transmittance underflowed to zero"),
         ("keyrate --lac 16200", "transmittance underflowed to zero"),
-        ("figure fig4 --extra-eps nan", "--extra-eps: must be finite"),
-        ("figure fig4 --extra-eps 0.001,-1", "--extra-eps: must be finite"),
+        # the loss, not the length, drives this link's transmittance to zero
+        ("keyrate --mu 1e308 --lac 1", "a 1e+308 dB link: its transmittance underflowed to zero"),
+        ("figure fig4 --extra-eps nan", "excess noise must be finite"),
+        ("figure fig4 --extra-eps 0.001,-1", "excess noise must be finite"),
         (f"{distance} --tol-km nan", "tol_km must be finite"),
         (f"{distance} --tol-km inf", "tol_km must be finite"),
         ("optimize --optimize tv --v-hi inf", "v_hi must be finite"),
@@ -666,6 +668,8 @@ def test_cli_figure_unwritable_dir(tmp_path, capsys):
     [
         ("figure fig2 --steps 1", "steps must be >= 2"),
         ("figure fig4 --steps 2 --extra-eps 0.001,0.001", "extra_eps repeats 0.001"),
+        ("figure fig3 --steps 2 --per-arm", "sym_per_arm applies only to fig6/fig7/fig8"),
+        ("figure fig4 --steps 2 --extra-eps nan", "excess noise must be finite"),
         ("optimize --optimize t --zpc-t off", "catalysis"),
         ("figure fig2 --steps 2 --out blocker", "cannot write to blocker"),
     ],

@@ -121,6 +121,10 @@ def test_mutual_information_formula():
     assert mutual_information(2.0, 3.0, 1.5) == pytest.approx(want, rel=1e-14)
     with pytest.raises(NonPhysicalStateError):
         mutual_information(1.0, 1.0, 2.01)
+    # a non-finite entry is refused, not turned into nan or 0 bits
+    for entries in ((math.nan, 2.0, 1.0), (2.0, math.inf, 1.0), (2.0, 3.0, -math.inf)):
+        with pytest.raises(NonPhysicalStateError, match="finite"):
+            mutual_information(*entries)
 
 
 def test_entropy_function():

@@ -164,6 +164,28 @@ def test_rate_vs_distance_refuses_repeated_extra_eps():
         run_figure("fig4", l_steps=2, extra_eps=(0.001, 0.001))
 
 
+@pytest.mark.parametrize(
+    "fid, overrides, message",
+    [
+        ("fig3", {"sym_per_arm": True}, "sym_per_arm applies only to fig6/fig7/fig8"),
+        ("fig9b", {"arm_diff_axis": True}, "arm_diff_axis applies only to fig9a"),
+        ("fig4", {"v_steps": 2}, "v_steps applies only to fig3/fig6"),
+        ("fig2", {"foo": 1}, "fig2 takes no keyword foo"),
+        ("fig4", {"extra_eps": (math.nan,)}, "excess noise must be finite and >= 0, got nan"),
+        ("fig4", {"extra_eps": (0.001, math.inf)}, "excess noise must be finite"),
+        ("fig4", {"extra_eps": (-1.0,)}, "excess noise must be finite"),
+    ],
+)
+def test_run_figure_refuses_before_any_evaluation(fid, overrides, message, monkeypatch):
+    # a keyword the figure does not take, or a bad extra excess noise, is
+    # refused before the first rate is evaluated
+    calls = []
+    monkeypatch.setattr(scenarios, "best_rate", lambda cfg: calls.append(cfg))
+    with pytest.raises(ValueError, match=message):
+        run_figure(fid, **overrides)
+    assert calls == []
+
+
 def test_beta_zero_crossing_plain():
     assert optimize.beta_zero_crossing is mdicvqkd.beta_zero_crossing
     cfg = config_for(Variant.EIGHT, Case.ASYMMETRIC, 25.0)

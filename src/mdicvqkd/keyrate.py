@@ -179,18 +179,17 @@ def _score(
     c = math.sqrt(chan.t_c) * correlation_z(config.scheme, atten)
     try:
         kappa1, kappa2, kappa3 = symplectic_eigenvalues(x_t, b, c)
-        i_ab = mutual_information(x_t, b, c)
-        chi_be = (
-            von_neumann_g((kappa1 - 1.0) / 2.0)
-            + von_neumann_g((kappa2 - 1.0) / 2.0)
-            - von_neumann_g((kappa3 - 1.0) / 2.0)
-        )
-        skr = p_d * (config.beta * i_ab - chi_be)
-        if not (math.isfinite(i_ab) and math.isfinite(chi_be) and math.isfinite(skr)):
-            raise NonPhysicalStateError("non-finite rate")
     except NonPhysicalStateError:
         result = (p_d, None, None, None, None, None, None, False)
         return tuple.__new__(KeyRateResult, result), atten
+    # accepted: finite entries and kappas >= 1 - KAPPA_TOL, so all below is finite
+    i_ab = mutual_information(x_t, b, c)
+    chi_be = (
+        von_neumann_g((kappa1 - 1.0) / 2.0)
+        + von_neumann_g((kappa2 - 1.0) / 2.0)
+        - von_neumann_g((kappa3 - 1.0) / 2.0)
+    )
+    skr = p_d * (config.beta * i_ab - chi_be)
     result = (p_d, i_ab, chi_be, kappa1, kappa2, kappa3, skr, True)
     return tuple.__new__(KeyRateResult, result), atten
 

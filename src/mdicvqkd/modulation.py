@@ -56,26 +56,21 @@ def _poisson_residue_sums(alpha_sq: float, modulus: int) -> list[float]:
     """Accumulate the Poisson pmf with mean alpha_sq into residue classes.
 
     All terms are positive, so nothing cancels and every class keeps full
-    relative precision.  The sum stops as soon as no further term can
-    change any class: past the mode (n > alpha_sq) the terms only fall
-    and the classes only grow, so once every class holds a term, a term
-    below min(classes) * 2^-54, half an ulp of the smallest class, and
-    every term after it round away.  The list is bit for bit the one
-    obtained by summing until the terms fall below 1e-300, which stays
-    the exit for alpha_sq = 0 and for classes too small for that floor.
+    relative precision.  `lambdas` sends only alpha_sq < 1, where each
+    term is below the one before and the classes only grow: once every
+    class holds its first term, a term below min(classes) * 2^-54, half
+    an ulp of the smallest class, and every term after it round away.
+    The list is bit for bit the one obtained by summing until the terms
+    fall below 1e-300, which stays the exit for alpha_sq = 0 and for
+    classes too small for that floor.
     """
     out = [0.0] * modulus
     term = math.exp(-alpha_sq)
     n = 0
-    while True:
-        out[n % modulus] += term
+    while n < modulus and term >= 1e-300:
+        out[n] = term
         n += 1
         term *= alpha_sq / n
-        if n > alpha_sq:
-            if term < 1e-300:
-                return out
-            if n >= modulus:
-                break
     limit = max(min(out) * _HALF_ULP, 1e-300)
     while term >= limit:
         out[n % modulus] += term

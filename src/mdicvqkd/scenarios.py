@@ -184,14 +184,13 @@ def asymmetry_rate_curves(l_steps: int = 200, arm_diff_axis: bool = False) -> Da
 
 def excess_noise_transition(l_steps: int = 200) -> Dataset:
     """Equivalent excess noise versus total distance on [0, 60] km for
-    each relay position, at the preset excess noise on both links.  A
-    total splits as l_ac = total / (1 + d), l_bc = d l_ac."""
+    each relay position, at the preset excess noise on both links, each
+    total split in the ratio 1 : d."""
     distances = linspace(0.0, 60.0, l_steps)
     rows = []
     for d in RELAY_POSITIONS:
         for total in distances:
-            l_ac = total / (1.0 + d)
-            geom = LinkGeometry(l_ac, d * l_ac)
+            geom = LinkGeometry(1.0, d).scaled(total)
             rows.append((total, d, equivalent_excess_noise(geom, DEFAULT_EPS, DEFAULT_EPS)))
     rows.sort(key=lambda r: (r[0], r[1]))
     return Dataset(_figure_id(excess_noise_transition), ("distance_km", "d", "eps_th"), rows)

@@ -369,6 +369,36 @@ def test_nonphysical_evaluation_keeps_intermediates():
         symplectic_eigenvalues(*covariance_of(cfg, ev))
 
 
+def test_accepted_states_score_finite():
+    # symplectic_eigenvalues is the scorer's one verdict: on every (a, b, c)
+    # it accepts, I_AB, the three entropies and the rate must be finite
+    rng = random.Random(621)
+    accepted = 0
+    for _ in range(6000):
+        zpc = ZpcSetting.on(10.0 ** rng.uniform(-300.0, 0.0)) if rng.random() < 0.5 else None
+        cfg = config(
+            scheme=rng.choice(list(Scheme)),
+            zpc=zpc,
+            variance_v=1.0 + 10.0 ** rng.uniform(-12.0, 307.0),
+            beta=1.0 - rng.random(),
+            eps=10.0 ** rng.uniform(-12.0, 300.0) if rng.random() < 0.5 else rng.uniform(0.0, 0.1),
+            l_ac=rng.uniform(0.0, 3000.0),
+            l_bc=rng.uniform(0.0, 3000.0),
+        )
+        ev = evaluate_protocol(cfg)
+        a, b, c = covariance_of(cfg, ev)
+        try:
+            kappas = symplectic_eigenvalues(a, b, c)
+        except NonPhysicalStateError:
+            assert not ev.result.physical
+            continue
+        accepted += 1
+        scores = [mutual_information(a, b, c)] + [von_neumann_g((k - 1.0) / 2.0) for k in kappas]
+        assert all(math.isfinite(x) for x in scores), (cfg, scores)
+        assert ev.result.physical and math.isfinite(ev.result.skr), cfg
+    assert 1000 < accepted < 5000  # 1644: the panel meets both verdicts
+
+
 # Any scheme, catalysis on or off, any relay position, and variances and
 # noises large enough to reach non-physical states.
 CONFIGS = st.builds(

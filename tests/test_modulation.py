@@ -109,6 +109,9 @@ def test_early_stop_is_bit_identical():
     xs += [rng.random() for _ in range(2000)]
     xs += [rng.uniform(30.0, 500.0) for _ in range(300)]
     xs += [10.0 ** rng.uniform(-12.0, 0.0) for _ in range(500)]
+    xs += [math.nextafter(1.0, 0.0)]
+    # tiny classes: the first-term loop ends at every n < M
+    xs += [10.0 ** rng.uniform(-320.0, -12.0) for _ in range(200)]
     for x in xs:
         for m in (4, 8):
             assert _poisson_residue_sums(x, m) == residue_sums_to_underflow(x, m), (x, m)

@@ -77,8 +77,7 @@ def _with_keys(base: ProtocolConfig, values: dict[str, str]) -> ProtocolConfig:
             if key == "scheme":
                 out[key] = Scheme(text.lower())
             elif key == "zpc_t":
-                off = text.strip().lower() == "off"
-                out["zpc"] = ZpcSetting.off() if off else ZpcSetting.on(float(text))
+                out["zpc"] = None if text.strip().lower() == "off" else ZpcSetting.on(float(text))
             elif key == "eps":
                 out["eps_a"] = out["eps_b"] = float(text)
             else:
@@ -130,7 +129,7 @@ def _spec_echo(config: ProtocolConfig) -> dict:
         if key == "scheme":
             echo[key] = config.scheme.value
         elif key == "zpc_t":
-            echo[key] = config.zpc.t if config.zpc.enabled else "off"
+            echo[key] = "off" if config.zpc is None else config.zpc
         elif key != "eps":
             owner = config.geometry if key in _GEOMETRY_KEYS else config
             echo[key] = getattr(owner, _FIELDS.get(key, key))
@@ -258,7 +257,7 @@ def _cmd_optimize(args) -> int:
 
     mode = args.optimize
     # t is the optimized variable, so an unset zpc_t means "on"
-    base = DEFAULT_CONFIG._replace(zpc=ZpcSetting.on(1.0)) if mode == "t" else DEFAULT_CONFIG
+    base = DEFAULT_CONFIG._replace(zpc=1.0) if mode == "t" else DEFAULT_CONFIG
     cfg = _resolve_spec(args, base)
     grid = OptimizationGrid._make(getattr(args, name) for name in OptimizationGrid._fields)
     fields = {"mode": mode, "grid": grid._asdict()}

@@ -42,12 +42,13 @@ class NonPhysicalStateError(ValueError):
 class ProtocolConfig(
     namedtuple("ProtocolConfig", "scheme zpc variance_v beta eps_a eps_b geometry")
 ):
-    """Complete description of one protocol evaluation: a Scheme, a
-    ZpcSetting, floats variance_v, beta, eps_a and eps_b, and a LinkGeometry.
+    """Complete description of one protocol evaluation: a Scheme, the
+    catalysis transmittance zpc (None when off), floats variance_v, beta,
+    eps_a and eps_b, and a LinkGeometry.
 
     variance_v is the source variance V = 1 + V_M shared by both arms;
-    the catalysis setting attenuates only Alice's arm.  Excess noises
-    are per-link, in shot-noise units.
+    catalysis attenuates only Alice's arm.  Excess noises are per-link,
+    in shot-noise units.
     """
 
     __slots__ = ()
@@ -55,6 +56,8 @@ class ProtocolConfig(
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, scheme, zpc, variance_v, beta, eps_a, eps_b, geometry):
+        if zpc is not None:
+            ZpcSetting.on(zpc)
         if not (variance_v > 1.0 and math.isfinite(variance_v)):
             raise ValueError(f"variance_v must be > 1, got {variance_v}")
         if not (0.0 < beta <= 1.0):
@@ -74,11 +77,16 @@ class ProtocolConfig(
         T V_M leaves the region where its security argument is proven;
         evaluation still proceeds.  Gaussian modulation has no such bound."""
         discrete = self.scheme is not Scheme.GAUSSIAN
-        return discrete and self.zpc.t * (self.variance_v - 1.0) > DOMAIN_V_M_MAX
+        return discrete and self.t * (self.variance_v - 1.0) > DOMAIN_V_M_MAX
+
+    @property
+    def t(self) -> float:
+        """The catalysis transmittance evaluated: zpc, or 1 when catalysis is off."""
+        return 1.0 if self.zpc is None else self.zpc
 
     def at_t(self, t: float) -> "ProtocolConfig":
         """This config at catalysis transmittance t; itself when catalysis is off."""
-        return self._replace(zpc=ZpcSetting.on(t)) if self.zpc.enabled else self
+        return self if self.zpc is None else self._replace(zpc=t)
 
 
 # Computed, not given: plain NamedTuples (a NamedTuple cannot validate in __new__),
@@ -204,7 +212,7 @@ def rate_over_t(config: ProtocolConfig) -> Callable[[float], KeyRateResult]:
     chan = _channel(config)
 
     def rate(t: float) -> KeyRateResult:
-        return _score(config, t if config.zpc.enabled else 1.0, chan)[0]
+        return _score(config, config.t if config.zpc is None else t, chan)[0]
 
     return rate
 
@@ -216,7 +224,7 @@ def evaluate_protocol(config: ProtocolConfig) -> Evaluation:
     physical = False and the score fields unset.
     """
     chan = _channel(config)
-    result, atten = _score(config, config.zpc.t, chan)
+    result, atten = _score(config, config.t, chan)
     return tuple.__new__(Evaluation, (result, chan, atten))
 
 

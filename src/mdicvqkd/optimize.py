@@ -154,8 +154,8 @@ def _best_t(config: ProtocolConfig, grid: OptimizationGrid, key) -> tuple[float,
     single evaluation at T = 1 otherwise.  The T stored in config is a
     placeholder and does not bias the search."""
     rate = rate_over_t(config)
-    if not config.zpc.enabled:
-        return 1.0, rate(1.0)
+    if config.zpc is None:
+        return config.t, rate(config.t)
     return _scan_and_refine(rate, key, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters)
 
 
@@ -167,27 +167,30 @@ def best_rate(config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid(
 
 
 def optimize_t(config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid()) -> TOptimum:
-    """Transmittance maximizing the key rate, everything else fixed; the
-    catalysis setting must be enabled."""
-    if not config.zpc.enabled:
+    """Transmittance maximizing the key rate, everything else fixed;
+    catalysis must be on."""
+    if config.zpc is None:
         raise ValueError("optimize_t requires an enabled catalysis setting")
     return best_rate(config, grid)
 
 
 def optimize_tv(config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid()) -> TvOptimum:
-    """Joint optimum over source variance and (when enabled) transmittance.
+    """Joint optimum over source variance and (with catalysis on) transmittance.
 
-    Nested search: a variance scan with the transmittance optimizer
-    inside, then golden refinement of the variance around the best
-    bracket.  Without catalysis the inner stage is a single evaluation
-    at T = 1.
+    A variance scan with best_rate inside, then golden refinement around
+    the best bracket.  V is keyed by the rate where it is positive, else
+    by the margin beta - chi_BE / I_AB, which has the rate's sign but,
+    unlike it, does not rise toward V = 1 past a narrow key window.
     """
 
     def opt_at(v: float) -> TOptimum:
         return best_rate(config._replace(variance_v=v), grid)
 
+    def key(o: TOptimum) -> float:
+        return o.skr_star if o.skr_star > 0.0 else config.beta + _neg_ratio(o.result)
+
     v_star, opt = _scan_and_refine(
-        opt_at, lambda o: o.skr_star, grid.v_points(), grid.v_lo, grid.v_hi, grid.refine_iters
+        opt_at, key, grid.v_points(), grid.v_lo, grid.v_hi, grid.refine_iters
     )
     return TvOptimum(opt.t_star, v_star, opt.skr_star, opt.no_key)
 

@@ -7,7 +7,6 @@ from enum import Enum
 from .channel import LinkGeometry
 from .keyrate import ProtocolConfig
 from .modulation import Scheme
-from .zpc import ZpcSetting
 
 DEFAULT_BETA = 0.95
 DEFAULT_EPS = 0.002
@@ -78,10 +77,9 @@ def config_for(
     and sweeps replace it)."""
     if variance_v is None:
         variance_v = OPTIMAL_V[(case, variant)]
-    zpc = ZpcSetting.on(1.0) if variant.zpc_enabled else ZpcSetting.off()
     return ProtocolConfig(
         scheme=variant.scheme,
-        zpc=zpc,
+        zpc=1.0 if variant.zpc_enabled else None,
         variance_v=variance_v,
         beta=beta,
         eps_a=eps,

@@ -227,17 +227,19 @@ def figures_taking(keyword: str) -> str:
 def run_figure(figure_id: str, **overrides) -> list[Dataset]:
     """Build a registered figure's datasets.  figure_id is one of
     FIGURE_IDS, spelled as registered; the overrides are its `--steps`
-    keys and optional keywords, as FIGURES lists them.  Any other
-    keyword, and a bad extra_eps, is refused before any evaluation."""
+    keys and optional keywords, as FIGURES lists them.  Any other keyword,
+    a step count that is no int, and a bad extra_eps are refused first."""
     try:
         build, args, step_keys, optional = FIGURES[figure_id]
     except KeyError:
         raise ValueError(f"unknown figure id {figure_id!r}") from None
-    for key in overrides:
+    for key, value in overrides.items():
         if key not in step_keys + optional:
             takers = figures_taking(key)
             if takers:
                 raise ValueError(f"{key} applies only to {takers}")
             raise ValueError(f"{figure_id} takes no keyword {key}")
+        if key in step_keys and type(value) is not int:  # bool is no step count
+            raise ValueError(f"{key} must be an integer, got {value!r}")
     out = build(*args, **overrides)
     return out if isinstance(out, list) else [out]

@@ -9,30 +9,20 @@ at the attenuated amplitude.
 """
 
 import math
-from collections import namedtuple
 
 
-class ZpcSetting(namedtuple("ZpcSetting", "enabled t")):
-    """Catalysis configuration: enabled flag and transmittance t (1 when off)."""
+class ZpcSetting:
+    """Builds ProtocolConfig.zpc: a transmittance in (0, 1], or None when catalysis is off."""
 
-    __slots__ = ()
-    # the stock _make, which _replace calls, skips __new__
-    _make = classmethod(lambda cls, values: cls(*values))
-
-    def __new__(cls, enabled: bool, t: float = 1.0):
-        if not (0.0 < t <= 1.0):
+    @staticmethod
+    def on(t: float) -> float:
+        if isinstance(t, bool) or not (0.0 < t <= 1.0):
             raise ValueError(f"catalysis transmittance must be in (0, 1], got {t}")
-        if not enabled and t != 1.0:
-            raise ValueError(f"disabled catalysis has t = 1, got {t}")
-        return tuple.__new__(cls, (enabled, t))
+        return t
 
-    @classmethod
-    def off(cls) -> "ZpcSetting":
-        return cls(enabled=False)
-
-    @classmethod
-    def on(cls, t: float) -> "ZpcSetting":
-        return cls(enabled=True, t=t)
+    @staticmethod
+    def off() -> None:
+        return None
 
 
 def apply_zpc(alpha_sq: float, t: float) -> tuple[float, float]:
@@ -44,6 +34,5 @@ def apply_zpc(alpha_sq: float, t: float) -> tuple[float, float]:
     """
     if not (0.0 <= alpha_sq < math.inf):
         raise ValueError(f"alpha_sq must be finite and >= 0, got {alpha_sq}")
-    if not (0.0 < t <= 1.0):
-        raise ValueError(f"catalysis transmittance must be in (0, 1], got {t}")
+    ZpcSetting.on(t)
     return t * alpha_sq, math.exp(alpha_sq * (t - 1.0))

@@ -30,7 +30,6 @@ from mdicvqkd.optimize import (
     optimize_tv,
 )
 from mdicvqkd.scenarios import Case, Variant, config_for, excess_noise_transition
-from mdicvqkd.zpc import ZpcSetting
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -39,7 +38,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _random_config(rng: random.Random) -> ProtocolConfig:
-    zpc = ZpcSetting.on(rng.uniform(0.05, 1.0)) if rng.random() < 0.5 else ZpcSetting.off()
+    zpc = rng.uniform(0.05, 1.0) if rng.random() < 0.5 else None
     return ProtocolConfig(
         scheme=rng.choice((Scheme.FOUR, Scheme.EIGHT)),
         zpc=zpc,
@@ -132,8 +131,8 @@ def test_criterion_05_identity_reduction():
     equal = True
     for _ in range(100):
         base = _random_config(rng)
-        on = evaluate_protocol(base._replace(zpc=ZpcSetting.on(1.0)))
-        off = evaluate_protocol(base._replace(zpc=ZpcSetting.off()))
+        on = evaluate_protocol(base._replace(zpc=1.0))
+        off = evaluate_protocol(base._replace(zpc=None))
         if on != off:
             equal = False
             break
@@ -249,7 +248,7 @@ def test_criterion_10_beta_threshold_ordering():
                 beta0, cfg = _beta_threshold(variant, case, dist)
                 res = evaluate_protocol(cfg).result
                 worst_analytic = max(worst_analytic, abs(beta0 - res.chi_be / res.i_ab))
-                v, t_at = cfg.variance_v, cfg.zpc.t
+                v, t_at = cfg.variance_v, cfg.t
                 at = f"v* {v:.3f}, t* {t_at:.3f}"
                 if min(v - BETA_GRID.v_lo, BETA_GRID.v_hi - v) < 1e-3:
                     at += " [grid edge]"
@@ -286,7 +285,7 @@ def test_criterion_11_monotonicity_lattice():
             for k, b in enumerate(betas):
                 cfg = ProtocolConfig(
                     scheme=Scheme.EIGHT,
-                    zpc=ZpcSetting.off(),
+                    zpc=None,
                     variance_v=1.5,
                     beta=b,
                     eps_a=e,
@@ -336,7 +335,7 @@ def test_criterion_13_relay_position_transition():
     for d in ratios:
         cfg = ProtocolConfig(
             scheme=Scheme.EIGHT,
-            zpc=ZpcSetting.on(1.0),
+            zpc=1.0,
             variance_v=2.7,
             beta=0.95,
             eps_a=0.002,

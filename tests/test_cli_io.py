@@ -26,7 +26,6 @@ from mdicvqkd.cli_io import (
 )
 from mdicvqkd.modulation import Scheme
 from mdicvqkd.scenarios import FIGURES, Dataset
-from mdicvqkd.zpc import ZpcSetting
 
 
 def run_cli(argv, capsys):
@@ -84,7 +83,7 @@ def test_empty_scenario_gives_defaults():
     spec = parse_scenario("")
     assert spec == DEFAULT_CONFIG
     assert spec.scheme is Scheme.EIGHT
-    assert not spec.zpc.enabled
+    assert spec.zpc is None
     assert (spec.variance_v, spec.beta, spec.eps_a, spec.eps_b) == (1.5, 0.95, 0.002, 0.002)
     assert (spec.geometry.l_ac, spec.geometry.l_bc, spec.geometry.loss_mu) == (0, 0, 0.2)
 
@@ -100,7 +99,7 @@ def test_scenario_parsing():
     """
     spec = parse_scenario(text)
     assert spec.scheme is Scheme.FOUR
-    assert spec.zpc == ZpcSetting.on(0.75)
+    assert spec.zpc == 0.75
     assert spec.variance_v == 2.5
     assert spec.geometry.l_ac == 30.0 and spec.geometry.l_bc == 0.0
     assert spec.eps_a == spec.eps_b == 0.003
@@ -128,7 +127,7 @@ def test_scenario_round_trip():
         DEFAULT_CONFIG,
         DEFAULT_CONFIG._replace(
             scheme=Scheme.FOUR,
-            zpc=ZpcSetting.on(0.3),
+            zpc=0.3,
             variance_v=2.7,
             geometry=LinkGeometry(12.5, 4.25, 0.2),
         ),
@@ -144,7 +143,7 @@ def test_load_scenario_file(tmp_path):
     p = tmp_path / "run.scenario"
     p.write_text("variance = 3.0\nzpc_t = off\n", encoding="utf-8")
     spec = load_scenario_file(p)
-    assert spec.variance_v == 3.0 and not spec.zpc.enabled
+    assert spec.variance_v == 3.0 and spec.zpc is None
     with pytest.raises(ScenarioError, match="cannot read"):
         load_scenario_file(tmp_path / "missing.scenario")
     p.write_bytes(b"variance = 3.0\xff\n")
@@ -464,6 +463,18 @@ def test_cli_optimize_tv(capsys):
     doc = json.loads(out)
     assert doc["t_star"] == 1.0
     assert doc["v_star"] == pytest.approx(1.4395566593036926, rel=1e-9)
+
+
+def test_cli_optimize_tv_finds_a_key_window_between_grid_points(capsys):
+    # every 20-point V has a negative rate here, and the least negative is
+    # V = 1.01; the margin key still brackets the window around V = 1.77
+    argv = "optimize --optimize tv --scheme eight --zpc-t off --eps 0.012355 --lac 0.05"
+    code, out, _ = run_cli(f"{argv} --lbc 0.05 --v-steps 20".split(), capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["no_key"] is False
+    assert doc["v_star"] == pytest.approx(1.7727, abs=1e-3)
+    assert doc["skr_star"] == pytest.approx(6.27e-5, rel=1e-2)
 
 
 def test_cli_optimize_distance(capsys):

@@ -37,7 +37,7 @@ def config(
 ):
     return ProtocolConfig(
         scheme=scheme,
-        zpc=zpc or ZpcSetting.off(),
+        zpc=zpc,
         variance_v=variance_v,
         beta=beta,
         eps_a=eps,
@@ -47,7 +47,7 @@ def config(
 
 
 def random_config(rng: random.Random) -> ProtocolConfig:
-    zpc = ZpcSetting.on(rng.uniform(0.05, 1.0)) if rng.random() < 0.5 else ZpcSetting.off()
+    zpc = rng.uniform(0.05, 1.0) if rng.random() < 0.5 else None
     return config(
         scheme=rng.choice((Scheme.FOUR, Scheme.EIGHT)),
         zpc=zpc,
@@ -85,7 +85,7 @@ def test_frozen_reference_point():
 
 
 def test_frozen_catalysis_point():
-    cfg = config(zpc=ZpcSetting.on(0.6), variance_v=2.6, l_ac=20.0)
+    cfg = config(zpc=0.6, variance_v=2.6, l_ac=20.0)
     ev = evaluate_protocol(cfg)
     assert ev.attenuated_alpha_sq == pytest.approx(0.48, rel=1e-15)
     r = ev.result
@@ -95,7 +95,7 @@ def test_frozen_catalysis_point():
 
 
 def test_covariance_assembly():
-    cfg = config(zpc=ZpcSetting.on(0.7), variance_v=2.0, l_ac=15.0, l_bc=3.0)
+    cfg = config(zpc=0.7, variance_v=2.0, l_ac=15.0, l_bc=3.0)
     r = evaluate_protocol(cfg).result
     atten = 0.7 * cfg.alpha_sq
     chan = equivalent_channel(cfg.geometry, cfg.eps_a, cfg.eps_b, v_bob=cfg.variance_v)
@@ -111,8 +111,8 @@ def test_unit_catalysis_equals_disabled():
     rng = random.Random(11)
     for _ in range(25):
         base = random_config(rng)
-        on = base._replace(zpc=ZpcSetting.on(1.0))
-        off = base._replace(zpc=ZpcSetting.off())
+        on = base._replace(zpc=1.0)
+        off = base._replace(zpc=None)
         assert evaluate_protocol(on).result == evaluate_protocol(off).result
 
 
@@ -231,7 +231,7 @@ def test_overflow_is_reported_not_raised():
 
 def test_domain_flag():
     assert config(variance_v=2.6).warn_domain
-    assert not config(variance_v=2.6, zpc=ZpcSetting.on(0.15)).warn_domain
+    assert not config(variance_v=2.6, zpc=0.15).warn_domain
     assert not config(variance_v=1.4).warn_domain
     # flagged configs still evaluate
     assert evaluate_protocol(config(variance_v=2.6)).result.physical
@@ -258,12 +258,12 @@ def test_config_validation():
 
 
 def test_secret_key_rate_is_evaluation_result():
-    cfg = config(variance_v=2.2, zpc=ZpcSetting.on(0.5))
+    cfg = config(variance_v=2.2, zpc=0.5)
     assert secret_key_rate(cfg) == evaluate_protocol(cfg).result
 
 
 def test_evaluation_is_single_pass(monkeypatch):
-    calls = {"equivalent_channel": 0, "apply_zpc": 0, "config_new": 0, "zpc_new": 0}
+    calls = {"equivalent_channel": 0, "apply_zpc": 0, "config_new": 0}
 
     def counted(name):
         fn = getattr(mdicvqkd.keyrate, name)
@@ -276,48 +276,38 @@ def test_evaluation_is_single_pass(monkeypatch):
 
     for name in ("equivalent_channel", "apply_zpc"):
         monkeypatch.setattr(mdicvqkd.keyrate, name, counted(name))
-    cfg = config(zpc=ZpcSetting.on(0.6), variance_v=2.6)
+    cfg = config(zpc=0.6, variance_v=2.6)
     evaluate_protocol(cfg)
-    assert calls == {"equivalent_channel": 1, "apply_zpc": 1, "config_new": 0, "zpc_new": 0}
+    assert calls == {"equivalent_channel": 1, "apply_zpc": 1, "config_new": 0}
 
-    # a T sweep builds its channel once and no record per T: one catalysis
+    # a T sweep builds its channel once and no config per T: one catalysis
     # step per evaluated T (the coarse scan, two golden-section probes and
     # one per refinement step); the optimum is not evaluated again
-    def counted_new(record, name):
-        new = record.__new__
+    new = ProtocolConfig.__new__
 
-        def wrapper(cls, *args, **kwargs):
-            calls[name] += 1
-            return new(cls, *args, **kwargs)
+    def counted_new(cls, *args, **kwargs):
+        calls["config_new"] += 1
+        return new(cls, *args, **kwargs)
 
-        return wrapper
-
-    monkeypatch.setattr(ProtocolConfig, "__new__", counted_new(ProtocolConfig, "config_new"))
-    monkeypatch.setattr(ZpcSetting, "__new__", counted_new(ZpcSetting, "zpc_new"))
-    cfg.at_t(0.5)  # the counters see each construction
-    assert (calls["config_new"], calls["zpc_new"]) == (1, 1)
+    monkeypatch.setattr(ProtocolConfig, "__new__", counted_new)
+    cfg.at_t(0.5)  # the counter sees each construction
+    assert calls["config_new"] == 1
     grid = OptimizationGrid(t_steps=20, refine_iters=5)
     for optimizer in (optimize_t, beta_zero_crossing):
         calls.update(dict.fromkeys(calls, 0))
         optimizer(cfg, grid)
         evaluated = grid.t_steps + 2 + grid.refine_iters
-        assert calls == {
-            "equivalent_channel": 1,
-            "apply_zpc": evaluated,
-            "config_new": 0,
-            "zpc_new": 0,
-        }
+        assert calls == {"equivalent_channel": 1, "apply_zpc": evaluated, "config_new": 0}
 
 
 def test_records_are_immutable():
-    cfg = config(zpc=ZpcSetting.on(0.5))
+    cfg = config(zpc=0.5)
     ev = evaluate_protocol(cfg)
     records = (
         (ev, "result"),
         (ev.result, "skr"),
         (ev.channel, "t_c"),
         (cfg, "beta"),
-        (cfg.zpc, "t"),
         (cfg.geometry, "l_ac"),
         (OptimizationGrid(), "t_lo"),
     )
@@ -327,16 +317,14 @@ def test_records_are_immutable():
 
 
 def test_at_t():
-    on = config(zpc=ZpcSetting.on(0.4), variance_v=2.2)
-    moved = on.at_t(0.9)
-    assert moved.zpc == ZpcSetting.on(0.9)
-    assert moved == on._replace(zpc=ZpcSetting.on(0.9))
-    assert on.zpc.t == 0.4  # the config it came from keeps its T
+    on = config(zpc=0.4, variance_v=2.2)
+    assert on.at_t(0.9) == on._replace(zpc=0.9) and on.at_t(0.9).t == 0.9
+    assert on.zpc == 0.4  # the config it came from keeps its T
     with pytest.raises(ValueError):
         on.at_t(1.5)
     # catalysis off is T = 1 whatever t is asked for
     off = config(variance_v=2.2)
-    assert off.at_t(0.3) is off
+    assert off.at_t(0.3) is off and off.t == 1.0
 
 
 def test_evaluation_matches_separate_steps():
@@ -345,7 +333,7 @@ def test_evaluation_matches_separate_steps():
         cfg = random_config(rng)
         ev = evaluate_protocol(cfg)
         assert ev.result.physical
-        atten, p_d = apply_zpc(cfg.alpha_sq, cfg.zpc.t)
+        atten, p_d = apply_zpc(cfg.alpha_sq, cfg.t)
         assert (ev.attenuated_alpha_sq, ev.result.p_d) == (atten, p_d)
         cov = covariance_of(cfg, ev)
         assert ev.result.chi_be == _holevo(*cov)
@@ -359,7 +347,7 @@ def test_evaluation_matches_separate_steps():
 
 
 def test_nonphysical_evaluation_keeps_intermediates():
-    cfg = config(variance_v=1e300, zpc=ZpcSetting.on(0.5))
+    cfg = config(variance_v=1e300, zpc=0.5)
     ev = evaluate_protocol(cfg)
     assert not ev.result.physical
     assert ev._fields == ("result", "channel", "attenuated_alpha_sq")
@@ -375,7 +363,7 @@ def test_accepted_states_score_finite():
     rng = random.Random(621)
     accepted = 0
     for _ in range(6000):
-        zpc = ZpcSetting.on(10.0 ** rng.uniform(-300.0, 0.0)) if rng.random() < 0.5 else None
+        zpc = 10.0 ** rng.uniform(-300.0, 0.0) if rng.random() < 0.5 else None
         cfg = config(
             scheme=rng.choice(list(Scheme)),
             zpc=zpc,

@@ -20,13 +20,13 @@ from mdicvqkd.optimize import (
     optimize_t,
     optimize_tv,
 )
-from mdicvqkd.zpc import ZpcSetting
 
 
-def config(zpc=None, variance_v=2.6, beta=0.95, eps=0.002, l_ac=20.0, l_bc=0.0):
+def config(zpc=1.0, variance_v=2.6, beta=0.95, eps=0.002, l_ac=20.0, l_bc=0.0):
+    """An eight-state config with catalysis on; zpc=None turns it off."""
     return ProtocolConfig(
         scheme=Scheme.EIGHT,
-        zpc=zpc or ZpcSetting.on(1.0),
+        zpc=zpc,
         variance_v=variance_v,
         beta=beta,
         eps_a=eps,
@@ -132,13 +132,13 @@ def test_optimize_t_beats_manual_sweep():
     opt = optimize_t(cfg)
     for i in range(1, 51):
         t = i / 50.0
-        skr = secret_key_rate(cfg._replace(zpc=ZpcSetting.on(t))).skr
+        skr = secret_key_rate(cfg._replace(zpc=t)).skr
         assert skr <= opt.skr_star + 1e-15
 
 
 def test_optimize_t_requires_catalysis():
     with pytest.raises(ValueError):
-        optimize_t(config(zpc=ZpcSetting.off()))
+        optimize_t(config(zpc=None))
 
 
 def test_optimize_t_no_key_flag():
@@ -148,7 +148,7 @@ def test_optimize_t_no_key_flag():
 
 
 def test_best_rate_pins_plain_protocol_at_unit_t():
-    cfg = config(zpc=ZpcSetting.off(), variance_v=1.5)
+    cfg = config(zpc=None, variance_v=1.5)
     opt = best_rate(cfg)
     assert opt.t_star == 1.0
     assert opt.skr_star == secret_key_rate(cfg).skr
@@ -179,7 +179,7 @@ def test_every_search_reaches_the_scorer_through_rate_over_t(monkeypatch):
     for name in calls:
         monkeypatch.setattr(mdicvqkd.keyrate, name, counted(name))
     grid = OptimizationGrid(t_steps=10, v_steps=4, refine_iters=3)
-    plain = config(zpc=ZpcSetting.off())
+    plain = config(zpc=None)
     for cfg in (config(), plain):
         best_rate(cfg, grid)
         optimize_tv(cfg, grid)
@@ -215,7 +215,7 @@ def _per_t_beta_zero_crossing(cfg: ProtocolConfig, grid: OptimizationGrid):
             return -math.inf
         return -r.chi_be / r.i_ab
 
-    if not cfg.zpc.enabled:
+    if cfg.zpc is None:
         return -neg_ratio(1.0), 1.0
     t_at, neg_beta = _scan_and_refine(
         neg_ratio, identity, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
@@ -230,13 +230,13 @@ def test_t_sweeps_match_the_per_t_path():
             for v in (1.3, 2.6, 6.0, 1e300):
                 cfg = config(variance_v=v, l_ac=l_ac, l_bc=l_bc)._replace(scheme=scheme)
                 assert repr(optimize_t(cfg, grid)) == repr(_per_t_optimize_t(cfg, grid))
-                for c in (cfg, cfg._replace(zpc=ZpcSetting.off())):
+                for c in (cfg, cfg._replace(zpc=None)):
                     got = beta_zero_crossing(c, grid)
                     assert repr(got) == repr(_per_t_beta_zero_crossing(c, grid))
 
 
 def test_optimize_tv_frozen_point():
-    cfg = config(zpc=ZpcSetting.off(), variance_v=1.5, l_ac=25.0)
+    cfg = config(zpc=None, variance_v=1.5, l_ac=25.0)
     cfg = cfg._replace(scheme=Scheme.FOUR)
     opt = optimize_tv(cfg)
     assert opt.t_star == 1.0
@@ -275,7 +275,7 @@ def test_max_distance_preserves_arm_ratio():
 
 
 def test_max_distance_no_key_at_zero():
-    cfg = config(zpc=ZpcSetting.off(), variance_v=1.5, eps=0.25, l_ac=0.0)
+    cfg = config(zpc=None, variance_v=1.5, eps=0.25, l_ac=0.0)
     md = max_distance(cfg)
     assert md.no_key
     assert md.distance_km == 0.0

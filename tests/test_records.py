@@ -11,7 +11,6 @@ from mdicvqkd.channel import LinkGeometry
 from mdicvqkd.keyrate import ProtocolConfig
 from mdicvqkd.modulation import Scheme
 from mdicvqkd.optimize import OptimizationGrid
-from mdicvqkd.zpc import ZpcSetting
 
 
 def config(**changes) -> ProtocolConfig:
@@ -19,7 +18,7 @@ def config(**changes) -> ProtocolConfig:
     scatter_configs builds its configs."""
     fields = {
         "scheme": Scheme.EIGHT,
-        "zpc": ZpcSetting.on(0.5),
+        "zpc": 0.5,
         "variance_v": 2.6,
         "beta": 0.95,
         "eps_a": 0.002,
@@ -29,16 +28,16 @@ def config(**changes) -> ProtocolConfig:
     return ProtocolConfig(**{**fields, **changes})
 
 
-RECORDS = [ZpcSetting.on(0.5), LinkGeometry(10.0, 2.0), config(), OptimizationGrid()]
+RECORDS = [LinkGeometry(10.0, 2.0), config(), OptimizationGrid()]
 
 # A valid record, one of its fields and a value that field refuses.
 REFUSED = [
-    (ZpcSetting.on(0.5), "t", 1.5),
-    (ZpcSetting.off(), "t", 0.5),
     (LinkGeometry(10.0, 2.0), "l_bc", -1.0),
     (LinkGeometry(10.0, 2.0), "loss_mu", math.inf),
     (config(), "variance_v", 1.0),
     (config(), "eps_b", math.nan),
+    (config(), "zpc", 1.5),
+    (config(zpc=None), "zpc", True),  # catalysis is a transmittance, not a switch
     (OptimizationGrid(), "t_steps", 1),
     (OptimizationGrid(), "t_steps", 20.0),
     (OptimizationGrid(), "v_steps", 20.0),
@@ -83,8 +82,8 @@ def test_records_survive_pickling(record):
 
 
 def test_keyword_construction_validates():
-    cfg = config(scheme=Scheme.FOUR, zpc=ZpcSetting.off(), geometry=LinkGeometry(4.0, 1.5))
-    assert (cfg.scheme, cfg.zpc, cfg.variance_v) == (Scheme.FOUR, ZpcSetting(False, 1.0), 2.6)
+    cfg = config(scheme=Scheme.FOUR, zpc=None, geometry=LinkGeometry(4.0, 1.5))
+    assert (cfg.scheme, cfg.zpc, cfg.variance_v) == (Scheme.FOUR, None, 2.6)
     assert (cfg.geometry.l_ac, cfg.geometry.l_bc, cfg.geometry.loss_mu) == (4.0, 1.5, 0.2)
     assert OptimizationGrid(t_steps=20, refine_iters=5)._asdict() == {
         "t_lo": 0.01,
@@ -98,8 +97,7 @@ def test_keyword_construction_validates():
     for build in (
         lambda: config(beta=1.5),
         lambda: config(eps_a=-0.001),
-        lambda: ZpcSetting(enabled=True, t=0.0),
-        lambda: ZpcSetting(enabled=False, t=0.5),
+        lambda: config(zpc=0.0),
         lambda: LinkGeometry(l_ac=math.nan, l_bc=0.0),
         lambda: OptimizationGrid(t_lo=0.5, t_hi=0.4),
         lambda: OptimizationGrid(refine_iters=-1),

@@ -51,9 +51,9 @@ def test_config_presets():
     assert cfg.variance_v == OPTIMAL_V[(Case.ASYMMETRIC, Variant.EIGHT_ZPC)]
     assert cfg.beta == DEFAULT_BETA
     assert cfg.eps_a == cfg.eps_b == DEFAULT_EPS
-    assert cfg.zpc.enabled
+    assert cfg.zpc == 1.0
     assert config_for(Variant.FOUR, Case.SYMMETRIC, 1.0, variance_v=3.3).variance_v == 3.3
-    assert not config_for(Variant.FOUR, Case.SYMMETRIC, 1.0).zpc.enabled
+    assert config_for(Variant.FOUR, Case.SYMMETRIC, 1.0).zpc is None
 
 
 def test_correlation_curve_dataset():
@@ -174,6 +174,8 @@ def test_rate_vs_distance_refuses_repeated_extra_eps():
         ("fig4", {"extra_eps": (math.nan,)}, "excess noise must be finite and >= 0, got nan"),
         ("fig4", {"extra_eps": (0.001, math.inf)}, "excess noise must be finite"),
         ("fig4", {"extra_eps": (-1.0,)}, "excess noise must be finite"),
+        ("fig2", {"steps": 2.0}, "steps must be an integer, got 2.0"),
+        ("fig3", {"v_steps": True}, "v_steps must be an integer, got True"),
     ],
 )
 def test_run_figure_refuses_before_any_evaluation(fid, overrides, message, monkeypatch):

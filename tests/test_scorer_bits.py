@@ -15,7 +15,6 @@ import random
 from mdicvqkd.channel import LinkGeometry
 from mdicvqkd.keyrate import ProtocolConfig, evaluate_protocol, rate_over_t
 from mdicvqkd.modulation import Scheme
-from mdicvqkd.zpc import ZpcSetting
 
 DIGEST = "8b4a47fd59200c8fb4c8807b999e314e22b6a48acdbbaed7efb3c62b2fd544cd"
 
@@ -25,10 +24,10 @@ BANDS = ((0.001, 1.0), (1.0, 30.0), (30.0, 500.0), (500.0, 630.0))
 # Near-pure states whose F = ab - c^2 cancels to rounding, so they score as
 # non-physical (ROADMAP item 11); a mend that changes that re-picks them.
 NON_PHYSICAL = [
-    (Scheme.FOUR, ZpcSetting.off(), 2.7539445260721156e16, 0.0),
-    (Scheme.EIGHT, ZpcSetting.on(0.5), 1e18, 3.0),
-    (Scheme.GAUSSIAN, ZpcSetting.off(), 1e7, 0.0),
-    (Scheme.GAUSSIAN, ZpcSetting.on(0.5), 1e12, 0.0),
+    (Scheme.FOUR, None, 2.7539445260721156e16, 0.0),
+    (Scheme.EIGHT, 0.5, 1e18, 3.0),
+    (Scheme.GAUSSIAN, None, 1e7, 0.0),
+    (Scheme.GAUSSIAN, 0.5, 1e12, 0.0),
 ]
 
 
@@ -39,11 +38,8 @@ def panel() -> list[tuple[ProtocolConfig, float]]:
     for i in range(1200):
         lo, hi = BANDS[i % len(BANDS)]
         atten = rng.uniform(lo, hi)
-        if rng.random() < 0.5:
-            t = rng.uniform(0.05, 1.0)
-            zpc = ZpcSetting.on(t)
-        else:
-            t, zpc = 1.0, ZpcSetting.off()
+        zpc = rng.uniform(0.05, 1.0) if rng.random() < 0.5 else None
+        t = 1.0 if zpc is None else zpc
         d = rng.choice((0.0, 1.0, rng.random()))  # l_bc / l_ac: at Bob, midway, between
         l_ac = rng.uniform(0.0, 60.0) / (1.0 + d)
         config = ProtocolConfig(

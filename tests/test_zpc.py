@@ -4,13 +4,17 @@ import math
 
 import pytest
 
+from mdicvqkd.keyrate import evaluate_protocol
+from mdicvqkd.presets import Case, Variant, config_for
 from mdicvqkd.zpc import ZpcSetting, apply_zpc
 
 
 def test_disabled_is_identity():
-    atten, p = apply_zpc(0.73, ZpcSetting.off().t)
-    assert atten == 0.73
-    assert p == 1.0
+    # catalysis off is no transmittance, and is evaluated at T = 1
+    cfg = config_for(Variant.EIGHT, Case.ASYMMETRIC, 10.0)
+    assert cfg.zpc is ZpcSetting.off() is None and cfg.t == 1.0
+    ev = evaluate_protocol(cfg)
+    assert (ev.attenuated_alpha_sq, ev.result.p_d) == (cfg.alpha_sq, 1.0)
 
 
 def test_unit_transmittance_is_bitwise_identity():
@@ -35,16 +39,13 @@ def test_success_probability_decreases_with_attenuation():
 
 
 def test_transmittance_range():
-    for bad in (0.0, -0.5, 1.0001, math.nan):
+    # True is an int equal to 1, but no transmittance
+    for bad in (0.0, -0.5, 1.0001, math.nan, True):
         with pytest.raises(ValueError):
             ZpcSetting.on(bad)
         with pytest.raises(ValueError):
             apply_zpc(0.5, bad)
-    # catalysis off is T = 1: a disabled setting holds no other transmittance
-    assert ZpcSetting.off().t == 1.0
-    for bad in (0.5, 0.0, math.nan):
-        with pytest.raises(ValueError):
-            ZpcSetting(enabled=False, t=bad)
+    assert ZpcSetting.on(0.5) == 0.5  # catalysis on is the transmittance itself
 
 
 def test_rejects_negative_amplitude():

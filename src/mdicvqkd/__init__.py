@@ -27,7 +27,6 @@ _LAZY = {
     "MaxDistance": "optimize",
     "OptimizationGrid": "optimize",
     "TOptimum": "optimize",
-    "TvOptimum": "optimize",
     "beta_zero_crossing": "optimize",
     "max_distance": "optimize",
     "optimize_t": "optimize",
@@ -67,7 +66,6 @@ __all__ = [
     "MaxDistance",
     "OptimizationGrid",
     "TOptimum",
-    "TvOptimum",
     "max_distance",
     "optimize_t",
     "optimize_tv",

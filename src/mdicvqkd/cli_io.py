@@ -21,7 +21,6 @@ from . import __version__
 from .keyrate import DOMAIN_V_M_MAX, ProtocolConfig, evaluate_protocol
 from .modulation import Scheme
 from .presets import Case, Variant, config_for
-from .zpc import ZpcSetting
 
 # The optimizer and figure layers are imported by the commands that run
 # them, so a keyrate process does not load them.
@@ -77,7 +76,7 @@ def _with_keys(base: ProtocolConfig, values: dict[str, str]) -> ProtocolConfig:
             if key == "scheme":
                 out[key] = Scheme(text.lower())
             elif key == "zpc_t":
-                out["zpc"] = None if text.strip().lower() == "off" else ZpcSetting.on(float(text))
+                out["zpc"] = None if text.strip().lower() == "off" else float(text)
             elif key == "eps":
                 out["eps_a"] = out["eps_b"] = float(text)
             else:
@@ -266,9 +265,9 @@ def _cmd_optimize(args) -> int:
         fields.update(t_star=opt.t_star, skr_star=opt.skr_star, no_key=opt.no_key)
         reported = cfg.at_t(opt.t_star)
     elif mode == "tv":
-        opt = optimize_tv(cfg, grid)
-        fields.update(opt._asdict())
-        reported = cfg.at_t(opt.t_star)._replace(variance_v=opt.v_star)
+        v_star, opt = optimize_tv(cfg, grid)
+        fields.update(t_star=opt.t_star, v_star=v_star, skr_star=opt.skr_star, no_key=opt.no_key)
+        reported = cfg.at_t(opt.t_star)._replace(variance_v=v_star)
     else:
         md = max_distance(cfg, grid, tol_km=args.tol_km)
         fields.update(max_distance_km=md.distance_km, no_key=md.no_key)

@@ -117,7 +117,7 @@ def _lambdas_four_closed(x: float) -> list[float]:
 
 
 def lambdas(scheme: Scheme, alpha_sq: float) -> list[float]:
-    """Weights of the orthogonal constellation states (empty for Gaussian).
+    """Weights of the orthogonal constellation states of a discrete scheme.
 
     lambda_k is the probability that a Poisson variable with mean
     alpha_sq equals k mod M, M = 8 or 4.  The weights are non-negative
@@ -126,14 +126,12 @@ def lambdas(scheme: Scheme, alpha_sq: float) -> list[float]:
     on [1, 500]; above 500 they are 1/M each, returned here directly.
     """
     x = _check_alpha_sq(alpha_sq)
-    if scheme is _GAUSSIAN:
-        return []
     if scheme is _EIGHT:
         modulus, closed = 8, _lambdas_eight_closed
     elif scheme is _FOUR:
         modulus, closed = 4, _lambdas_four_closed
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        raise ValueError(f"weights exist only for the discrete schemes, got {scheme!r}")
     if x > _UNIFORM_MAX:
         return [1.0 / modulus] * modulus
     if x < _CLOSED_FORM_MIN:

@@ -84,13 +84,6 @@ class TOptimum(NamedTuple):
     no_key: bool
 
 
-class TvOptimum(NamedTuple):
-    t_star: float
-    v_star: float
-    skr_star: float
-    no_key: bool
-
-
 class MaxDistance(NamedTuple):
     distance_km: float
     no_key: bool
@@ -174,8 +167,11 @@ def optimize_t(config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid
     return best_rate(config, grid)
 
 
-def optimize_tv(config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid()) -> TvOptimum:
-    """Joint optimum over source variance and (with catalysis on) transmittance.
+def optimize_tv(
+    config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid()
+) -> tuple[float, TOptimum]:
+    """Joint optimum over source variance and (with catalysis on)
+    transmittance, as (v*, the T optimum at v*).
 
     A variance scan with best_rate inside, then golden refinement around
     the best bracket.  V is keyed by the rate where it is positive, else
@@ -189,10 +185,7 @@ def optimize_tv(config: ProtocolConfig, grid: OptimizationGrid = OptimizationGri
     def key(o: TOptimum) -> float:
         return o.skr_star if o.skr_star > 0.0 else config.beta + _neg_ratio(o.result)
 
-    v_star, opt = _scan_and_refine(
-        opt_at, key, grid.v_points(), grid.v_lo, grid.v_hi, grid.refine_iters
-    )
-    return TvOptimum(opt.t_star, v_star, opt.skr_star, opt.no_key)
+    return _scan_and_refine(opt_at, key, grid.v_points(), grid.v_lo, grid.v_hi, grid.refine_iters)
 
 
 def beta_zero_crossing(

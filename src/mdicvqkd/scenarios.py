@@ -228,7 +228,8 @@ def run_figure(figure_id: str, **overrides) -> list[Dataset]:
     """Build a registered figure's datasets.  figure_id is one of
     FIGURE_IDS, spelled as registered; the overrides are its `--steps`
     keys and optional keywords, as FIGURES lists them.  Any other keyword,
-    a step count that is no int, and a bad extra_eps are refused first."""
+    a step count that is no int or is below 2, and a bad extra_eps are
+    refused first."""
     try:
         build, args, step_keys, optional = FIGURES[figure_id]
     except KeyError:
@@ -241,5 +242,7 @@ def run_figure(figure_id: str, **overrides) -> list[Dataset]:
             raise ValueError(f"{figure_id} takes no keyword {key}")
         if key in step_keys and type(value) is not int:  # bool is no step count
             raise ValueError(f"{key} must be an integer, got {value!r}")
+        if key in step_keys and value < 2:
+            raise ValueError(f"{key} must be >= 2, got {value}")
     out = build(*args, **overrides)
     return out if isinstance(out, list) else [out]

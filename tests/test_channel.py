@@ -55,6 +55,9 @@ def test_optimal_gain():
     # g^2 = 2 (v - 1) / (t_b (v + 1))
     assert optimal_g_sq(1.0, 3.0) == pytest.approx(1.0, rel=1e-15)
     assert optimal_g_sq(0.5, 3.0) == pytest.approx(2.0, rel=1e-15)
+    for bad in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"t_b must be in \(0, 1\]"):
+            optimal_g_sq(bad, 3.0)
 
 
 def test_extreme_asymmetric_noise_identity():

@@ -1,7 +1,9 @@
 """What importing the package and running each CLI command loads: the
-optimizer and figure layers only when a command runs them, and never
-dataclasses, whose import pulls in inspect, ast, dis and tokenize."""
+optimizer and figure layers only when a command runs them, never
+dataclasses, whose import pulls in inspect, ast, dis and tokenize, and
+nothing outside the standard library."""
 
+import ast
 import json
 import os
 import subprocess
@@ -77,6 +79,23 @@ def test_package_loads_the_optimizer_and_figures_on_first_access():
     assert "mdicvqkd.optimize" not in before and "mdicvqkd.scenarios" not in before
     assert (optimize, scenarios) == ("mdicvqkd.optimize", "mdicvqkd.scenarios")
     assert unbound == "[]"  # from mdicvqkd import * binds every name in __all__
+
+
+def test_src_imports_only_the_standard_library():
+    # the runtime is pure standard library: every absolute import names a
+    # standard module, and the relative ones stay inside the package
+    paths = sorted(Path(SRC, "mdicvqkd").glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
 def test_package_names_resolve():

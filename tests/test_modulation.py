@@ -3,6 +3,7 @@
 import decimal
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -218,9 +219,11 @@ def test_gaussian_closed_form():
 
 
 def test_gaussian_scheme_has_no_weights():
-    assert lambdas(Scheme.GAUSSIAN, 1.0) == []
-    with pytest.raises(ValueError, match="unknown scheme"):
-        lambdas("eight", 1.0)
+    # correlation_z gives the Gaussian Z without weights, so lambdas takes
+    # only the discrete schemes
+    for scheme in (Scheme.GAUSSIAN, "eight"):
+        with pytest.raises(ValueError, match=re.escape(f"discrete schemes, got {scheme!r}")):
+            lambdas(scheme, 1.0)
 
 
 def test_rejects_bad_amplitude():

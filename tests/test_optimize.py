@@ -102,6 +102,20 @@ def test_golden_section_never_probes_an_end_of_its_bracket():
     assert 0.0 < x < 0.5 and fx == 1.0
 
 
+def test_golden_section_never_probes_the_right_end_of_its_bracket():
+    # an increasing f collapses the bracket onto hi; after 73 steps on
+    # [0.5, 1] the next probe would round onto hi itself, where this f is
+    # undefined (on [0, 1] the bracket's inner points meet first, and the
+    # tie sends the search left)
+    def rising(x):
+        if x >= 1.0:
+            raise ValueError(f"probed x = {x}")
+        return x
+
+    x, fx = _golden_max(rising, identity, 0.5, 1.0, 2000)
+    assert 1.0 - 1e-15 < x < 1.0 and fx == x
+
+
 @pytest.mark.parametrize("peak, refined", [(0.5, False), (0.4, True)])
 def test_scan_and_refine_returns_the_object_f_made(peak, refined):
     # every call makes a new object; the search hands back the one made at
@@ -238,15 +252,16 @@ def test_t_sweeps_match_the_per_t_path():
 def test_optimize_tv_frozen_point():
     cfg = config(zpc=None, variance_v=1.5, l_ac=25.0)
     cfg = cfg._replace(scheme=Scheme.FOUR)
-    opt = optimize_tv(cfg)
+    v_star, opt = optimize_tv(cfg)
     assert opt.t_star == 1.0
-    assert opt.v_star == pytest.approx(1.4395566593036926, rel=1e-9)
+    assert v_star == pytest.approx(1.4395566593036926, rel=1e-9)
     assert not opt.no_key
+    assert opt == best_rate(cfg._replace(variance_v=v_star))
 
 
 def test_optimize_tv_beats_variance_sweep():
     cfg = config(l_ac=30.0)
-    opt = optimize_tv(cfg)
+    _, opt = optimize_tv(cfg)
     for v in (1.5, 2.0, 2.6, 3.5, 5.0):
         assert best_rate(cfg._replace(variance_v=v)).skr_star <= opt.skr_star + 1e-15
 

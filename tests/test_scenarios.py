@@ -176,6 +176,9 @@ def test_rate_vs_distance_refuses_repeated_extra_eps():
         ("fig4", {"extra_eps": (-1.0,)}, "excess noise must be finite"),
         ("fig2", {"steps": 2.0}, "steps must be an integer, got 2.0"),
         ("fig3", {"v_steps": True}, "v_steps must be an integer, got True"),
+        ("fig3", {"v_steps": 1}, "v_steps must be >= 2, got 1"),
+        ("fig2", {"steps": 0}, "steps must be >= 2, got 0"),
+        ("fig9b", {"l_steps": -3}, "l_steps must be >= 2, got -3"),
     ],
 )
 def test_run_figure_refuses_before_any_evaluation(fid, overrides, message, monkeypatch):

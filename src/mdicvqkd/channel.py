@@ -28,6 +28,14 @@ def fiber_transmittance(length_km: float, loss_mu: float = FIBER_LOSS_DB_PER_KM)
     return 10.0 ** (-loss_mu * length_km / 10.0)
 
 
+def refuse_bool(**numbers) -> None:
+    """Refuse a bool among the named numbers of a record: True is an int
+    equal to 1, but no length, noise or variance."""
+    for name, x in numbers.items():
+        if isinstance(x, bool):
+            raise ValueError(f"{name} must be a number, got {x}")
+
+
 class LinkGeometry(namedtuple("LinkGeometry", "l_ac l_bc loss_mu")):
     """Fiber lengths of the two links to the relay, in km."""
 
@@ -36,6 +44,7 @@ class LinkGeometry(namedtuple("LinkGeometry", "l_ac l_bc loss_mu")):
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, l_ac: float, l_bc: float, loss_mu: float = FIBER_LOSS_DB_PER_KM):
+        refuse_bool(l_ac=l_ac, l_bc=l_bc, loss_mu=loss_mu)
         if not (math.isfinite(l_ac) and math.isfinite(l_bc)):
             raise ValueError("link lengths must be finite")
         if l_ac < 0.0 or l_bc < 0.0:

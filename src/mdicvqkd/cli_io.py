@@ -45,24 +45,20 @@ class ScenarioError(ValueError):
 # figures at zero length.
 DEFAULT_CONFIG = config_for(Variant.EIGHT, Case.ASYMMETRIC, 0.0)
 
-# Scenario-file keys -> help of the flag that sets the same value, which
-# is --key with "-" for "_".  eps sets eps_a and eps_b together.
+# Scenario-file keys -> (the record fields each sets, the help of the flag
+# that sets the same value, which is --key with "-" for "_").
 _SCENARIO_KEYS = {
-    "scheme": "modulation constellation: " + ", ".join(s.value for s in Scheme),
-    "zpc_t": "catalysis beam-splitter transmittance T in (0,1], or 'off'",
-    "variance": "source variance V > 1",
-    "beta": "reconciliation efficiency in (0,1]",
-    "eps": "excess noise for both links",
-    "eps_a": "excess noise of the Alice-relay link",
-    "eps_b": "excess noise of the Bob-relay link",
-    "lac": "Alice-relay fiber length, km",
-    "lbc": "Bob-relay fiber length, km",
-    "mu": f"fiber loss, dB/km (default {DEFAULT_CONFIG.geometry.loss_mu})",
+    "scheme": ("scheme", "modulation constellation: " + ", ".join(s.value for s in Scheme)),
+    "zpc_t": ("zpc", "catalysis beam-splitter transmittance T in (0,1], or 'off'"),
+    "variance": ("variance_v", "source variance V > 1"),
+    "beta": ("beta", "reconciliation efficiency in (0,1]"),
+    "eps": ("eps_a eps_b", "excess noise for both links"),
+    "eps_a": ("eps_a", "excess noise of the Alice-relay link"),
+    "eps_b": ("eps_b", "excess noise of the Bob-relay link"),
+    "lac": ("l_ac", "Alice-relay fiber length, km"),
+    "lbc": ("l_bc", "Bob-relay fiber length, km"),
+    "mu": ("loss_mu", f"fiber loss, dB/km (default {DEFAULT_CONFIG.geometry.loss_mu})"),
 }
-# Scenario keys whose field has another name; lac, lbc and mu are fields
-# of the geometry.
-_FIELDS = {"variance": "variance_v", "lac": "l_ac", "lbc": "l_bc", "mu": "loss_mu"}
-_GEOMETRY_KEYS = ("lac", "lbc", "mu")
 
 
 def _with_keys(base: ProtocolConfig, values: dict[str, str]) -> ProtocolConfig:
@@ -70,21 +66,20 @@ def _with_keys(base: ProtocolConfig, values: dict[str, str]) -> ProtocolConfig:
     file or the flags give it."""
     if "eps" in values and ("eps_a" in values or "eps_b" in values):
         raise ValueError("eps conflicts with eps_a/eps_b; give one or the other")
-    out, geometry = {}, {}
+    fields = {}
     for key, text in values.items():
         try:
             if key == "scheme":
-                out[key] = Scheme(text.lower())
-            elif key == "zpc_t":
-                out["zpc"] = None if text.strip().lower() == "off" else float(text)
-            elif key == "eps":
-                out["eps_a"] = out["eps_b"] = float(text)
+                value = Scheme(text.lower())
+            elif key == "zpc_t" and text.strip().lower() == "off":
+                value = None
             else:
-                into = geometry if key in _GEOMETRY_KEYS else out
-                into[_FIELDS.get(key, key)] = float(text)
+                value = float(text)
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
-    return base._replace(geometry=base.geometry._replace(**geometry), **out)
+        fields.update(dict.fromkeys(_SCENARIO_KEYS[key][0].split(), value))
+    geometry = {name: fields.pop(name) for name in base.geometry._fields if name in fields}
+    return base._replace(geometry=base.geometry._replace(**geometry), **fields)
 
 
 def parse_scenario(text: str, base: ProtocolConfig = DEFAULT_CONFIG) -> ProtocolConfig:
@@ -115,23 +110,18 @@ def parse_scenario(text: str, base: ProtocolConfig = DEFAULT_CONFIG) -> Protocol
 
 def load_scenario_file(path, base: ProtocolConfig = DEFAULT_CONFIG) -> ProtocolConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     return parse_scenario(text, base)
 
 
 def _spec_echo(config: ProtocolConfig) -> dict:
-    """The config under its scenario keys, eps written as eps_a and eps_b."""
-    echo = {}
-    for key in _SCENARIO_KEYS:
-        if key == "scheme":
-            echo[key] = config.scheme.value
-        elif key == "zpc_t":
-            echo[key] = "off" if config.zpc is None else config.zpc
-        elif key != "eps":
-            owner = config.geometry if key in _GEOMETRY_KEYS else config
-            echo[key] = getattr(owner, _FIELDS.get(key, key))
+    """The config under its scenario keys; eps, which sets two fields, is
+    written as eps_a and eps_b."""
+    fields = {**config._asdict(), **config.geometry._asdict()}
+    echo = {key: fields[name] for key, (name, _) in _SCENARIO_KEYS.items() if name in fields}
+    echo.update(scheme=config.scheme.value, zpc_t="off" if config.zpc is None else config.zpc)
     return echo
 
 
@@ -206,7 +196,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", metavar="FILE", help="scenario file supplying defaults")
-    for key, help_text in _SCENARIO_KEYS.items():
+    for key, (_, help_text) in _SCENARIO_KEYS.items():
         p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
 
 

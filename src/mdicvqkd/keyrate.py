@@ -15,7 +15,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .channel import EquivalentChannel, LinkGeometry, equivalent_channel
+from .channel import EquivalentChannel, LinkGeometry, equivalent_channel, refuse_bool
 from .modulation import Scheme, correlation_z
 from .zpc import ZpcSetting, apply_zpc
 
@@ -58,6 +58,7 @@ class ProtocolConfig(
     def __new__(cls, scheme, zpc, variance_v, beta, eps_a, eps_b, geometry):
         if zpc is not None:
             ZpcSetting.on(zpc)
+        refuse_bool(variance_v=variance_v, beta=beta, eps_a=eps_a, eps_b=eps_b)
         if not (variance_v > 1.0 and math.isfinite(variance_v)):
             raise ValueError(f"variance_v must be > 1, got {variance_v}")
         if not (0.0 < beta <= 1.0):

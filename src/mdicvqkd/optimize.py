@@ -13,6 +13,7 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
+from .channel import refuse_bool
 from .keyrate import KeyRateResult, ProtocolConfig, rate_over_t
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -53,6 +54,7 @@ class OptimizationGrid(
         v_steps: int = 200,
         refine_iters: int = 30,
     ):
+        refuse_bool(t_lo=t_lo, t_hi=t_hi, v_lo=v_lo, v_hi=v_hi)
         self = tuple.__new__(cls, (t_lo, t_hi, t_steps, v_lo, v_hi, v_steps, refine_iters))
         for name in ("t_lo", "t_hi", "v_lo", "v_hi"):
             if not math.isfinite(getattr(self, name)):

@@ -129,6 +129,8 @@ def rate_vs_distance(
     best variant rerun at alternative excess noises."""
     if extra_eps is None:
         extra_eps = EXTRA_EPS[case]
+    if not isinstance(extra_eps, (tuple, list)):
+        raise ValueError(f"extra_eps must be a tuple or list of numbers, got {extra_eps!r}")
     for i, eps in enumerate(extra_eps):
         # each value names one curve and its file; building that curve's
         # config refuses a bad value before any curve is evaluated

@@ -146,6 +146,9 @@ def test_load_scenario_file(tmp_path):
     assert spec.variance_v == 3.0 and spec.zpc is None
     with pytest.raises(ScenarioError, match="cannot read"):
         load_scenario_file(tmp_path / "missing.scenario")
+    # a byte-order mark, as some editors save UTF-8, is no part of the first key
+    p.write_bytes(b"\xef\xbb\xbfscheme = four\n")
+    assert load_scenario_file(p).scheme is Scheme.FOUR
     p.write_bytes(b"variance = 3.0\xff\n")
     with pytest.raises(ScenarioError, match="cannot read scenario file .*run.scenario: 'utf-8'"):
         load_scenario_file(p)

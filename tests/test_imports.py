@@ -1,11 +1,14 @@
 """What importing the package and running each CLI command loads: the
 optimizer and figure layers only when a command runs them, never
 dataclasses, whose import pulls in inspect, ast, dis and tokenize, and
-nothing outside the standard library."""
+nothing outside the standard library.  And the README's library quick
+start runs as written."""
 
 import ast
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -106,3 +109,16 @@ def test_package_names_resolve():
     assert mdicvqkd.Case is mdicvqkd.scenarios.Case
     with pytest.raises(AttributeError, match="no_such_name"):
         mdicvqkd.no_such_name
+
+
+def test_readme_library_quick_start_runs():
+    # the README's one python block, run as written in a new interpreter;
+    # its import pins the public names it promises, optimize_t and
+    # max_distance among them, which the package resolves on first access
+    readme = Path(__file__).resolve().parents[1].joinpath("README.md").read_text("utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert "optimize_t, max_distance" in block
+    lines = [line.split() for line in run_fresh(block).splitlines()]
+    # (skr, p_d, chi_be), (t_star, skr_star) and the reach
+    assert [len(words) for words in lines] == [3, 2, 1]
+    assert all(math.isfinite(float(word)) for words in lines for word in words)

@@ -46,6 +46,15 @@ REFUSED = [
     (OptimizationGrid(), "t_steps", True),
     (OptimizationGrid(), "refine_iters", True),
     (OptimizationGrid(), "v_lo", 20.0),
+    # nor is a bool any length, noise or bound, though True == 1 and False == 0
+    (LinkGeometry(10.0, 2.0), "l_ac", True),
+    (LinkGeometry(10.0, 2.0), "l_bc", False),
+    (LinkGeometry(10.0, 2.0), "loss_mu", True),
+    (config(), "beta", True),
+    (config(), "eps_a", False),
+    (config(), "eps_b", True),
+    (OptimizationGrid(), "t_lo", False),
+    (OptimizationGrid(), "t_hi", True),
 ]
 
 

@@ -179,6 +179,9 @@ def test_rate_vs_distance_refuses_repeated_extra_eps():
         ("fig3", {"v_steps": 1}, "v_steps must be >= 2, got 1"),
         ("fig2", {"steps": 0}, "steps must be >= 2, got 0"),
         ("fig9b", {"l_steps": -3}, "l_steps must be >= 2, got -3"),
+        ("fig4", {"l_steps": 2, "extra_eps": 0.001}, "extra_eps must be a tuple or list"),
+        ("fig4", {"l_steps": 2, "extra_eps": "0.001"}, "extra_eps must be a tuple or list"),
+        ("fig4", {"l_steps": 2, "extra_eps": (True,)}, "eps_a must be a number, got True"),
     ],
 )
 def test_run_figure_refuses_before_any_evaluation(fid, overrides, message, monkeypatch):

@@ -24,9 +24,7 @@ from .keyrate import secret_key_rate
 _LAZY = {
     "optimize": "optimize",
     "scenarios": "scenarios",
-    "MaxDistance": "optimize",
     "OptimizationGrid": "optimize",
-    "TOptimum": "optimize",
     "beta_zero_crossing": "optimize",
     "max_distance": "optimize",
     "optimize_t": "optimize",
@@ -63,9 +61,7 @@ __all__ = [
     "ProtocolConfig",
     "evaluate_protocol",
     "secret_key_rate",
-    "MaxDistance",
     "OptimizationGrid",
-    "TOptimum",
     "max_distance",
     "optimize_t",
     "optimize_tv",

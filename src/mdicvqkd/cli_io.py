@@ -251,19 +251,21 @@ def _cmd_optimize(args) -> int:
     grid = OptimizationGrid._make(getattr(args, name) for name in OptimizationGrid._fields)
     fields = {"mode": mode, "grid": grid._asdict()}
     if mode == "t":
-        opt = optimize_t(cfg, grid)
-        fields.update(t_star=opt.t_star, skr_star=opt.skr_star, no_key=opt.no_key)
-        reported = cfg.at_t(opt.t_star)
+        t_star, best = optimize_t(cfg, grid)
+        no_key = not (best.physical and best.skr > 0.0)
+        fields.update(t_star=t_star, skr_star=best.skr, no_key=no_key)
+        reported = cfg.at_t(t_star)
     elif mode == "tv":
-        v_star, opt = optimize_tv(cfg, grid)
-        fields.update(t_star=opt.t_star, v_star=v_star, skr_star=opt.skr_star, no_key=opt.no_key)
-        reported = cfg.at_t(opt.t_star)._replace(variance_v=v_star)
+        v_star, (t_star, best) = optimize_tv(cfg, grid)
+        no_key = not (best.physical and best.skr > 0.0)
+        fields.update(t_star=t_star, v_star=v_star, skr_star=best.skr, no_key=no_key)
+        reported = cfg.at_t(t_star)._replace(variance_v=v_star)
     else:
-        md = max_distance(cfg, grid, tol_km=args.tol_km)
-        fields.update(max_distance_km=md.distance_km, no_key=md.no_key)
+        reach = max_distance(cfg, grid, tol_km=args.tol_km)
+        fields.update(max_distance_km=reach, no_key=reach == 0.0)
         # the search optimized T at every length, so judge the reach at its T*
-        reached = cfg._replace(geometry=cfg.geometry.scaled(md.distance_km))
-        reported = reached.at_t(best_rate(reached, grid).t_star)
+        reached = cfg._replace(geometry=cfg.geometry.scaled(reach))
+        reported = reached.at_t(best_rate(reached, grid)[0])
     _report(cfg, fields, reported)
     return 0
 

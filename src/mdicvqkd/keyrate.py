@@ -56,6 +56,10 @@ class ProtocolConfig(
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, scheme, zpc, variance_v, beta, eps_a, eps_b, geometry):
+        if not isinstance(scheme, Scheme):
+            raise ValueError(f"scheme must be a Scheme, got {scheme!r}")
+        if not isinstance(geometry, LinkGeometry):
+            raise ValueError(f"geometry must be a LinkGeometry, got {geometry!r}")
         if zpc is not None:
             ZpcSetting.on(zpc)
         refuse_bool(variance_v=variance_v, beta=beta, eps_a=eps_a, eps_b=eps_b)

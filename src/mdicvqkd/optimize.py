@@ -11,7 +11,6 @@ only trusted when it beats the coarse scan.
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
 from .channel import refuse_bool
 from .keyrate import KeyRateResult, ProtocolConfig, rate_over_t
@@ -79,18 +78,6 @@ class OptimizationGrid(
         return linspace(self.v_lo, self.v_hi, self.v_steps)
 
 
-class TOptimum(NamedTuple):
-    t_star: float
-    skr_star: float
-    result: KeyRateResult
-    no_key: bool
-
-
-class MaxDistance(NamedTuple):
-    distance_km: float
-    no_key: bool
-
-
 def _golden_max(f, key, lo: float, hi: float, iters: int):
     """Golden-section maximum of key(f(x)) on [lo, hi], as (x, f(x)).  Ties
     keep the left subinterval so the smaller argument wins; the search stops
@@ -154,16 +141,19 @@ def _best_t(config: ProtocolConfig, grid: OptimizationGrid, key) -> tuple[float,
     return _scan_and_refine(rate, key, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters)
 
 
-def best_rate(config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid()) -> TOptimum:
-    """The rate optimum over T (T = 1 when catalysis is off)."""
-    t_star, result = _best_t(config, grid, _skr)
-    skr = _skr(result)
-    return TOptimum(t_star, skr, result, not (skr > 0.0))
+def best_rate(
+    config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid()
+) -> tuple[float, KeyRateResult]:
+    """The rate optimum over T (T = 1 when catalysis is off), as (t*, the
+    result at t*); its skr is None where no T gives a physical state."""
+    return _best_t(config, grid, _skr)
 
 
-def optimize_t(config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid()) -> TOptimum:
-    """Transmittance maximizing the key rate, everything else fixed;
-    catalysis must be on."""
+def optimize_t(
+    config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid()
+) -> tuple[float, KeyRateResult]:
+    """Transmittance maximizing the key rate, everything else fixed, as
+    best_rate's (t*, result); catalysis must be on."""
     if config.zpc is None:
         raise ValueError("optimize_t requires an enabled catalysis setting")
     return best_rate(config, grid)
@@ -171,9 +161,9 @@ def optimize_t(config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid
 
 def optimize_tv(
     config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid()
-) -> tuple[float, TOptimum]:
+) -> tuple[float, tuple[float, KeyRateResult]]:
     """Joint optimum over source variance and (with catalysis on)
-    transmittance, as (v*, the T optimum at v*).
+    transmittance, as (v*, best_rate's (t*, result) at v*).
 
     A variance scan with best_rate inside, then golden refinement around
     the best bracket.  V is keyed by the rate where it is positive, else
@@ -181,11 +171,12 @@ def optimize_tv(
     unlike it, does not rise toward V = 1 past a narrow key window.
     """
 
-    def opt_at(v: float) -> TOptimum:
+    def opt_at(v: float) -> tuple[float, KeyRateResult]:
         return best_rate(config._replace(variance_v=v), grid)
 
-    def key(o: TOptimum) -> float:
-        return o.skr_star if o.skr_star > 0.0 else config.beta + _neg_ratio(o.result)
+    def key(opt: tuple[float, KeyRateResult]) -> float:
+        skr = _skr(opt[1])
+        return skr if skr > 0.0 else config.beta + _neg_ratio(opt[1])
 
     return _scan_and_refine(opt_at, key, grid.v_points(), grid.v_lo, grid.v_hi, grid.refine_iters)
 
@@ -210,23 +201,23 @@ def max_distance(
     config: ProtocolConfig,
     grid: OptimizationGrid = OptimizationGrid(),
     tol_km: float = TOL_KM,
-) -> MaxDistance:
-    """Largest total distance with a positive (T-optimized) key rate.
+) -> float:
+    """Largest total distance, km, with a positive (T-optimized) key rate.
 
     The arm ratio of config.geometry is preserved while the total length
     is scaled; the zero crossing is bracketed by doubling and then
-    bisected to tol_km.  Degenerate configs with no key even at zero
-    distance return 0 with the no_key flag set.
+    bisected to tol_km.  A config with no key even at zero length gives
+    0.0; every other config gives a reach above 0.
     """
     if not (tol_km > 0.0 and math.isfinite(tol_km)):
         raise ValueError(f"tol_km must be finite and > 0, got {tol_km}")
     base = config.geometry
 
     def rate_at(total_km: float) -> float:
-        return best_rate(config._replace(geometry=base.scaled(total_km)), grid).skr_star
+        return _skr(best_rate(config._replace(geometry=base.scaled(total_km)), grid)[1])
 
     if not (rate_at(0.0) > 0.0):
-        return MaxDistance(0.0, True)
+        return 0.0
     lo, hi = 0.0, max(base.total_km, 1.0)
     while rate_at(hi) > 0.0:
         lo, hi = hi, 2.0 * hi
@@ -240,4 +231,4 @@ def max_distance(
             lo = mid
         else:
             hi = mid
-    return MaxDistance(0.5 * (lo + hi), False)
+    return 0.5 * (lo + hi)

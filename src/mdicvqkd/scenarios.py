@@ -79,10 +79,10 @@ def _rate_table(
     rows, warn = [], False
     for point in points:
         cfg = make_config(*point)
-        opt = best_rate(cfg)
-        values = (_or_nan(getattr(opt.result, f)) for f in ("skr", *fields))
-        rows.append((*point, *values, opt.t_star))
-        warn = warn or cfg.at_t(opt.t_star).warn_domain
+        t_star, result = best_rate(cfg)
+        values = (_or_nan(getattr(result, f)) for f in ("skr", *fields))
+        rows.append((*point, *values, t_star))
+        warn = warn or cfg.at_t(t_star).warn_domain
     return Dataset(name, (*axes, "skr_bits_per_use", *fields, "t_star"), rows, warn)
 
 

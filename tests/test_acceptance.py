@@ -145,8 +145,8 @@ def test_criterion_06_reference_distances_relay_at_bob():
     start = time.perf_counter()
     eight = config_for(Variant.EIGHT_ZPC, Case.ASYMMETRIC, 10.0, variance_v=2.6)
     four = config_for(Variant.FOUR_ZPC, Case.ASYMMETRIC, 10.0, variance_v=2.5)
-    d8 = max_distance(eight).distance_km
-    d4 = max_distance(four).distance_km
+    d8 = max_distance(eight)
+    d4 = max_distance(four)
     elapsed = time.perf_counter() - start
     ok = 45.0 <= d8 <= 55.0 and 40.5 <= d4 <= 49.5 and d8 > d4 and elapsed < 60.0
     _report(
@@ -160,8 +160,8 @@ def test_criterion_06_reference_distances_relay_at_bob():
 def test_criterion_07_reference_distances_relay_midway():
     eight = config_for(Variant.EIGHT_ZPC, Case.SYMMETRIC, 1.0, variance_v=2.7)
     four = config_for(Variant.FOUR_ZPC, Case.SYMMETRIC, 1.0, variance_v=2.6)
-    d8 = max_distance(eight).distance_km
-    d4 = max_distance(four).distance_km
+    d8 = max_distance(eight)
+    d4 = max_distance(four)
     ok = 1.02 <= d8 <= 1.38 and 0.765 <= d4 <= 1.035
     _report(
         7,
@@ -195,7 +195,7 @@ def test_criterion_08_optimal_variances():
 def test_criterion_09_excess_noise_sensitivity():
     base = config_for(Variant.EIGHT_ZPC, Case.ASYMMETRIC, 10.0, variance_v=2.6)
     low = config_for(Variant.EIGHT_ZPC, Case.ASYMMETRIC, 10.0, variance_v=2.6, eps=0.0015)
-    gain = max_distance(low).distance_km - max_distance(base).distance_km
+    gain = max_distance(low) - max_distance(base)
     ok = 3.0 <= gain <= 7.0
     _report(9, ok, f"distance gain at eps 0.0015: {gain:.2f} km (want 5 +- 2)")
 
@@ -344,7 +344,7 @@ def test_criterion_13_relay_position_transition():
             eps_b=0.002,
             geometry=LinkGeometry(1.0, d),
         )
-        reach.append(max_distance(cfg, tol_km=0.01).distance_km)
+        reach.append(max_distance(cfg, tol_km=0.01))
     decreasing = all(reach[i + 1] < reach[i] for i in range(len(reach) - 1))
     rows = excess_noise_transition(l_steps=100).rows
     eps0 = {l: eps for l, d, eps in rows if d == 0.0}
@@ -367,7 +367,8 @@ def _tolerable_eps(variant: Variant, case: Case, distance_km: float) -> float:
     variant's preset variance with T optimized, bisected to 1e-8."""
 
     def has_key(eps: float) -> bool:
-        return best_rate(config_for(variant, case, distance_km, eps=eps)).skr_star > 0.0
+        _, result = best_rate(config_for(variant, case, distance_km, eps=eps))
+        return result.physical and result.skr > 0.0
 
     lo, hi = 0.0, DEFAULT_EPS
     while has_key(hi):
@@ -390,7 +391,7 @@ def test_criterion_14_tolerable_noise_and_rate():
     for case, case_distances in distances.items():
         for dist in case_distances:
             eps = {v: _tolerable_eps(v, case, dist) for v in Variant}
-            skr = {v: best_rate(config_for(v, case, dist)).skr_star for v in Variant}
+            skr = {v: best_rate(config_for(v, case, dist))[1].skr for v in Variant}
             where = f"{case.value} {dist:g} km"
             for table, name in ((eps, "eps"), (skr, "rate")):
                 best = table[Variant.EIGHT_ZPC]

@@ -574,6 +574,330 @@ def test_cli_optimize_t_grid_ends_on_its_bound(capsys):
     assert 0.1 < json.loads(out)["t_star"] <= 1.0
 
 
+# optimize stdout byte for byte in each mode: with a key, without one, and
+# (t) at a non-physical state, whose rate is written as null, all on
+# reduced grids; @VERSION@ and @WARNING@ as in KEYRATE_GOLDEN
+OPTIMIZE_GOLDEN = {
+    "t --zpc-t 0.5 --variance 2.6 --lac 20 --t-steps 20 --refine-iters 8": (
+        0,
+        """\
+{
+  "tool_version": "@VERSION@",
+  "config": {
+    "scheme": "eight",
+    "zpc_t": 0.5,
+    "variance": 2.6,
+    "beta": 0.95,
+    "eps_a": 0.002,
+    "eps_b": 0.002,
+    "lac": 20.0,
+    "lbc": 0.0,
+    "mu": 0.2
+  },
+  "mode": "t",
+  "grid": {
+    "t_lo": 0.01,
+    "t_hi": 1.0,
+    "t_steps": 20,
+    "v_lo": 1.01,
+    "v_hi": 10.0,
+    "v_steps": 200,
+    "refine_iters": 8
+  },
+  "t_star": 0.37500485192846894,
+  "skr_star": 0.008499250156189447,
+  "no_key": false,
+  "warnings": [
+    "@WARNING@"
+  ]
+}
+""",
+    ),
+    "t --variance 2.6 --lac 200 --t-steps 20 --refine-iters 8": (
+        0,
+        """\
+{
+  "tool_version": "@VERSION@",
+  "config": {
+    "scheme": "eight",
+    "zpc_t": 1.0,
+    "variance": 2.6,
+    "beta": 0.95,
+    "eps_a": 0.002,
+    "eps_b": 0.002,
+    "lac": 200.0,
+    "lbc": 0.0,
+    "mu": 0.2
+  },
+  "mode": "t",
+  "grid": {
+    "t_lo": 0.01,
+    "t_hi": 1.0,
+    "t_steps": 20,
+    "v_lo": 1.01,
+    "v_hi": 10.0,
+    "v_steps": 200,
+    "refine_iters": 8
+  },
+  "t_star": 0.010804931256822551,
+  "skr_star": -0.0025338013111606368,
+  "no_key": true,
+  "warnings": []
+}
+""",
+    ),
+    "t --scheme four --variance 1e300 --lac 10 --t-steps 4 --refine-iters 3": (
+        0,
+        """\
+{
+  "tool_version": "@VERSION@",
+  "config": {
+    "scheme": "four",
+    "zpc_t": 1.0,
+    "variance": 1e+300,
+    "beta": 0.95,
+    "eps_a": 0.002,
+    "eps_b": 0.002,
+    "lac": 10.0,
+    "lbc": 0.0,
+    "mu": 0.2
+  },
+  "mode": "t",
+  "grid": {
+    "t_lo": 0.01,
+    "t_hi": 1.0,
+    "t_steps": 4,
+    "v_lo": 1.01,
+    "v_hi": 10.0,
+    "v_steps": 200,
+    "refine_iters": 3
+  },
+  "t_star": 0.2575,
+  "skr_star": null,
+  "no_key": true,
+  "warnings": [
+    "@WARNING@"
+  ]
+}
+""",
+    ),
+    "tv --zpc-t 0.5 --variance 2 --lac 20 --v-steps 6 --t-steps 10 --refine-iters 4": (
+        0,
+        """\
+{
+  "tool_version": "@VERSION@",
+  "config": {
+    "scheme": "eight",
+    "zpc_t": 0.5,
+    "variance": 2.0,
+    "beta": 0.95,
+    "eps_a": 0.002,
+    "eps_b": 0.002,
+    "lac": 20.0,
+    "lbc": 0.0,
+    "mu": 0.2
+  },
+  "mode": "tv",
+  "grid": {
+    "t_lo": 0.01,
+    "t_hi": 1.0,
+    "t_steps": 10,
+    "v_lo": 1.01,
+    "v_hi": 10.0,
+    "v_steps": 6,
+    "refine_iters": 4
+  },
+  "t_star": 0.3936634320476874,
+  "v_star": 2.5074026825354623,
+  "skr_star": 0.008504348229724455,
+  "no_key": false,
+  "warnings": [
+    "@WARNING@"
+  ]
+}
+""",
+    ),
+    "tv --scheme eight --zpc-t off --eps 0.012355 --lac 0.05 --lbc 0.05 --v-steps 20": (
+        0,
+        """\
+{
+  "tool_version": "@VERSION@",
+  "config": {
+    "scheme": "eight",
+    "zpc_t": "off",
+    "variance": 1.5,
+    "beta": 0.95,
+    "eps_a": 0.012355,
+    "eps_b": 0.012355,
+    "lac": 0.05,
+    "lbc": 0.05,
+    "mu": 0.2
+  },
+  "mode": "tv",
+  "grid": {
+    "t_lo": 0.01,
+    "t_hi": 1.0,
+    "t_steps": 200,
+    "v_lo": 1.01,
+    "v_hi": 10.0,
+    "v_steps": 20,
+    "refine_iters": 30
+  },
+  "t_star": 1.0,
+  "v_star": 1.7727131743069833,
+  "skr_star": 6.268367898970562e-05,
+  "no_key": false,
+  "warnings": [
+    "@WARNING@"
+  ]
+}
+""",
+    ),
+    "tv --scheme four --zpc-t off --lac 200 --v-steps 5 --refine-iters 3": (
+        0,
+        """\
+{
+  "tool_version": "@VERSION@",
+  "config": {
+    "scheme": "four",
+    "zpc_t": "off",
+    "variance": 1.5,
+    "beta": 0.95,
+    "eps_a": 0.002,
+    "eps_b": 0.002,
+    "lac": 200.0,
+    "lbc": 0.0,
+    "mu": 0.2
+  },
+  "mode": "tv",
+  "grid": {
+    "t_lo": 0.01,
+    "t_hi": 1.0,
+    "t_steps": 200,
+    "v_lo": 1.01,
+    "v_hi": 10.0,
+    "v_steps": 5,
+    "refine_iters": 3
+  },
+  "t_star": 1.0,
+  "v_star": 10.0,
+  "skr_star": -0.010234022485442107,
+  "no_key": true,
+  "warnings": [
+    "@WARNING@"
+  ]
+}
+""",
+    ),
+    "distance --zpc-t 0.5 --variance 2.6 --lac 10 --t-steps 10 --refine-iters 4": (
+        0,
+        """\
+{
+  "tool_version": "@VERSION@",
+  "config": {
+    "scheme": "eight",
+    "zpc_t": 0.5,
+    "variance": 2.6,
+    "beta": 0.95,
+    "eps_a": 0.002,
+    "eps_b": 0.002,
+    "lac": 10.0,
+    "lbc": 0.0,
+    "mu": 0.2
+  },
+  "mode": "distance",
+  "grid": {
+    "t_lo": 0.01,
+    "t_hi": 1.0,
+    "t_steps": 10,
+    "v_lo": 1.01,
+    "v_hi": 10.0,
+    "v_steps": 200,
+    "refine_iters": 4
+  },
+  "max_distance_km": 45.33203125,
+  "no_key": false,
+  "warnings": []
+}
+""",
+    ),
+    "distance --zpc-t 0.5 --variance 2.7 --lac 1 --lbc 1 --t-steps 10 --refine-iters 4": (
+        0,
+        """\
+{
+  "tool_version": "@VERSION@",
+  "config": {
+    "scheme": "eight",
+    "zpc_t": 0.5,
+    "variance": 2.7,
+    "beta": 0.95,
+    "eps_a": 0.002,
+    "eps_b": 0.002,
+    "lac": 1.0,
+    "lbc": 1.0,
+    "mu": 0.2
+  },
+  "mode": "distance",
+  "grid": {
+    "t_lo": 0.01,
+    "t_hi": 1.0,
+    "t_steps": 10,
+    "v_lo": 1.01,
+    "v_hi": 10.0,
+    "v_steps": 200,
+    "refine_iters": 4
+  },
+  "max_distance_km": 0.765625,
+  "no_key": false,
+  "warnings": [
+    "@WARNING@"
+  ]
+}
+""",
+    ),
+    "distance --zpc-t off --variance 1.5 --eps 0.25 --lac 0": (
+        0,
+        """\
+{
+  "tool_version": "@VERSION@",
+  "config": {
+    "scheme": "eight",
+    "zpc_t": "off",
+    "variance": 1.5,
+    "beta": 0.95,
+    "eps_a": 0.25,
+    "eps_b": 0.25,
+    "lac": 0.0,
+    "lbc": 0.0,
+    "mu": 0.2
+  },
+  "mode": "distance",
+  "grid": {
+    "t_lo": 0.01,
+    "t_hi": 1.0,
+    "t_steps": 200,
+    "v_lo": 1.01,
+    "v_hi": 10.0,
+    "v_steps": 200,
+    "refine_iters": 30
+  },
+  "max_distance_km": 0.0,
+  "no_key": true,
+  "warnings": []
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", OPTIMIZE_GOLDEN)
+def test_cli_optimize_golden_bytes(flags, capsys):
+    code, out, _ = run_cli(["optimize", "--optimize", *flags.split()], capsys)
+    want_code, want = OPTIMIZE_GOLDEN[flags]
+    assert code == want_code
+    assert out == want.replace("@VERSION@", __version__).replace("@WARNING@", _DOMAIN_WARNING)
+
+
 # --- figure command ------------------------------------------------------
 
 

@@ -119,6 +119,6 @@ def test_readme_library_quick_start_runs():
     (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
     assert "optimize_t, max_distance" in block
     lines = [line.split() for line in run_fresh(block).splitlines()]
-    # (skr, p_d, chi_be), (t_star, skr_star) and the reach
+    # (skr, p_d, chi_be), (t_star, skr) and the reach
     assert [len(words) for words in lines] == [3, 2, 1]
     assert all(math.isfinite(float(word)) for words in lines for word in words)

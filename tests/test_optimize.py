@@ -10,7 +10,6 @@ from mdicvqkd.keyrate import ProtocolConfig, secret_key_rate
 from mdicvqkd.modulation import Scheme
 from mdicvqkd.optimize import (
     OptimizationGrid,
-    TOptimum,
     _golden_max,
     _scan_and_refine,
     best_rate,
@@ -134,20 +133,19 @@ def test_scan_and_refine_returns_the_object_f_made(peak, refined):
 
 
 def test_optimize_t_frozen_point():
-    opt = optimize_t(config())
-    assert not opt.no_key
-    assert opt.t_star == pytest.approx(0.3750390946409117, rel=1e-9)
-    assert opt.skr_star == pytest.approx(0.00849925022677363, rel=1e-9)
-    assert opt.result.skr == opt.skr_star
+    t_star, best = optimize_t(config())
+    assert best.physical
+    assert t_star == pytest.approx(0.3750390946409117, rel=1e-9)
+    assert best.skr == pytest.approx(0.00849925022677363, rel=1e-9)
 
 
 def test_optimize_t_beats_manual_sweep():
     cfg = config()
-    opt = optimize_t(cfg)
+    _, best = optimize_t(cfg)
     for i in range(1, 51):
         t = i / 50.0
         skr = secret_key_rate(cfg._replace(zpc=t)).skr
-        assert skr <= opt.skr_star + 1e-15
+        assert skr <= best.skr + 1e-15
 
 
 def test_optimize_t_requires_catalysis():
@@ -156,17 +154,17 @@ def test_optimize_t_requires_catalysis():
 
 
 def test_optimize_t_no_key_flag():
-    opt = optimize_t(config(l_ac=200.0))
-    assert opt.no_key
-    assert opt.skr_star < 0.0
+    _, best = optimize_t(config(l_ac=200.0))
+    assert best.physical and best.skr < 0.0
+    # a non-physical optimum has no rate at all: skr is None, as in keyrate
+    _, best = optimize_t(config(variance_v=1e300), OptimizationGrid(t_steps=4, refine_iters=3))
+    assert not best.physical
+    assert best.skr is None
 
 
 def test_best_rate_pins_plain_protocol_at_unit_t():
     cfg = config(zpc=None, variance_v=1.5)
-    opt = best_rate(cfg)
-    assert opt.t_star == 1.0
-    assert opt.skr_star == secret_key_rate(cfg).skr
-    assert opt.result == secret_key_rate(cfg)
+    assert best_rate(cfg) == (1.0, secret_key_rate(cfg))
 
 
 def test_best_rate_matches_optimize_t():
@@ -207,17 +205,17 @@ def test_every_search_reaches_the_scorer_through_rate_over_t(monkeypatch):
         assert calls == {"equivalent_channel": 1, "apply_zpc": 1}
 
 
-def _per_t_optimize_t(cfg: ProtocolConfig, grid: OptimizationGrid) -> TOptimum:
+def _per_t_optimize_t(cfg: ProtocolConfig, grid: OptimizationGrid):
     """Reference for optimize_t: a config and a full evaluation at every T."""
 
     def skr(t: float) -> float:
         r = secret_key_rate(cfg.at_t(t))
         return r.skr if r.physical else -math.inf
 
-    t_star, skr_star = _scan_and_refine(
+    t_star, _ = _scan_and_refine(
         skr, identity, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
     )
-    return TOptimum(t_star, skr_star, secret_key_rate(cfg.at_t(t_star)), not (skr_star > 0.0))
+    return t_star, secret_key_rate(cfg.at_t(t_star))
 
 
 def _per_t_beta_zero_crossing(cfg: ProtocolConfig, grid: OptimizationGrid):
@@ -252,48 +250,44 @@ def test_t_sweeps_match_the_per_t_path():
 def test_optimize_tv_frozen_point():
     cfg = config(zpc=None, variance_v=1.5, l_ac=25.0)
     cfg = cfg._replace(scheme=Scheme.FOUR)
-    v_star, opt = optimize_tv(cfg)
-    assert opt.t_star == 1.0
+    v_star, (t_star, best) = optimize_tv(cfg)
+    assert t_star == 1.0
     assert v_star == pytest.approx(1.4395566593036926, rel=1e-9)
-    assert not opt.no_key
-    assert opt == best_rate(cfg._replace(variance_v=v_star))
+    assert best.physical and best.skr > 0.0
+    assert (t_star, best) == best_rate(cfg._replace(variance_v=v_star))
 
 
 def test_optimize_tv_beats_variance_sweep():
     cfg = config(l_ac=30.0)
-    _, opt = optimize_tv(cfg)
+    _, (_, best) = optimize_tv(cfg)
     for v in (1.5, 2.0, 2.6, 3.5, 5.0):
-        assert best_rate(cfg._replace(variance_v=v)).skr_star <= opt.skr_star + 1e-15
+        assert best_rate(cfg._replace(variance_v=v))[1].skr <= best.skr + 1e-15
 
 
 def test_max_distance_brackets_the_crossing():
     cfg = config(l_ac=10.0)
-    md = max_distance(cfg)
-    assert not md.no_key
-    assert 40.0 < md.distance_km < 55.0
+    reach = max_distance(cfg)
+    assert 40.0 < reach < 55.0
     geom = cfg.geometry
-    above = cfg._replace(geometry=geom.scaled(md.distance_km - 0.2))
-    below = cfg._replace(geometry=geom.scaled(md.distance_km + 0.2))
-    assert best_rate(above).skr_star > 0.0
-    assert best_rate(below).skr_star < 0.0
+    above = cfg._replace(geometry=geom.scaled(reach - 0.2))
+    below = cfg._replace(geometry=geom.scaled(reach + 0.2))
+    assert best_rate(above)[1].skr > 0.0
+    assert best_rate(below)[1].skr < 0.0
 
 
 def test_max_distance_preserves_arm_ratio():
     cfg = config(variance_v=2.7, l_ac=1.0, l_bc=1.0)
-    md = max_distance(cfg)
-    assert not md.no_key
+    reach = max_distance(cfg)
     # the symmetric split collapses the reach to around a kilometre
-    assert 0.3 < md.distance_km < 1.5
-    arm = md.distance_km / 2.0
+    assert 0.3 < reach < 1.5
+    arm = reach / 2.0
     edge = cfg._replace(geometry=LinkGeometry(arm + 0.2, arm + 0.2))
-    assert best_rate(edge).skr_star < 0.0
+    assert best_rate(edge)[1].skr < 0.0
 
 
 def test_max_distance_no_key_at_zero():
     cfg = config(zpc=None, variance_v=1.5, eps=0.25, l_ac=0.0)
-    md = max_distance(cfg)
-    assert md.no_key
-    assert md.distance_km == 0.0
+    assert max_distance(cfg) == 0.0
 
 
 def test_max_distance_from_zero_length_scans_a_single_link():
@@ -312,8 +306,8 @@ def test_max_distance_tolerance_below_float_spacing_terminates():
     grid = OptimizationGrid(t_steps=20, refine_iters=3)
     fine = max_distance(cfg, grid, tol_km=1e-300)
     coarse = max_distance(cfg, grid)
-    assert not fine.no_key
-    assert abs(fine.distance_km - coarse.distance_km) < 0.05
+    assert fine > 0.0
+    assert abs(fine - coarse) < 0.05
 
 
 def test_deterministic_repeat():

@@ -55,6 +55,10 @@ REFUSED = [
     (config(), "eps_b", True),
     (OptimizationGrid(), "t_lo", False),
     (OptimizationGrid(), "t_hi", True),
+    # a scheme is a Scheme and a geometry a LinkGeometry, not its name or fields
+    (config(), "scheme", "eight"),
+    (config(), "geometry", (10.0, 0.0, 0.2)),
+    (config(), "geometry", None),
 ]
 
 

@@ -10,7 +10,7 @@ from mdicvqkd import optimize, scenarios
 from mdicvqkd.channel import LinkGeometry, equivalent_excess_noise
 from mdicvqkd.keyrate import KeyRateResult, evaluate_protocol
 from mdicvqkd.modulation import Scheme
-from mdicvqkd.optimize import TOptimum, beta_zero_crossing
+from mdicvqkd.optimize import beta_zero_crossing
 from mdicvqkd.presets import DEFAULT_BETA, OPTIMAL_V, geometry_for
 from mdicvqkd.scenarios import (
     BETA_SCAN_DISTANCES,
@@ -126,8 +126,7 @@ def _fixed_best_rate(skr: float, t_star: float):
     physical = math.isfinite(skr)
     x = 0.5 if physical else None
     result = KeyRateResult(1.0, x, x, x, x, x, skr if physical else None, physical)
-    opt = TOptimum(t_star=t_star, skr_star=skr, result=result, no_key=not (skr > 0.0))
-    return lambda cfg: opt
+    return lambda cfg: (t_star, result)
 
 
 def test_nonphysical_best_rate_written_as_nan(monkeypatch):

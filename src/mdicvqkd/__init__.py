@@ -14,7 +14,7 @@ from importlib import import_module
 from .modulation import Scheme, correlation_z, gaussian_z, lambdas
 from .zpc import ZpcSetting, apply_zpc
 from .channel import LinkGeometry, EquivalentChannel, equivalent_channel, equivalent_excess_noise
-from .channel import fiber_transmittance, optimal_g_sq
+from .channel import fiber_transmittance
 from .keyrate import KeyRateResult, NonPhysicalStateError, ProtocolConfig, evaluate_protocol
 from .keyrate import secret_key_rate
 
@@ -55,7 +55,6 @@ __all__ = [
     "equivalent_channel",
     "equivalent_excess_noise",
     "fiber_transmittance",
-    "optimal_g_sq",
     "KeyRateResult",
     "NonPhysicalStateError",
     "ProtocolConfig",

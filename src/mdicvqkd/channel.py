@@ -66,16 +66,6 @@ class LinkGeometry(namedtuple("LinkGeometry", "l_ac l_bc loss_mu")):
         return LinkGeometry(self.l_ac * f, self.l_bc * f, self.loss_mu)
 
 
-def optimal_g_sq(t_b: float, v_bob: float) -> float:
-    """Displacement gain g^2 = 2 (V_B - 1) / (T_B (V_B + 1)) that removes
-    the gain-mismatch noise term."""
-    if not (0.0 < t_b <= 1.0):
-        raise ValueError(f"t_b must be in (0, 1], got {t_b}")
-    if not (1.0 < v_bob < math.inf):
-        raise ValueError(f"v_bob must be finite and exceed 1, got {v_bob}")
-    return 2.0 * (v_bob - 1.0) / (t_b * (v_bob + 1.0))
-
-
 class EquivalentChannel(NamedTuple):
     """One-way channel equivalent to the relay topology."""
 
@@ -100,14 +90,16 @@ def equivalent_channel(
     """Collapse both links and Bob's modulation into one channel.
 
     v_bob is the variance of Bob's mode entering his fiber.  The gain is
-    the mismatch-cancelling g^2 of optimal_g_sq; any other gain would add
-    (T_B / T_A) (sqrt(2 (V_B - 1) / (g^2 T_B)) - sqrt(V_B + 1))^2 to eps_th.
+    the mismatch-cancelling g^2 of the module docstring; any other gain
+    would add that docstring's last term to eps_th.
     """
     if not (0.0 <= eps_a < math.inf and 0.0 <= eps_b < math.inf):
         raise ValueError(f"excess noise must be finite and >= 0, got {eps_a}, {eps_b}")
+    if not (1.0 < v_bob < math.inf):
+        raise ValueError(f"v_bob must be finite and exceed 1, got {v_bob}")
     t_a = fiber_transmittance(geometry.l_ac, geometry.loss_mu)
     t_b = fiber_transmittance(geometry.l_bc, geometry.loss_mu)
-    g_sq = optimal_g_sq(t_b, v_bob) if t_b > 0.0 else 0.0
+    g_sq = 2.0 * (v_bob - 1.0) / (t_b * (v_bob + 1.0)) if t_b > 0.0 else 0.0
     t_c = g_sq * t_a / 2.0
     if t_a == 0.0 or t_c == 0.0:
         # a link underflowed, or a subnormal t_a made the relay's output do so

@@ -4,9 +4,9 @@ Output contract: floats are written as the shortest decimal that parses
 back to the same value (integral values drop the trailing .0), CSV rows
 follow generation order (sorted by first axis), and repeated runs with
 the same inputs produce byte-identical CSV bodies.  Manifests carry the
-tool version, the resolved configuration, a timestamp, and any warnings;
-the timestamp is the only non-deterministic output and lives only in
-the manifest.
+tool version, the resolved configuration, a timestamp, any warnings and
+each dataset's count of rows outside the trusted domain; the timestamp
+is the only non-deterministic output and lives only in the manifest.
 """
 
 import argparse
@@ -159,7 +159,8 @@ def write_datasets(
     config_echo: dict,
     manifest_name: str = "manifest.json",
 ) -> list[Path]:
-    """Write one CSV per dataset plus the manifest they reference."""
+    """Write one CSV per dataset plus the manifest they reference, which
+    counts each dataset's rows outside the trusted domain."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -172,6 +173,7 @@ def write_datasets(
         "config_echo": config_echo,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         "warnings": [_DOMAIN_WARNING] if any(ds.warn_domain for ds in datasets) else [],
+        "rows_out_of_domain": {ds.name: ds.rows_out_of_domain for ds in datasets},
         "files": [p.name for p in paths],
     }
     manifest_path = out / manifest_name
@@ -292,11 +294,6 @@ _FIGURE_FLAGS = {
         "sym_per_arm",
         {"action": "store_true"},
         "report per-arm rather than total distance in symmetric figures",
-    ),
-    "--arm-diff": (
-        "arm_diff_axis",
-        {"action": "store_true"},
-        "report the arm difference l_ac-l_bc instead of the traversed total",
     ),
 }
 

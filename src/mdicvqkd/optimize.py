@@ -21,11 +21,18 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 TOL_KM = 0.05
 
 
+def check_steps(name: str, value: int, least: int) -> None:
+    """Refuse a step count that is no int (a bool is none) or is below least."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def linspace(lo: float, hi: float, steps: int) -> list[float]:
     """steps evenly spaced points from lo to hi; the last is hi itself,
     which lo + (hi - lo) * k / k can miss by an ulp."""
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
+    check_steps("steps", steps, 2)
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps - 1)] + [hi]
 
 
@@ -63,11 +70,7 @@ class OptimizationGrid(
         if not (1.0 < self.v_lo < self.v_hi):
             raise ValueError(f"need 1 < v_lo < v_hi, got [{self.v_lo}, {self.v_hi}]")
         for name, least in (("t_steps", 2), ("v_steps", 2), ("refine_iters", 0)):
-            n = getattr(self, name)
-            if not isinstance(n, int) or isinstance(n, bool):
-                raise ValueError(f"{name} must be an integer, got {n!r}")
-            if n < least:
-                raise ValueError(f"{name} must be >= {least}, got {n}")
+            check_steps(name, getattr(self, name), least)
         return self
 
     def t_points(self) -> list[float]:

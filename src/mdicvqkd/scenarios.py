@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .channel import LinkGeometry, equivalent_excess_noise
 from .modulation import Scheme, correlation_z
-from .optimize import best_rate, linspace
+from .optimize import best_rate, check_steps, linspace
 from .presets import DEFAULT_EPS, Case, Variant, config_for
 
 # Distance axis of the rate surfaces and distance curves, km.
@@ -35,14 +35,18 @@ EXTRA_EPS = {
 
 
 class Dataset(NamedTuple):
-    """One table: a name, a column header, and row tuples.  warn_domain
-    is set when any row was reported at a config outside the trusted
-    domain, judged at that row's T."""
+    """One table: a name, a column header, and row tuples.
+    rows_out_of_domain counts the rows reported at a config outside the
+    trusted domain, judged at that row's T."""
 
     name: str
     columns: tuple[str, ...]
     rows: list[tuple]
-    warn_domain: bool = False
+    rows_out_of_domain: int = 0
+
+    @property
+    def warn_domain(self) -> bool:
+        return self.rows_out_of_domain > 0
 
 
 def correlation_curves(steps: int = 200) -> Dataset:
@@ -76,14 +80,14 @@ def _rate_table(
     """One row per point: its axis values, the best rate over T at
     make_config(*point), the given KeyRateResult fields there, and that
     T.  Undefined values (no physical T) are written as nan."""
-    rows, warn = [], False
+    rows, out_of_domain = [], 0
     for point in points:
         cfg = make_config(*point)
         t_star, result = best_rate(cfg)
         values = (_or_nan(getattr(result, f)) for f in ("skr", *fields))
         rows.append((*point, *values, t_star))
-        warn = warn or cfg.at_t(t_star).warn_domain
-    return Dataset(name, (*axes, "skr_bits_per_use", *fields, "t_star"), rows, warn)
+        out_of_domain += cfg.at_t(t_star).warn_domain
+    return Dataset(name, (*axes, "skr_bits_per_use", *fields, "t_star"), rows, out_of_domain)
 
 
 def _best_rate_tables(
@@ -162,15 +166,15 @@ def rate_vs_beta(case: Case, beta_steps: int = 200, sym_per_arm: bool = False) -
     )
 
 
-def asymmetry_rate_curves(l_steps: int = 200, arm_diff_axis: bool = False) -> Dataset:
+def asymmetry_rate_curves(l_steps: int = 200) -> Dataset:
     """Eight-state catalysis rate at V = 2.7 versus distance as the relay
     slides from Bob toward the middle, over l_ac in [0, 50] km at each d
     of RELAY_POSITIONS; d is the ratio l_bc / l_ac.
 
-    The distance column is the Alice-Bob total l_ac (1 + d) by default;
-    arm_diff_axis reports the arm difference l_ac - l_bc = (1 - d) l_ac
-    instead.  Rows are sorted by distance then d; a non-finite best rate
-    is written as nan.
+    The distance column is the Alice-Bob total l_ac (1 + d), from which
+    the arm difference l_ac - l_bc = distance (1 - d) / (1 + d) follows.
+    Rows are sorted by distance then d; a non-finite best rate is
+    written as nan.
     """
     base = config_for(Variant.EIGHT_ZPC, Case.ASYMMETRIC, 0.0, variance_v=2.7)
     ds = _rate_table(
@@ -179,8 +183,8 @@ def asymmetry_rate_curves(l_steps: int = 200, arm_diff_axis: bool = False) -> Da
         [(l_ac, d) for d in RELAY_POSITIONS for l_ac in linspace(0.0, 50.0, l_steps)],
         lambda l_ac, d: base._replace(geometry=LinkGeometry(l_ac, d * l_ac)),
     )
-    # the rows carry l_ac until here; report the chosen distance, sorted
-    rows = [((1.0 - d) * l if arm_diff_axis else l * (1.0 + d), d, *r) for l, d, *r in ds.rows]
+    # the rows carry l_ac until here; report the total, sorted
+    rows = [(l * (1.0 + d), d, *r) for l, d, *r in ds.rows]
     return ds._replace(rows=sorted(rows, key=lambda r: (r[0], r[1])))
 
 
@@ -208,7 +212,7 @@ FIGURES = {
     "fig6": (rate_surface, (Case.SYMMETRIC,), ("v_steps", "l_steps"), ("sym_per_arm",)),
     "fig7": (rate_vs_distance, (Case.SYMMETRIC,), ("l_steps",), ("extra_eps", "sym_per_arm")),
     "fig8": (rate_vs_beta, (Case.SYMMETRIC,), ("beta_steps",), ("sym_per_arm",)),
-    "fig9a": (asymmetry_rate_curves, (), ("l_steps",), ("arm_diff_axis",)),
+    "fig9a": (asymmetry_rate_curves, (), ("l_steps",), ()),
     "fig9b": (excess_noise_transition, (), ("l_steps",), ()),
 }
 
@@ -230,8 +234,8 @@ def run_figure(figure_id: str, **overrides) -> list[Dataset]:
     """Build a registered figure's datasets.  figure_id is one of
     FIGURE_IDS, spelled as registered; the overrides are its `--steps`
     keys and optional keywords, as FIGURES lists them.  Any other keyword,
-    a step count that is no int or is below 2, and a bad extra_eps are
-    refused first."""
+    a step count that optimize.check_steps refuses below 2, and a bad
+    extra_eps are refused first."""
     try:
         build, args, step_keys, optional = FIGURES[figure_id]
     except KeyError:
@@ -242,9 +246,7 @@ def run_figure(figure_id: str, **overrides) -> list[Dataset]:
             if takers:
                 raise ValueError(f"{key} applies only to {takers}")
             raise ValueError(f"{figure_id} takes no keyword {key}")
-        if key in step_keys and type(value) is not int:  # bool is no step count
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-        if key in step_keys and value < 2:
-            raise ValueError(f"{key} must be >= 2, got {value}")
+        if key in step_keys:
+            check_steps(key, value, 2)
     out = build(*args, **overrides)
     return out if isinstance(out, list) else [out]

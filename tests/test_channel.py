@@ -10,7 +10,6 @@ from mdicvqkd.channel import (
     equivalent_channel,
     equivalent_excess_noise,
     fiber_transmittance,
-    optimal_g_sq,
 )
 
 
@@ -51,13 +50,20 @@ def test_geometry_scaling_preserves_arm_ratio():
     assert z.scaled(5.0) == LinkGeometry(5.0, 0.0)
 
 
+def _closed_form_g_sq(t_b: float, v: float) -> float:
+    return 2.0 * (v - 1.0) / (t_b * (v + 1.0))
+
+
 def test_optimal_gain():
-    # g^2 = 2 (v - 1) / (t_b (v + 1))
-    assert optimal_g_sq(1.0, 3.0) == pytest.approx(1.0, rel=1e-15)
-    assert optimal_g_sq(0.5, 3.0) == pytest.approx(2.0, rel=1e-15)
-    for bad in (0.0, 1.5, math.nan):
-        with pytest.raises(ValueError, match=r"t_b must be in \(0, 1\]"):
-            optimal_g_sq(bad, 3.0)
+    # g^2 = 2 (v - 1) / (t_b (v + 1)): 1 with the relay at Bob, 2 at t_b = 1/2
+    at_bob = equivalent_channel(LinkGeometry(10.0, 0.0), 0.002, 0.002, v_bob=3.0)
+    assert at_bob.g_sq == pytest.approx(1.0, rel=1e-15)
+    halving = LinkGeometry(10.0, 50.0 * math.log10(2.0))  # 3.01 dB: t_b = 1/2
+    halved = equivalent_channel(halving, 0.002, 0.002, v_bob=3.0)
+    assert halved.t_b == pytest.approx(0.5, rel=1e-15)
+    assert halved.g_sq == pytest.approx(2.0, rel=1e-15)
+    for chan in (at_bob, halved):
+        assert chan.g_sq == _closed_form_g_sq(chan.t_b, 3.0)
 
 
 def test_extreme_asymmetric_noise_identity():
@@ -82,7 +88,7 @@ def test_optimal_gain_cancels_mismatch():
     geom = LinkGeometry(12.0, 7.0)
     v = 2.4
     chan = equivalent_channel(geom, 0.002, 0.002, v_bob=v)
-    assert chan.g_sq == optimal_g_sq(chan.t_b, v)
+    assert chan.g_sq == _closed_form_g_sq(chan.t_b, v)
     # the gain zeroes the mismatch term of the general eps_th ...
     root = math.sqrt(2.0 * (v - 1.0) / (chan.g_sq * chan.t_b)) - math.sqrt(v + 1.0)
     assert root == pytest.approx(0.0, abs=1e-12)
@@ -134,10 +140,10 @@ def test_validation():
 
 def test_non_finite_inputs_are_refused():
     # each returned nan or inf before it was refused
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            optimal_g_sq(0.5, bad)
     geom = LinkGeometry(10.0, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="v_bob must be finite and exceed 1"):
+            equivalent_channel(geom, 0.002, 0.002, v_bob=bad)
     for eps in ((0.0, math.inf), (math.inf, 0.0)):
         with pytest.raises(ValueError, match="finite"):
             equivalent_channel(geom, *eps, v_bob=2.0)

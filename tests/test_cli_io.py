@@ -25,6 +25,7 @@ from mdicvqkd.cli_io import (
     write_datasets,
 )
 from mdicvqkd.modulation import Scheme
+from mdicvqkd.presets import Case, Variant, config_for
 from mdicvqkd.scenarios import FIGURES, Dataset
 
 
@@ -158,6 +159,8 @@ def test_load_scenario_file(tmp_path):
 
 # Exit code, stdout and stderr of the help texts and the top-level errors,
 # keyed by argv; argparse wraps to the terminal, so they hold at COLUMNS=80.
+# Regenerate the file from the repository root with:
+# COLUMNS=80 PYTHONPATH=src python3 -c 'import json, subprocess, sys; p = "tests/cli_help_golden.json"; run = lambda a: subprocess.run([sys.executable, "-m", "mdicvqkd.cli_io", *a.split()], capture_output=True, text=True); json.dump({a: [(r := run(a)).returncode, r.stdout, r.stderr] for a in json.load(open(p))}, open(p, "w"), indent=1)'
 HELP_GOLDEN = json.loads(Path(__file__).with_name("cli_help_golden.json").read_text("utf-8"))
 
 
@@ -940,6 +943,9 @@ def test_cli_figure_steps_set_registered_axes(fid, tmp_path, capsys):
     # fig2 and fig9b evaluate no protocol; each rate figure has a reported
     # point outside the domain (fig7's eight-state curve runs at V_M = 0.8)
     assert manifest["warnings"] == ([] if fid in ("fig2", "fig9b") else [_DOMAIN_WARNING])
+    counts = manifest["rows_out_of_domain"]
+    assert {f"{name}.csv" for name in counts} == set(manifest["files"])
+    assert (sum(counts.values()) > 0) == bool(manifest["warnings"])
     # the axis --steps leaves alone: four preset distances, five relay positions
     fixed = {"fig5": 4, "fig8": 4, "fig9a": 5, "fig9b": 5}.get(fid, 1)
     for name in manifest["files"]:
@@ -960,6 +966,26 @@ def test_cli_figure_matches_reference_digests(fid, tmp_path, capsys):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha, name
 
 
+def test_cli_figure_manifest_counts_rows_outside_the_domain(tmp_path, capsys):
+    # each fig4 dataset counts its rows whose config, at the row's t*, lies
+    # outside the trusted domain
+    code, _, err = run_cli(["figure", "fig4", "--steps", "3", "--out", str(tmp_path)], capsys)
+    assert code == 0, err
+    counts = json.loads((tmp_path / "fig4_manifest.json").read_text())["rows_out_of_domain"]
+    want = {}
+    for path in sorted(tmp_path.glob("fig4_*.csv")):
+        name = path.stem
+        variant, _, eps = name.removeprefix("fig4_").partition("_eps")
+        eps = {"eps": float(eps)} if eps else {}
+        want[name] = 0
+        for line in path.read_text().splitlines()[2:]:
+            distance, *_, t_star = map(float, line.split(","))
+            cfg = config_for(Variant(variant), Case.ASYMMETRIC, distance, **eps)
+            want[name] += cfg.at_t(t_star).warn_domain
+    assert counts == want
+    assert 0 < sum(counts.values()) < 3 * len(counts)
+
+
 def test_cli_figure_flag_scoping(tmp_path, capsys):
     code, _, err = run_cli(["figure", "fig2", "--extra-eps", "0.001"], capsys)
     assert code == 1
@@ -967,7 +993,6 @@ def test_cli_figure_flag_scoping(tmp_path, capsys):
     for flag, echo, takers in (
         (["--extra-eps", "0.001"], {"extra_eps": [0.001]}, {"fig4", "fig7"}),
         (["--per-arm"], {"sym_per_arm": True}, {"fig6", "fig7", "fig8"}),
-        (["--arm-diff"], {"arm_diff_axis": True}, {"fig9a"}),
     ):
         for fid in FIGURE_IDS:
             argv = ["figure", fid, "--steps", "2", *flag, "--out", str(tmp_path)]

@@ -158,7 +158,6 @@ FLAG_VALUES = {
         st.one_of(_number(0.0, 0.01), _number(0.0, 1e308)), min_size=1, max_size=3
     ).map(",".join),
     "sym_per_arm": st.just(True),
-    "arm_diff_axis": st.just(True),
 }
 HOSTILE_FIGURE = st.one_of(
     st.just({}),
@@ -168,7 +167,6 @@ HOSTILE_FIGURE = st.one_of(
             "steps": HOSTILE.filter(lambda s: (_as_int(s) or 0) <= 3),
             "extra_eps": HOSTILE,
             "sym_per_arm": st.just(True),
-            "arm_diff_axis": st.just(True),
         },
     ),
 )

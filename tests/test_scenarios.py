@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 
 import pytest
 
@@ -10,12 +11,14 @@ from mdicvqkd import optimize, scenarios
 from mdicvqkd.channel import LinkGeometry, equivalent_excess_noise
 from mdicvqkd.keyrate import KeyRateResult, evaluate_protocol
 from mdicvqkd.modulation import Scheme
-from mdicvqkd.optimize import beta_zero_crossing
+from mdicvqkd.optimize import OptimizationGrid, beta_zero_crossing, linspace, max_distance
 from mdicvqkd.presets import DEFAULT_BETA, OPTIMAL_V, geometry_for
 from mdicvqkd.scenarios import (
     BETA_SCAN_DISTANCES,
     DEFAULT_EPS,
+    EXTRA_EPS,
     FIGURES,
+    L_MAX,
     RELAY_POSITIONS,
     Case,
     Variant,
@@ -167,7 +170,7 @@ def test_rate_vs_distance_refuses_repeated_extra_eps():
     "fid, overrides, message",
     [
         ("fig3", {"sym_per_arm": True}, "sym_per_arm applies only to fig6/fig7/fig8"),
-        ("fig9b", {"arm_diff_axis": True}, "arm_diff_axis applies only to fig9a"),
+        ("fig9a", {"arm_diff_axis": True}, "fig9a takes no keyword arm_diff_axis"),
         ("fig4", {"v_steps": 2}, "v_steps applies only to fig3/fig6"),
         ("fig2", {"foo": 1}, "fig2 takes no keyword foo"),
         ("fig4", {"extra_eps": (math.nan,)}, "excess noise must be finite and >= 0, got nan"),
@@ -191,6 +194,54 @@ def test_run_figure_refuses_before_any_evaluation(fid, overrides, message, monke
     with pytest.raises(ValueError, match=message):
         run_figure(fid, **overrides)
     assert calls == []
+
+
+class _Count(int):
+    """An int subclass, as an IntEnum member is."""
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        (_Count(3), None),
+        (3.0, "must be an integer, got 3.0"),
+        (True, "must be an integer, got True"),
+        (1, "must be >= 2, got 1"),
+    ],
+)
+def test_step_counts_follow_one_rule(value, error):
+    # a grid, a figure and linspace take or refuse each count alike
+    for name, call in (
+        ("t_steps", lambda: OptimizationGrid(t_steps=value)),
+        ("steps", lambda: run_figure("fig2", steps=value)),
+        ("steps", lambda: linspace(0.0, 1.0, value)),
+    ):
+        if error is None:
+            call()
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {error}')}$"):
+                call()
+
+
+def test_no_figure_clips_its_key_region():
+    # each figure's distance axis reaches past the key region of its curves,
+    # at the V ends of fig3/fig6, the beta = 1 end of fig5/fig8 and the extra
+    # eps of fig4/fig7; every config starts at the axis end, since a
+    # zero-length geometry would stretch as one Alice-relay link
+    for case in Case:
+        configs = [
+            config_for(variant, case, L_MAX[case], **setting)
+            for variant in Variant
+            for setting in ({"variance_v": 1.05}, {"variance_v": 10.0}, {"beta": 1.0})
+        ]
+        configs += [
+            config_for(Variant.EIGHT_ZPC, case, L_MAX[case], eps=eps) for eps in EXTRA_EPS[case]
+        ]
+        for cfg in configs:
+            assert max_distance(cfg) < L_MAX[case], cfg
+    # fig9a's relay at Bob (d = 0) loses its key before l_ac = 50 km
+    at_bob = config_for(Variant.EIGHT_ZPC, Case.ASYMMETRIC, 50.0, variance_v=2.7)
+    assert max_distance(at_bob) < 50.0
 
 
 def test_beta_zero_crossing_plain():
@@ -224,11 +275,9 @@ def test_asymmetry_curveset():
     assert len(ds.rows) == 20
     axis = [(r[0], r[1]) for r in ds.rows]
     assert axis == sorted(axis)
-    # default distance convention: traversed total l_ac (1 + d), l_ac up to 50 km
+    # the one distance convention: traversed total l_ac (1 + d), l_ac up to 50 km
     top = max(r[0] for r in ds.rows if r[1] == 0.5)
     assert top == pytest.approx(75.0, rel=1e-12)
-    diff = asymmetry_rate_curves(l_steps=4, arm_diff_axis=True)
-    assert max(r[0] for r in diff.rows if r[1] == 0.5) == pytest.approx(25.0, rel=1e-12)
 
 
 def test_excess_noise_curveset():

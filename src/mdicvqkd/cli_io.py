@@ -282,29 +282,12 @@ def _eps_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(msg) from None
 
 
-# Figure flags -> (the optional builder keyword each sets, its argparse
-# options, its help); the help ends with the figures that take the flag.
-_FIGURE_FLAGS = {
-    "--extra-eps": (
-        "extra_eps",
-        {"metavar": "E1,E2,...", "type": _eps_list},
-        "extra excess-noise curves for the best variant",
-    ),
-    "--per-arm": (
-        "sym_per_arm",
-        {"action": "store_true"},
-        "report per-arm rather than total distance in symmetric figures",
-    ),
-}
-
-
 def _figure_overrides(args) -> dict:
     """run_figure keyword arguments from the figure flags given; run_figure
     refuses a keyword the figure does not take."""
     from .scenarios import FIGURES
 
-    given = ((key, getattr(args, key)) for key, _, _ in _FIGURE_FLAGS.values())
-    overrides = {key: value for key, value in given if value not in (None, False)}
+    overrides = {} if args.extra_eps is None else {"extra_eps": args.extra_eps}
     if args.steps is not None:
         overrides.update(dict.fromkeys(FIGURES[args.figure_id][2], args.steps))
     return overrides
@@ -344,8 +327,12 @@ def _figure_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("figure_id", choices=FIGURE_IDS)
     p.add_argument("--out", default=".", help="output directory (default .)")
     p.add_argument("--steps", type=int, help="points along the primary axis")
-    for flag, (key, options, help_text) in _FIGURE_FLAGS.items():
-        p.add_argument(flag, dest=key, help=f"{help_text} ({figures_taking(key)})", **options)
+    p.add_argument(
+        "--extra-eps",
+        metavar="E1,E2,...",
+        type=_eps_list,
+        help=f"extra excess-noise curves for the best variant ({figures_taking('extra_eps')})",
+    )
 
 
 # Subcommands -> (help, the function adding their flags, the function running them).
@@ -373,7 +360,13 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    parser = build_parser(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # a subcommand given first reports them, with the usage of its flags
+        (args.subparser if argv[0] == args.command else parser).error(
+            f"unrecognized arguments: {' '.join(unknown)}"
+        )
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:

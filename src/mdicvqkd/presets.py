@@ -51,17 +51,15 @@ OPTIMAL_V = {
 }
 
 
-def geometry_for(case: Case, distance_km: float, sym_per_arm: bool = False) -> LinkGeometry:
+def geometry_for(case: Case, distance_km: float) -> LinkGeometry:
     """Link geometry whose reported distance is distance_km.
 
     Asymmetric: the whole span is the Alice-relay link.  Symmetric: the
-    distance is the Alice-Bob total split in half, unless sym_per_arm
-    makes it the length of each arm instead.
+    distance is the Alice-Bob total split in half.
     """
     if case is Case.ASYMMETRIC:
         return LinkGeometry(distance_km, 0.0)
-    arm = distance_km if sym_per_arm else distance_km / 2.0
-    return LinkGeometry(arm, arm)
+    return LinkGeometry(distance_km / 2.0, distance_km / 2.0)
 
 
 def config_for(
@@ -71,7 +69,6 @@ def config_for(
     variance_v: float | None = None,
     beta: float = DEFAULT_BETA,
     eps: float = DEFAULT_EPS,
-    sym_per_arm: bool = False,
 ) -> ProtocolConfig:
     """Preset configuration for one variant; T starts at 1 (optimizers
     and sweeps replace it)."""
@@ -84,5 +81,5 @@ def config_for(
         beta=beta,
         eps_a=eps,
         eps_b=eps,
-        geometry=geometry_for(case, distance_km, sym_per_arm),
+        geometry=geometry_for(case, distance_km),
     )

@@ -2,8 +2,7 @@
 
 Each study builds its configs with presets.config_for, where the
 conventions are declared.  The asymmetric layout reports l_ac; the
-symmetric layout reports the total distance, or the per-arm length
-when asked, since either axis convention appears in practice.
+symmetric layout reports the total distance.
 """
 
 import math
@@ -101,9 +100,7 @@ def _best_rate_tables(
     ]
 
 
-def rate_surface(
-    case: Case, v_steps: int = 100, l_steps: int = 100, sym_per_arm: bool = False
-) -> list[Dataset]:
+def rate_surface(case: Case, v_steps: int = 100, l_steps: int = 100) -> list[Dataset]:
     """Rate over the (variance, distance) plane, one table per variant.
 
     Variances sample [1.05, 10] and distances [0, L_MAX[case]];
@@ -119,15 +116,12 @@ def rate_surface(
         _figure_id(rate_surface, case),
         ("variance_v", "distance_km"),
         points,
-        lambda variant, v, l: config_for(variant, case, l, variance_v=v, sym_per_arm=sym_per_arm),
+        lambda variant, v, l: config_for(variant, case, l, variance_v=v),
     )
 
 
 def rate_vs_distance(
-    case: Case,
-    l_steps: int = 200,
-    extra_eps: tuple[float, ...] | None = None,
-    sym_per_arm: bool = False,
+    case: Case, l_steps: int = 200, extra_eps: tuple[float, ...] | None = None
 ) -> list[Dataset]:
     """Rate against distance at each variant's preset variance, plus the
     best variant rerun at alternative excess noises."""
@@ -144,16 +138,14 @@ def rate_vs_distance(
     name, axes = _figure_id(rate_vs_distance, case), ("distance_km",)
     distances = [(l,) for l in linspace(0.0, L_MAX[case], l_steps)]
     fields = ("p_d", "i_ab", "chi_be")
-    out = _best_rate_tables(
-        name, axes, distances, lambda v, l: config_for(v, case, l, sym_per_arm=sym_per_arm), fields
-    )
+    out = _best_rate_tables(name, axes, distances, lambda v, l: config_for(v, case, l), fields)
     for eps in extra_eps:
-        at_eps = partial(config_for, Variant.EIGHT_ZPC, case, eps=eps, sym_per_arm=sym_per_arm)
+        at_eps = partial(config_for, Variant.EIGHT_ZPC, case, eps=eps)
         out.append(_rate_table(f"{name}_eight_zpc_eps{eps!r}", axes, distances, at_eps, fields))
     return out
 
 
-def rate_vs_beta(case: Case, beta_steps: int = 200, sym_per_arm: bool = False) -> list[Dataset]:
+def rate_vs_beta(case: Case, beta_steps: int = 200) -> list[Dataset]:
     """Rate against reconciliation efficiency in [0.8, 1] at the preset
     distances, transmittance re-optimized at every point."""
     betas = linspace(0.8, 1.0, beta_steps)
@@ -162,7 +154,7 @@ def rate_vs_beta(case: Case, beta_steps: int = 200, sym_per_arm: bool = False) -
         _figure_id(rate_vs_beta, case),
         ("distance_km", "beta"),
         points,
-        lambda variant, l, beta: config_for(variant, case, l, beta=beta, sym_per_arm=sym_per_arm),
+        lambda variant, l, beta: config_for(variant, case, l, beta=beta),
     )
 
 
@@ -209,9 +201,9 @@ FIGURES = {
     "fig3": (rate_surface, (Case.ASYMMETRIC,), ("v_steps", "l_steps"), ()),
     "fig4": (rate_vs_distance, (Case.ASYMMETRIC,), ("l_steps",), ("extra_eps",)),
     "fig5": (rate_vs_beta, (Case.ASYMMETRIC,), ("beta_steps",), ()),
-    "fig6": (rate_surface, (Case.SYMMETRIC,), ("v_steps", "l_steps"), ("sym_per_arm",)),
-    "fig7": (rate_vs_distance, (Case.SYMMETRIC,), ("l_steps",), ("extra_eps", "sym_per_arm")),
-    "fig8": (rate_vs_beta, (Case.SYMMETRIC,), ("beta_steps",), ("sym_per_arm",)),
+    "fig6": (rate_surface, (Case.SYMMETRIC,), ("v_steps", "l_steps"), ()),
+    "fig7": (rate_vs_distance, (Case.SYMMETRIC,), ("l_steps",), ("extra_eps",)),
+    "fig8": (rate_vs_beta, (Case.SYMMETRIC,), ("beta_steps",), ()),
     "fig9a": (asymmetry_rate_curves, (), ("l_steps",), ()),
     "fig9b": (excess_noise_transition, (), ("l_steps",), ()),
 }

@@ -992,7 +992,6 @@ def test_cli_figure_flag_scoping(tmp_path, capsys):
     assert "fig4" in err
     for flag, echo, takers in (
         (["--extra-eps", "0.001"], {"extra_eps": [0.001]}, {"fig4", "fig7"}),
-        (["--per-arm"], {"sym_per_arm": True}, {"fig6", "fig7", "fig8"}),
     ):
         for fid in FIGURE_IDS:
             argv = ["figure", fid, "--steps", "2", *flag, "--out", str(tmp_path)]
@@ -1031,15 +1030,17 @@ def test_cli_figure_unwritable_dir(tmp_path, capsys):
     [
         ("figure fig2 --steps 1", "steps must be >= 2"),
         ("figure fig4 --steps 2 --extra-eps 0.001,0.001", "extra_eps repeats 0.001"),
-        ("figure fig3 --steps 2 --per-arm", "sym_per_arm applies only to fig6/fig7/fig8"),
+        ("figure fig3 --steps 2 --extra-eps 0.001", "extra_eps applies only to fig4/fig7"),
         ("figure fig4 --steps 2 --extra-eps nan", "excess noise must be finite"),
         ("optimize --optimize t --zpc-t off", "catalysis"),
         ("figure fig2 --steps 2 --out blocker", "cannot write to blocker"),
+        ("figure fig6 --steps 2 --per-arm", "unrecognized arguments: --per-arm"),
     ],
 )
 def test_cli_library_refusals_leave_through_main(argv, message, tmp_path, monkeypatch, capsys):
-    # the library refuses these inputs; the CLI reports its refusal as it
-    # reports a bad flag: the usage, then one error line, and exit 1
+    # the library refuses these inputs, and argparse a flag no figure
+    # takes; each leaves as a bad flag does: the usage, then one error
+    # line, and exit 1
     monkeypatch.chdir(tmp_path)
     (tmp_path / "blocker").write_text("x", encoding="utf-8")
     argv = argv.split()

@@ -11,7 +11,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdicvqkd.cli_io import _FIGURE_FLAGS, _SCENARIO_KEYS, main
+from mdicvqkd.cli_io import _SCENARIO_KEYS, main
 from mdicvqkd.scenarios import FIGURE_IDS, FIGURES
 
 HOSTILE = st.one_of(
@@ -152,12 +152,11 @@ def _as_int(text: str):
 # --steps text, --extra-eps text and flags the figure may not take.  An
 # integer above 3 is a valid but slow --steps, so hostile text never
 # parses to one.
-FIGURE_FLAGS = {"steps": "--steps", **{key: flag for flag, (key, _, _) in _FIGURE_FLAGS.items()}}
+FIGURE_FLAGS = {"steps": "--steps", "extra_eps": "--extra-eps"}
 FLAG_VALUES = {
     "extra_eps": st.lists(
         st.one_of(_number(0.0, 0.01), _number(0.0, 1e308)), min_size=1, max_size=3
     ).map(",".join),
-    "sym_per_arm": st.just(True),
 }
 HOSTILE_FIGURE = st.one_of(
     st.just({}),
@@ -166,7 +165,6 @@ HOSTILE_FIGURE = st.one_of(
         optional={
             "steps": HOSTILE.filter(lambda s: (_as_int(s) or 0) <= 3),
             "extra_eps": HOSTILE,
-            "sym_per_arm": st.just(True),
         },
     ),
 )
@@ -187,7 +185,7 @@ def _figure_call(fid: str):
 def test_figure_flags_keep_the_cli_contract(call):
     fid, steps, flags, hostile = call
     flags = {"steps": steps, **flags, **hostile}
-    argv = [FIGURE_FLAGS[k] if v is True else f"{FIGURE_FLAGS[k]}={v}" for k, v in flags.items()]
+    argv = [f"{FIGURE_FLAGS[k]}={v}" for k, v in flags.items()]
     eps = flags.get("extra_eps", "0").split(",")
     valid = (
         not {"steps", "extra_eps"} & hostile.keys()

@@ -2,7 +2,7 @@
 optimizer and figure layers only when a command runs them, never
 dataclasses, whose import pulls in inspect, ast, dis and tokenize, and
 nothing outside the standard library.  And the README's library quick
-start runs as written."""
+start runs as written, and its figure table names each figure's flags."""
 
 import ast
 import json
@@ -122,3 +122,21 @@ def test_readme_library_quick_start_runs():
     # (skr, p_d, chi_be), (t_star, skr) and the reach
     assert [len(words) for words in lines] == [3, 2, 1]
     assert all(math.isfinite(float(word)) for words in lines for word in words)
+
+
+def test_readme_figure_table_lists_the_figure_flags():
+    # each row's "other flags" cell is the set of figure flags whose
+    # keyword the figure takes, as FIGURES and the figure parser say
+    from mdicvqkd.cli_io import build_parser
+    from mdicvqkd.scenarios import FIGURE_IDS, FIGURES
+
+    readme = Path(__file__).resolve().parents[1].joinpath("README.md").read_text("utf-8")
+    rows = [line.split("|")[1:-1] for line in readme.splitlines() if line.startswith("| fig")]
+    table = {cells[0].strip(): set(re.findall(r"`(--[\w-]+)`", cells[-1])) for cells in rows}
+    assert list(table) == list(FIGURE_IDS)
+    for fid, flags in table.items():
+        actions = build_parser(["figure"]).parse_args(["figure", fid]).subparser._actions
+        optional = FIGURES[fid][3]
+        assert set(optional) <= {action.dest for action in actions}, fid
+        taking = (action.option_strings for action in actions if action.dest in optional)
+        assert flags == {flag for strings in taking for flag in strings}, fid

@@ -45,8 +45,6 @@ def test_geometry_conventions():
     assert (asym.l_ac, asym.l_bc) == (30.0, 0.0)
     sym = geometry_for(Case.SYMMETRIC, 30.0)
     assert (sym.l_ac, sym.l_bc) == (15.0, 15.0)
-    per_arm = geometry_for(Case.SYMMETRIC, 30.0, sym_per_arm=True)
-    assert (per_arm.l_ac, per_arm.l_bc) == (30.0, 30.0)
 
 
 def test_config_presets():
@@ -169,7 +167,7 @@ def test_rate_vs_distance_refuses_repeated_extra_eps():
 @pytest.mark.parametrize(
     "fid, overrides, message",
     [
-        ("fig3", {"sym_per_arm": True}, "sym_per_arm applies only to fig6/fig7/fig8"),
+        ("fig6", {"sym_per_arm": True}, "fig6 takes no keyword sym_per_arm"),
         ("fig9a", {"arm_diff_axis": True}, "fig9a takes no keyword arm_diff_axis"),
         ("fig4", {"v_steps": 2}, "v_steps applies only to fig3/fig6"),
         ("fig2", {"foo": 1}, "fig2 takes no keyword foo"),

@@ -5,8 +5,9 @@ back to the same value (integral values drop the trailing .0), CSV rows
 follow generation order (sorted by first axis), and repeated runs with
 the same inputs produce byte-identical CSV bodies.  Manifests carry the
 tool version, the resolved configuration, a timestamp, any warnings and
-each dataset's count of rows outside the trusted domain; the timestamp
-is the only non-deterministic output and lives only in the manifest.
+each dataset's count of rows outside the trusted domain, and of those
+with a key; the timestamp is the only non-deterministic output and lives
+only in the manifest.
 """
 
 import argparse
@@ -160,7 +161,8 @@ def write_datasets(
     manifest_name: str = "manifest.json",
 ) -> list[Path]:
     """Write one CSV per dataset plus the manifest they reference, which
-    counts each dataset's rows outside the trusted domain."""
+    counts each dataset's rows outside the trusted domain, and those of
+    them with a key."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -174,6 +176,7 @@ def write_datasets(
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         "warnings": [_DOMAIN_WARNING] if any(ds.warn_domain for ds in datasets) else [],
         "rows_out_of_domain": {ds.name: ds.rows_out_of_domain for ds in datasets},
+        "key_rows_out_of_domain": {ds.name: ds.key_rows_out_of_domain for ds in datasets},
         "files": [p.name for p in paths],
     }
     manifest_path = out / manifest_name
@@ -272,33 +275,13 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _eps_list(text: str) -> tuple[float, ...]:
-    """The --extra-eps value parsed as comma-separated numbers; the figure
-    itself refuses a bad or repeated value before any evaluation."""
-    try:
-        return tuple(float(s) for s in text.split(","))
-    except ValueError:
-        msg = f"expects comma-separated numbers, got {text!r}"
-        raise argparse.ArgumentTypeError(msg) from None
-
-
-def _figure_overrides(args) -> dict:
-    """run_figure keyword arguments from the figure flags given; run_figure
-    refuses a keyword the figure does not take."""
-    from .scenarios import FIGURES
-
-    overrides = {} if args.extra_eps is None else {"extra_eps": args.extra_eps}
-    if args.steps is not None:
-        overrides.update(dict.fromkeys(FIGURES[args.figure_id][2], args.steps))
-    return overrides
-
-
 def _cmd_figure(args) -> int:
-    from .scenarios import run_figure
+    from .scenarios import FIGURES, run_figure
 
-    overrides = _figure_overrides(args)
-    datasets = run_figure(args.figure_id, **overrides)
-    echo = {"figure": args.figure_id, **overrides}
+    # --steps sets every step key of the figure
+    steps = {} if args.steps is None else dict.fromkeys(FIGURES[args.figure_id][2], args.steps)
+    datasets = run_figure(args.figure_id, **steps)
+    echo = {"figure": args.figure_id, **steps}
     try:
         # one manifest per figure so several runs can share a directory
         paths = write_datasets(datasets, args.out, echo, f"{args.figure_id}_manifest.json")
@@ -322,17 +305,11 @@ def _optimize_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _figure_flags(p: argparse.ArgumentParser) -> None:
-    from .scenarios import FIGURE_IDS, figures_taking
+    from .scenarios import FIGURE_IDS
 
     p.add_argument("figure_id", choices=FIGURE_IDS)
     p.add_argument("--out", default=".", help="output directory (default .)")
     p.add_argument("--steps", type=int, help="points along the primary axis")
-    p.add_argument(
-        "--extra-eps",
-        metavar="E1,E2,...",
-        type=_eps_list,
-        help=f"extra excess-noise curves for the best variant ({figures_taking('extra_eps')})",
-    )
 
 
 # Subcommands -> (help, the function adding their flags, the function running them).

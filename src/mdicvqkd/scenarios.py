@@ -36,12 +36,14 @@ EXTRA_EPS = {
 class Dataset(NamedTuple):
     """One table: a name, a column header, and row tuples.
     rows_out_of_domain counts the rows reported at a config outside the
-    trusted domain, judged at that row's T."""
+    trusted domain, judged at that row's T, and key_rows_out_of_domain
+    those of them with a key."""
 
     name: str
     columns: tuple[str, ...]
     rows: list[tuple]
     rows_out_of_domain: int = 0
+    key_rows_out_of_domain: int = 0
 
     @property
     def warn_domain(self) -> bool:
@@ -79,14 +81,17 @@ def _rate_table(
     """One row per point: its axis values, the best rate over T at
     make_config(*point), the given KeyRateResult fields there, and that
     T.  Undefined values (no physical T) are written as nan."""
-    rows, out_of_domain = [], 0
+    rows, out_of_domain, key_out_of_domain = [], 0, 0
     for point in points:
         cfg = make_config(*point)
         t_star, result = best_rate(cfg)
         values = (_or_nan(getattr(result, f)) for f in ("skr", *fields))
         rows.append((*point, *values, t_star))
-        out_of_domain += cfg.at_t(t_star).warn_domain
-    return Dataset(name, (*axes, "skr_bits_per_use", *fields, "t_star"), rows, out_of_domain)
+        if cfg.at_t(t_star).warn_domain:
+            out_of_domain += 1
+            key_out_of_domain += result.physical and result.skr > 0.0
+    columns = (*axes, "skr_bits_per_use", *fields, "t_star")
+    return Dataset(name, columns, rows, out_of_domain, key_out_of_domain)
 
 
 def _best_rate_tables(
@@ -120,26 +125,14 @@ def rate_surface(case: Case, v_steps: int = 100, l_steps: int = 100) -> list[Dat
     )
 
 
-def rate_vs_distance(
-    case: Case, l_steps: int = 200, extra_eps: tuple[float, ...] | None = None
-) -> list[Dataset]:
+def rate_vs_distance(case: Case, l_steps: int = 200) -> list[Dataset]:
     """Rate against distance at each variant's preset variance, plus the
-    best variant rerun at alternative excess noises."""
-    if extra_eps is None:
-        extra_eps = EXTRA_EPS[case]
-    if not isinstance(extra_eps, (tuple, list)):
-        raise ValueError(f"extra_eps must be a tuple or list of numbers, got {extra_eps!r}")
-    for i, eps in enumerate(extra_eps):
-        # each value names one curve and its file; building that curve's
-        # config refuses a bad value before any curve is evaluated
-        config_for(Variant.EIGHT_ZPC, case, 0.0, eps=eps)
-        if eps in extra_eps[:i]:
-            raise ValueError(f"extra_eps repeats {eps!r}")
+    best variant rerun at each extra excess noise of EXTRA_EPS[case]."""
     name, axes = _figure_id(rate_vs_distance, case), ("distance_km",)
     distances = [(l,) for l in linspace(0.0, L_MAX[case], l_steps)]
     fields = ("p_d", "i_ab", "chi_be")
     out = _best_rate_tables(name, axes, distances, lambda v, l: config_for(v, case, l), fields)
-    for eps in extra_eps:
+    for eps in EXTRA_EPS[case]:
         at_eps = partial(config_for, Variant.EIGHT_ZPC, case, eps=eps)
         out.append(_rate_table(f"{name}_eight_zpc_eps{eps!r}", axes, distances, at_eps, fields))
     return out
@@ -195,17 +188,17 @@ def excess_noise_transition(l_steps: int = 200) -> Dataset:
 
 
 # The figures: id -> (builder, its fixed positional arguments, the keyword
-# arguments `--steps` sets, the optional keyword arguments it accepts).
+# arguments `--steps` sets).
 FIGURES = {
-    "fig2": (correlation_curves, (), ("steps",), ()),
-    "fig3": (rate_surface, (Case.ASYMMETRIC,), ("v_steps", "l_steps"), ()),
-    "fig4": (rate_vs_distance, (Case.ASYMMETRIC,), ("l_steps",), ("extra_eps",)),
-    "fig5": (rate_vs_beta, (Case.ASYMMETRIC,), ("beta_steps",), ()),
-    "fig6": (rate_surface, (Case.SYMMETRIC,), ("v_steps", "l_steps"), ()),
-    "fig7": (rate_vs_distance, (Case.SYMMETRIC,), ("l_steps",), ("extra_eps",)),
-    "fig8": (rate_vs_beta, (Case.SYMMETRIC,), ("beta_steps",), ()),
-    "fig9a": (asymmetry_rate_curves, (), ("l_steps",), ()),
-    "fig9b": (excess_noise_transition, (), ("l_steps",), ()),
+    "fig2": (correlation_curves, (), ("steps",)),
+    "fig3": (rate_surface, (Case.ASYMMETRIC,), ("v_steps", "l_steps")),
+    "fig4": (rate_vs_distance, (Case.ASYMMETRIC,), ("l_steps",)),
+    "fig5": (rate_vs_beta, (Case.ASYMMETRIC,), ("beta_steps",)),
+    "fig6": (rate_surface, (Case.SYMMETRIC,), ("v_steps", "l_steps")),
+    "fig7": (rate_vs_distance, (Case.SYMMETRIC,), ("l_steps",)),
+    "fig8": (rate_vs_beta, (Case.SYMMETRIC,), ("beta_steps",)),
+    "fig9a": (asymmetry_rate_curves, (), ("l_steps",)),
+    "fig9b": (excess_noise_transition, (), ("l_steps",)),
 }
 
 FIGURE_IDS = tuple(FIGURES)
@@ -217,28 +210,18 @@ def _figure_id(builder, *args) -> str:
     return next(fid for fid, fig in FIGURES.items() if fig[:2] == (builder, args))
 
 
-def figures_taking(keyword: str) -> str:
-    """The ids of the figures that take keyword, joined by '/'."""
-    return "/".join(fid for fid, fig in FIGURES.items() if keyword in fig[2] + fig[3])
-
-
-def run_figure(figure_id: str, **overrides) -> list[Dataset]:
+def run_figure(figure_id: str, **steps) -> list[Dataset]:
     """Build a registered figure's datasets.  figure_id is one of
-    FIGURE_IDS, spelled as registered; the overrides are its `--steps`
-    keys and optional keywords, as FIGURES lists them.  Any other keyword,
-    a step count that optimize.check_steps refuses below 2, and a bad
-    extra_eps are refused first."""
+    FIGURE_IDS, spelled as registered; the keywords are its `--steps`
+    keys, as FIGURES lists them.  Any other keyword, and a step count
+    that optimize.check_steps refuses below 2, are refused first."""
     try:
-        build, args, step_keys, optional = FIGURES[figure_id]
+        build, args, step_keys = FIGURES[figure_id]
     except KeyError:
         raise ValueError(f"unknown figure id {figure_id!r}") from None
-    for key, value in overrides.items():
-        if key not in step_keys + optional:
-            takers = figures_taking(key)
-            if takers:
-                raise ValueError(f"{key} applies only to {takers}")
+    for key, value in steps.items():
+        if key not in step_keys:
             raise ValueError(f"{figure_id} takes no keyword {key}")
-        if key in step_keys:
-            check_steps(key, value, 2)
-    out = build(*args, **overrides)
+        check_steps(key, value, 2)
+    out = build(*args, **steps)
     return out if isinstance(out, list) else [out]

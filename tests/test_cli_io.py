@@ -356,8 +356,6 @@ def test_cli_rejects_non_finite(capsys):
         ("keyrate --lac 16200", "transmittance underflowed to zero"),
         # the loss, not the length, drives this link's transmittance to zero
         ("keyrate --mu 1e308 --lac 1", "a 1e+308 dB link: its transmittance underflowed to zero"),
-        ("figure fig4 --extra-eps nan", "excess noise must be finite"),
-        ("figure fig4 --extra-eps 0.001,-1", "excess noise must be finite"),
         (f"{distance} --tol-km nan", "tol_km must be finite"),
         (f"{distance} --tol-km inf", "tol_km must be finite"),
         ("optimize --optimize tv --v-hi inf", "v_hi must be finite"),
@@ -967,54 +965,46 @@ def test_cli_figure_matches_reference_digests(fid, tmp_path, capsys):
 
 
 def test_cli_figure_manifest_counts_rows_outside_the_domain(tmp_path, capsys):
-    # each fig4 dataset counts its rows whose config, at the row's t*, lies
-    # outside the trusted domain
-    code, _, err = run_cli(["figure", "fig4", "--steps", "3", "--out", str(tmp_path)], capsys)
-    assert code == 0, err
-    counts = json.loads((tmp_path / "fig4_manifest.json").read_text())["rows_out_of_domain"]
-    want = {}
-    for path in sorted(tmp_path.glob("fig4_*.csv")):
-        name = path.stem
-        variant, _, eps = name.removeprefix("fig4_").partition("_eps")
-        eps = {"eps": float(eps)} if eps else {}
-        want[name] = 0
-        for line in path.read_text().splitlines()[2:]:
-            distance, *_, t_star = map(float, line.split(","))
-            cfg = config_for(Variant(variant), Case.ASYMMETRIC, distance, **eps)
-            want[name] += cfg.at_t(t_star).warn_domain
-    assert counts == want
-    assert 0 < sum(counts.values()) < 3 * len(counts)
+    # each fig4 and fig7 dataset counts its rows whose config, at the row's
+    # t*, lies outside the trusted domain, and those of them with a key
+    totals = {}
+    for fid, case in (("fig4", Case.ASYMMETRIC), ("fig7", Case.SYMMETRIC)):
+        argv = ["figure", fid, "--steps", "3", "--out", str(tmp_path)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+        manifest = json.loads((tmp_path / f"{fid}_manifest.json").read_text())
+        counts, key_counts = manifest["rows_out_of_domain"], manifest["key_rows_out_of_domain"]
+        want, want_key = {}, {}
+        for path in sorted(tmp_path.glob(f"{fid}_*.csv")):
+            name = path.stem
+            variant, _, eps = name.removeprefix(f"{fid}_").partition("_eps")
+            eps = {"eps": float(eps)} if eps else {}
+            want[name] = want_key[name] = 0
+            for line in path.read_text().splitlines()[2:]:
+                distance, skr, *_, t_star = map(float, line.split(","))
+                cfg = config_for(Variant(variant), case, distance, **eps)
+                outside = cfg.at_t(t_star).warn_domain
+                want[name] += outside
+                want_key[name] += outside and skr > 0.0  # nan, a non-physical rate, is no key
+        assert counts == want and key_counts == want_key, fid
+        assert 0 < sum(counts.values()) < 3 * len(counts), fid
+        totals[fid] = sum(key_counts.values()), sum(counts.values())
+    # at 3 points every fig4 row outside the domain has a key; not so in fig7
+    assert 0 < totals["fig4"][0] == totals["fig4"][1]
+    assert 0 < totals["fig7"][0] < totals["fig7"][1]
 
 
 def test_cli_figure_flag_scoping(tmp_path, capsys):
-    code, _, err = run_cli(["figure", "fig2", "--extra-eps", "0.001"], capsys)
-    assert code == 1
-    assert "fig4" in err
-    for flag, echo, takers in (
-        (["--extra-eps", "0.001"], {"extra_eps": [0.001]}, {"fig4", "fig7"}),
-    ):
-        for fid in FIGURE_IDS:
-            argv = ["figure", fid, "--steps", "2", *flag, "--out", str(tmp_path)]
-            code, out, err = run_cli(argv, capsys)
-            if fid in takers:
-                assert code == 0, argv
-                manifest = json.loads((tmp_path / f"{fid}_manifest.json").read_text())
-                assert echo.items() <= manifest["config_echo"].items()
-            else:
-                assert code == 1, argv
-                assert out == "" and "applies only" in err
+    # --steps and --out are the only figure flags: the extra excess noises
+    # of fig4 and fig7 are fixed, and no figure takes --extra-eps
+    for fid in FIGURE_IDS:
+        argv = ["figure", fid, "--steps", "2", "--extra-eps", "0.001", "--out", str(tmp_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1, argv
+        assert out == "" and "unrecognized arguments: --extra-eps" in err
+    assert list(tmp_path.iterdir()) == []
     code, _, _ = run_cli(["figure", "nope"], capsys)
     assert code == 1
-
-
-def test_cli_figure_refuses_repeated_extra_eps(tmp_path, capsys):
-    # each --extra-eps value names one curve and its file; -0.0 equals 0
-    for value, repeated in (("0.001,0.001,1e-3", "0.001"), ("-0.0,0", "0.0")):
-        argv = ["figure", "fig4", "--steps", "2", f"--extra-eps={value}", "--out", str(tmp_path)]
-        code, out, err = run_cli(argv, capsys)
-        assert code == 1 and out == ""
-        assert err.splitlines()[-1].endswith(f"error: extra_eps repeats {repeated}")
-        assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_figure_unwritable_dir(tmp_path, capsys):
@@ -1029,12 +1019,10 @@ def test_cli_figure_unwritable_dir(tmp_path, capsys):
     "argv, message",
     [
         ("figure fig2 --steps 1", "steps must be >= 2"),
-        ("figure fig4 --steps 2 --extra-eps 0.001,0.001", "extra_eps repeats 0.001"),
-        ("figure fig3 --steps 2 --extra-eps 0.001", "extra_eps applies only to fig4/fig7"),
-        ("figure fig4 --steps 2 --extra-eps nan", "excess noise must be finite"),
         ("optimize --optimize t --zpc-t off", "catalysis"),
         ("figure fig2 --steps 2 --out blocker", "cannot write to blocker"),
         ("figure fig6 --steps 2 --per-arm", "unrecognized arguments: --per-arm"),
+        ("figure fig7 --extra-eps 0.001", "unrecognized arguments: --extra-eps"),
     ],
 )
 def test_cli_library_refusals_leave_through_main(argv, message, tmp_path, monkeypatch, capsys):

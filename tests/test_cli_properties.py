@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdicvqkd.cli_io import _SCENARIO_KEYS, main
-from mdicvqkd.scenarios import FIGURE_IDS, FIGURES
+from mdicvqkd.scenarios import FIGURE_IDS
 
 HOSTILE = st.one_of(
     st.floats().map(repr),
@@ -146,18 +146,11 @@ def _as_int(text: str):
         return None
 
 
-# The figure flags, --steps among them, by keyword.  A drawn figure call takes --steps
-# 2 or 3 and values of the flags its figure takes, which are valid unless
-# an --extra-eps list repeats a value, and possibly hostile overrides:
-# --steps text, --extra-eps text and flags the figure may not take.  An
-# integer above 3 is a valid but slow --steps, so hostile text never
+# A drawn figure call takes --steps 2 or 3, and possibly hostile
+# overrides: --steps text, and --extra-eps text, a flag no figure takes.
+# An integer above 3 is a valid but slow --steps, so hostile text never
 # parses to one.
 FIGURE_FLAGS = {"steps": "--steps", "extra_eps": "--extra-eps"}
-FLAG_VALUES = {
-    "extra_eps": st.lists(
-        st.one_of(_number(0.0, 0.01), _number(0.0, 1e308)), min_size=1, max_size=3
-    ).map(",".join),
-}
 HOSTILE_FIGURE = st.one_of(
     st.just({}),
     st.fixed_dictionaries(
@@ -170,28 +163,11 @@ HOSTILE_FIGURE = st.one_of(
 )
 
 
-def _figure_call(fid: str):
-    takes = FIGURES[fid][3]
-    return st.tuples(
-        st.just(fid),
-        st.sampled_from(["2", "3"]),
-        st.fixed_dictionaries({}, optional={key: FLAG_VALUES[key] for key in takes}),
-        HOSTILE_FIGURE,
-    )
-
-
 @settings(max_examples=50)
-@given(st.sampled_from(FIGURE_IDS).flatmap(_figure_call))
-def test_figure_flags_keep_the_cli_contract(call):
-    fid, steps, flags, hostile = call
-    flags = {"steps": steps, **flags, **hostile}
+@given(st.sampled_from(FIGURE_IDS), st.sampled_from(["2", "3"]), HOSTILE_FIGURE)
+def test_figure_flags_keep_the_cli_contract(fid, steps, hostile):
+    flags = {"steps": steps, **hostile}
     argv = [f"{FIGURE_FLAGS[k]}={v}" for k, v in flags.items()]
-    eps = flags.get("extra_eps", "0").split(",")
-    valid = (
-        not {"steps", "extra_eps"} & hostile.keys()
-        and len({float(e) for e in eps}) == len(eps)
-        and flags.keys() - {"steps"} <= set(FIGURES[fid][3])
-    )
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -201,8 +177,10 @@ def test_figure_flags_keep_the_cli_contract(call):
                 code = exc.code
         assert code in (0, 1), (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
-        if valid:
+        if not hostile:
             assert code == 0, (fid, argv, err.getvalue())
+        if "extra_eps" in hostile:
+            assert code == 1, argv
         if code == 1:
             assert out.getvalue() == "", argv
             return

@@ -153,15 +153,18 @@ def test_dataset_warn_domain_judged_at_t_star(monkeypatch):
     assert not asymmetry_rate_curves(l_steps=2).warn_domain
     monkeypatch.setattr(scenarios, "best_rate", _fixed_best_rate(1.0, 1.0))
     assert asymmetry_rate_curves(l_steps=2).warn_domain
-    curves = rate_vs_distance(Case.SYMMETRIC, l_steps=2, extra_eps=())
-    assert [ds.warn_domain for ds in curves] == [False, True, True, True]  # V = 1.5/1.8/2.6/2.7
+    curves = rate_vs_distance(Case.SYMMETRIC, l_steps=2)
+    # V = 1.5/1.8/2.6/2.7, then the three extra-noise curves at V = 2.7
+    assert [ds.warn_domain for ds in curves] == [False, True, True, True, True, True, True]
+    # every such row has a key here; without one it counts only as out of domain
+    assert [ds.key_rows_out_of_domain for ds in curves] == [0, 2, 2, 2, 2, 2, 2]
+    monkeypatch.setattr(scenarios, "best_rate", _fixed_best_rate(-1.0, 1.0))
+    curves = rate_vs_distance(Case.SYMMETRIC, l_steps=2)
+    assert [(ds.rows_out_of_domain, ds.key_rows_out_of_domain) for ds in curves[:2]] == [
+        (0, 0),
+        (2, 0),
+    ]
     assert not correlation_curves(steps=2).warn_domain
-
-
-def test_rate_vs_distance_refuses_repeated_extra_eps():
-    # each extra excess noise names one curve and its file
-    with pytest.raises(ValueError, match="repeats 0.001"):
-        run_figure("fig4", l_steps=2, extra_eps=(0.001, 0.001))
 
 
 @pytest.mark.parametrize(
@@ -169,24 +172,23 @@ def test_rate_vs_distance_refuses_repeated_extra_eps():
     [
         ("fig6", {"sym_per_arm": True}, "fig6 takes no keyword sym_per_arm"),
         ("fig9a", {"arm_diff_axis": True}, "fig9a takes no keyword arm_diff_axis"),
-        ("fig4", {"v_steps": 2}, "v_steps applies only to fig3/fig6"),
+        ("fig4", {"v_steps": 2}, "fig4 takes no keyword v_steps"),
         ("fig2", {"foo": 1}, "fig2 takes no keyword foo"),
-        ("fig4", {"extra_eps": (math.nan,)}, "excess noise must be finite and >= 0, got nan"),
-        ("fig4", {"extra_eps": (0.001, math.inf)}, "excess noise must be finite"),
-        ("fig4", {"extra_eps": (-1.0,)}, "excess noise must be finite"),
+        ("fig4", {"extra_eps": (math.nan,)}, "fig4 takes no keyword extra_eps"),
+        ("fig4", {"extra_eps": (0.001, math.inf)}, "fig4 takes no keyword extra_eps"),
+        ("fig4", {"extra_eps": (-1.0,)}, "fig4 takes no keyword extra_eps"),
         ("fig2", {"steps": 2.0}, "steps must be an integer, got 2.0"),
         ("fig3", {"v_steps": True}, "v_steps must be an integer, got True"),
         ("fig3", {"v_steps": 1}, "v_steps must be >= 2, got 1"),
         ("fig2", {"steps": 0}, "steps must be >= 2, got 0"),
         ("fig9b", {"l_steps": -3}, "l_steps must be >= 2, got -3"),
-        ("fig4", {"l_steps": 2, "extra_eps": 0.001}, "extra_eps must be a tuple or list"),
-        ("fig4", {"l_steps": 2, "extra_eps": "0.001"}, "extra_eps must be a tuple or list"),
-        ("fig4", {"l_steps": 2, "extra_eps": (True,)}, "eps_a must be a number, got True"),
+        ("fig4", {"l_steps": 2, "extra_eps": (0.001,)}, "fig4 takes no keyword extra_eps"),
     ],
 )
 def test_run_figure_refuses_before_any_evaluation(fid, overrides, message, monkeypatch):
-    # a keyword the figure does not take, or a bad extra excess noise, is
-    # refused before the first rate is evaluated
+    # a keyword outside the figure's --steps keys, the extra excess noises
+    # (fixed by EXTRA_EPS) among them, is refused before the first rate is
+    # evaluated
     calls = []
     monkeypatch.setattr(scenarios, "best_rate", lambda cfg: calls.append(cfg))
     with pytest.raises(ValueError, match=message):
@@ -302,12 +304,13 @@ def test_excess_noise_curveset():
 def test_run_figure_dispatch():
     (ds,) = run_figure("fig2", steps=10)
     assert ds.name == "fig2"
-    out = run_figure("fig7", l_steps=3, extra_eps=())
+    out = run_figure("fig7", l_steps=3)
     assert [d.name for d in out] == [
         "fig7_four",
         "fig7_eight",
         "fig7_four_zpc",
         "fig7_eight_zpc",
+        *(f"fig7_eight_zpc_eps{eps!r}" for eps in EXTRA_EPS[Case.SYMMETRIC]),
     ]
     with pytest.raises(ValueError):
         run_figure("fig1")
@@ -317,13 +320,13 @@ def test_run_figure_dispatch():
 
 
 def test_builders_take_only_what_the_figure_command_sets():
-    # a builder's keywords are exactly the --steps keys and flags of the
-    # figure ids registered to it, so the study axes have one setting
+    # a builder's keywords are exactly the --steps keys of the figure ids
+    # registered to it, so the study axes have one setting
     taken = {}
-    for build, args, step_keys, optional in FIGURES.values():
+    for build, args, step_keys in FIGURES.values():
         entry = taken.setdefault(build, (len(args), set()))
         assert entry[0] == len(args), build.__name__
-        entry[1].update(step_keys, optional)
+        entry[1].update(step_keys)
     for build, (n_fixed, keys) in taken.items():
         params = list(inspect.signature(build).parameters)[n_fixed:]
         assert set(params) == keys, build.__name__

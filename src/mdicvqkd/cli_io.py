@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .keyrate import DOMAIN_V_M_MAX, ProtocolConfig, evaluate_protocol
+from .keyrate import DOMAIN_V_M_MAX, VARIANCE_MAX, ProtocolConfig, evaluate_protocol
 from .modulation import Scheme
 from .presets import Case, Variant, config_for
 
@@ -51,7 +51,7 @@ DEFAULT_CONFIG = config_for(Variant.EIGHT, Case.ASYMMETRIC, 0.0)
 _SCENARIO_KEYS = {
     "scheme": ("scheme", "modulation constellation: " + ", ".join(s.value for s in Scheme)),
     "zpc_t": ("zpc", "catalysis beam-splitter transmittance T in (0,1], or 'off'"),
-    "variance": ("variance_v", "source variance V > 1"),
+    "variance": ("variance_v", f"source variance V in (1, {VARIANCE_MAX:g}]"),
     "beta": ("beta", "reconciliation efficiency in (0,1]"),
     "eps": ("eps_a eps_b", "excess noise for both links"),
     "eps_a": ("eps_a", "excess noise of the Alice-relay link"),

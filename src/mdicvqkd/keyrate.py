@@ -29,6 +29,10 @@ KAPPA_TOL = 1e-9
 # is within about 2e-13 and is kept, so every rate there keeps its digits.
 _G_CANCELS = 1e3
 
+# Largest source variance accepted: alpha^2 = 500 there, where every weight is
+# 1/M, and the scorer's products of size V^2 still keep their O(1) differences.
+VARIANCE_MAX = 1001.0
+
 # Proven security region of the discrete-modulation argument: the
 # effective modulation variance reaching the channel has to stay small
 # for the Gaussian-channel reduction to hold.
@@ -63,8 +67,8 @@ class ProtocolConfig(
         if zpc is not None:
             ZpcSetting.on(zpc)
         refuse_bool(variance_v=variance_v, beta=beta, eps_a=eps_a, eps_b=eps_b)
-        if not (variance_v > 1.0 and math.isfinite(variance_v)):
-            raise ValueError(f"variance_v must be > 1, got {variance_v}")
+        if not (1.0 < variance_v <= VARIANCE_MAX):
+            raise ValueError(f"variance_v must be in (1, {VARIANCE_MAX:g}], got {variance_v}")
         if not (0.0 < beta <= 1.0):
             raise ValueError(f"beta must be in (0, 1], got {beta}")
         for eps in (eps_a, eps_b):
@@ -78,11 +82,9 @@ class ProtocolConfig(
 
     @property
     def warn_domain(self) -> bool:
-        """True when a discrete constellation's effective modulation variance
-        T V_M leaves the region where its security argument is proven;
-        evaluation still proceeds.  Gaussian modulation has no such bound."""
-        discrete = self.scheme is not Scheme.GAUSSIAN
-        return discrete and self.t * (self.variance_v - 1.0) > DOMAIN_V_M_MAX
+        """True when the effective modulation variance T V_M leaves the region
+        where the security argument is proven; evaluation still proceeds."""
+        return self.t * (self.variance_v - 1.0) > DOMAIN_V_M_MAX
 
     @property
     def t(self) -> float:

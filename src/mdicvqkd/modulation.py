@@ -16,15 +16,14 @@ from enum import Enum
 
 
 class Scheme(Enum):
-    """Modulation constellation: 4 phases, 8 phases, or Gaussian."""
+    """Modulation constellation: 4 or 8 phases."""
 
     FOUR = "four"
     EIGHT = "eight"
-    GAUSSIAN = "gaussian"
 
 
 # Reading a member through its class costs several times a global read.
-_FOUR, _EIGHT, _GAUSSIAN = Scheme.FOUR, Scheme.EIGHT, Scheme.GAUSSIAN
+_FOUR, _EIGHT = Scheme.FOUR, Scheme.EIGHT
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -131,7 +130,7 @@ def lambdas(scheme: Scheme, alpha_sq: float) -> list[float]:
     elif scheme is _FOUR:
         modulus, closed = 4, _lambdas_four_closed
     else:
-        raise ValueError(f"weights exist only for the discrete schemes, got {scheme!r}")
+        raise ValueError(f"scheme must be a Scheme, got {scheme!r}")
     if x > _UNIFORM_MAX:
         return [1.0 / modulus] * modulus
     if x < _CLOSED_FORM_MIN:
@@ -150,12 +149,9 @@ def gaussian_z(alpha_sq: float) -> float:
 def correlation_z(scheme: Scheme, alpha_sq: float) -> float:
     """Correlation coefficient Z of the two-mode state, shot-noise units.
 
-    For discrete schemes this is 2 alpha^2 * sum_k lambda_{k-1}^{3/2} /
-    sqrt(lambda_k) with the index wrapping cyclically; Gaussian modulation
-    gives the EPR value.  All three vanish at alpha_sq = 0.
+    This is 2 alpha^2 * sum_k lambda_{k-1}^{3/2} / sqrt(lambda_k) with the
+    index wrapping cyclically; it vanishes at alpha_sq = 0.
     """
-    if scheme is _GAUSSIAN:
-        return gaussian_z(alpha_sq)
     lams = lambdas(scheme, alpha_sq)  # checks alpha_sq
     sqrt, floor = math.sqrt, _DENOM_FLOOR
     total = 0.0

@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from .channel import refuse_bool
-from .keyrate import KeyRateResult, ProtocolConfig, rate_over_t
+from .keyrate import VARIANCE_MAX, KeyRateResult, ProtocolConfig, rate_over_t
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -67,8 +67,10 @@ class OptimizationGrid(
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 <= self.t_lo < self.t_hi <= 1.0):
             raise ValueError(f"need 0 <= t_lo < t_hi <= 1, got ({self.t_lo}, {self.t_hi}]")
-        if not (1.0 < self.v_lo < self.v_hi):
-            raise ValueError(f"need 1 < v_lo < v_hi, got [{self.v_lo}, {self.v_hi}]")
+        if not (1.0 < self.v_lo < self.v_hi <= VARIANCE_MAX):
+            raise ValueError(
+                f"need 1 < v_lo < v_hi <= {VARIANCE_MAX:g}, got [{self.v_lo}, {self.v_hi}]"
+            )
         for name, least in (("t_steps", 2), ("v_steps", 2), ("refine_iters", 0)):
             check_steps(name, getattr(self, name), least)
         return self

@@ -10,7 +10,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .channel import LinkGeometry, equivalent_excess_noise
-from .modulation import Scheme, correlation_z
+from .modulation import Scheme, correlation_z, gaussian_z
 from .optimize import best_rate, check_steps, linspace
 from .presets import DEFAULT_EPS, Case, Variant, config_for
 
@@ -61,7 +61,7 @@ def correlation_curves(steps: int = 200) -> Dataset:
                 v_m,
                 correlation_z(Scheme.FOUR, x),
                 correlation_z(Scheme.EIGHT, x),
-                correlation_z(Scheme.GAUSSIAN, x),
+                gaussian_z(x),
             )
         )
     return Dataset(_figure_id(correlation_curves), ("v_m_tilde", "z4", "z8", "zg"), rows)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import mdicvqkd.keyrate
 from mdicvqkd import __version__
 from mdicvqkd.channel import LinkGeometry
 from mdicvqkd.cli_io import (
@@ -190,10 +191,9 @@ def test_cli_keyrate_json(capsys):
 
 
 def test_cli_keyrate_domain_warning_only_for_discrete_schemes(capsys):
-    # T V_M = 0.5 * 2 > 0.5, a bound of the discrete-modulation argument only
+    # T V_M = 0.5 * 2 > 0.5, a bound of the discrete-modulation argument;
+    # every scheme is discrete, so every scheme is held to it
     flags = "--zpc-t 0.5 --variance 3 --lac 5".split()
-    _, out, _ = run_cli(["keyrate", "--scheme", "gaussian", *flags], capsys)
-    assert json.loads(out)["warnings"] == []
     _, out, _ = run_cli(["keyrate", "--scheme", "eight", *flags], capsys)
     assert json.loads(out)["warnings"] == [_DOMAIN_WARNING]
 
@@ -243,7 +243,7 @@ KEYRATE_GOLDEN = {
 }
 """,
     ),
-    "--scheme four --variance 1e300 --lac 10": (
+    "--scheme four --eps-a 1e300 --lac 10": (
         2,
         """\
 {
@@ -251,9 +251,9 @@ KEYRATE_GOLDEN = {
   "config": {
     "scheme": "four",
     "zpc_t": "off",
-    "variance": 1e+300,
+    "variance": 1.5,
     "beta": 0.95,
-    "eps_a": 0.002,
+    "eps_a": 1e+300,
     "eps_b": 0.002,
     "lac": 10.0,
     "lbc": 0.0,
@@ -267,20 +267,18 @@ KEYRATE_GOLDEN = {
   "kappa3": null,
   "skr": null,
   "physical": false,
-  "attenuated_alpha_sq": 5e+299,
+  "attenuated_alpha_sq": 0.25,
   "channel": {
     "t_a": 0.6309573444801932,
     "t_b": 1.0,
-    "chi_a": 0.5868931924611135,
+    "chi_a": 1e+300,
     "chi_b": 0.002,
-    "g_sq": 2.0,
-    "t_c": 0.6309573444801932,
-    "eps_th": 0.005169786384922492,
-    "chi_t": 0.5900629788460359
+    "g_sq": 0.4,
+    "t_c": 0.12619146889603866,
+    "eps_th": 1e+300,
+    "chi_t": 1e+300
   },
-  "warnings": [
-    "@WARNING@"
-  ]
+  "warnings": []
 }
 """,
     ),
@@ -307,7 +305,7 @@ def _strict(token):
 
 
 def test_cli_keyrate_nonphysical_exit(capsys):
-    code, out, _ = run_cli("keyrate --variance 1e300 --lac 10".split(), capsys)
+    code, out, _ = run_cli("keyrate --eps-a 1e300 --lac 10".split(), capsys)
     assert code == 2
     doc = json.loads(out)
     assert doc["physical"] is False
@@ -319,19 +317,6 @@ def test_cli_keyrate_nonphysical_exit(capsys):
         doc = json.loads(out, parse_constant=_strict)
         assert doc["physical"] is False
         assert doc["channel"]["eps_th"] is None
-
-
-def test_cli_keyrate_spectrum_rounded_to_zero_exits_2(capsys):
-    # kappa1 rounds to 0 at this variance: a non-physical state, not a crash
-    argv = (
-        "keyrate --scheme four --zpc-t off --variance 2.753944526072131e16 --beta 1"
-        " --eps-a 3 --eps-b 0 --lac 0 --lbc 0 --mu 1"
-    )
-    code, out, err = run_cli(argv.split(), capsys)
-    assert code == 2, err
-    doc = json.loads(out, parse_constant=_strict)
-    assert doc["physical"] is False
-    assert doc["skr"] is None and doc["kappa1"] is None
 
 
 def test_cli_keyrate_bad_flags(capsys):
@@ -555,10 +540,11 @@ def test_cli_optimize_refuses_a_one_point_grid(flag, field, capsys):
 
 
 def test_cli_optimize_t_never_probes_t_zero(capsys):
-    # every rate ties at this variance, so the golden section keeps the left
-    # subinterval until its bracket underflows onto t_lo = 0, a T the
-    # catalysis setting refuses; the search stops short of it
-    argv = "optimize --optimize t --variance 1e300 --t-lo 0 --t-steps 2 --refine-iters 2000"
+    # every state is non-physical at this excess noise, so every rate ties
+    # and the golden section keeps the left subinterval until its bracket
+    # underflows onto t_lo = 0, a T the catalysis setting refuses; the
+    # search stops short of it
+    argv = "optimize --optimize t --eps-a 1e300 --t-lo 0 --t-steps 2 --refine-iters 2000"
     code, out, err = run_cli(argv.split(), capsys)
     assert code == 0, err
     doc = json.loads(out)
@@ -647,7 +633,7 @@ OPTIMIZE_GOLDEN = {
 }
 """,
     ),
-    "t --scheme four --variance 1e300 --lac 10 --t-steps 4 --refine-iters 3": (
+    "t --scheme four --eps-a 1e300 --lac 10 --t-steps 4 --refine-iters 3": (
         0,
         """\
 {
@@ -655,9 +641,9 @@ OPTIMIZE_GOLDEN = {
   "config": {
     "scheme": "four",
     "zpc_t": 1.0,
-    "variance": 1e+300,
+    "variance": 1.5,
     "beta": 0.95,
-    "eps_a": 0.002,
+    "eps_a": 1e+300,
     "eps_b": 0.002,
     "lac": 10.0,
     "lbc": 0.0,
@@ -676,9 +662,7 @@ OPTIMIZE_GOLDEN = {
   "t_star": 0.2575,
   "skr_star": null,
   "no_key": true,
-  "warnings": [
-    "@WARNING@"
-  ]
+  "warnings": []
 }
 """,
     ),
@@ -1015,6 +999,10 @@ def test_cli_figure_unwritable_dir(tmp_path, capsys):
     assert "cannot write" in err
 
 
+def _no_evaluation(*_):
+    raise AssertionError("a refused input was evaluated")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -1023,14 +1011,18 @@ def test_cli_figure_unwritable_dir(tmp_path, capsys):
         ("figure fig2 --steps 2 --out blocker", "cannot write to blocker"),
         ("figure fig6 --steps 2 --per-arm", "unrecognized arguments: --per-arm"),
         ("figure fig7 --extra-eps 0.001", "unrecognized arguments: --extra-eps"),
+        ("keyrate --scheme gaussian", "scheme: 'gaussian' is not a valid Scheme"),
+        ("keyrate --variance 1001.5", "variance_v must be in (1, 1001], got 1001.5"),
+        ("optimize --optimize tv --v-hi 2000", "need 1 < v_lo < v_hi <= 1001"),
     ],
 )
 def test_cli_library_refusals_leave_through_main(argv, message, tmp_path, monkeypatch, capsys):
     # the library refuses these inputs, and argparse a flag no figure
-    # takes; each leaves as a bad flag does: the usage, then one error
-    # line, and exit 1
+    # takes; each leaves as a bad flag does, before any evaluation: the
+    # usage, then one error line, and exit 1
     monkeypatch.chdir(tmp_path)
     (tmp_path / "blocker").write_text("x", encoding="utf-8")
+    monkeypatch.setattr(mdicvqkd.keyrate, "_score", _no_evaluation)
     argv = argv.split()
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""

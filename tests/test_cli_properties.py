@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdicvqkd.cli_io import _SCENARIO_KEYS, main
+from mdicvqkd.keyrate import VARIANCE_MAX
 from mdicvqkd.scenarios import FIGURE_IDS
 
 HOSTILE = st.one_of(
@@ -38,9 +39,9 @@ def _valid(typical, lo: float, hi: float, exclude_min: bool = False):
 VALID = st.fixed_dictionaries(
     {},
     optional={
-        "scheme": st.sampled_from(["four", "Eight", "GAUSSIAN"]),
+        "scheme": st.sampled_from(["four", "Eight"]),
         "zpc_t": _valid(st.sampled_from(["off", "OFF"]), 0.0, 1.0, exclude_min=True),
-        "variance": _valid(_number(1.01, 12.0), 1.0, 1e308, exclude_min=True),
+        "variance": _valid(_number(1.01, 12.0), 1.0, VARIANCE_MAX, exclude_min=True),
         "beta": _valid(_number(0.5, 1.0), 0.0, 1.0, exclude_min=True),
         "eps_a": _valid(_number(0.0, 0.1), 0.0, 1e308),
         "eps_b": _valid(_number(0.0, 0.1), 0.0, 1e308),

@@ -70,7 +70,7 @@ def test_frozen_quarter_point():
         assert got == pytest.approx(want, rel=1e-14)
     assert correlation_z(Scheme.EIGHT, 0.25) == pytest.approx(1.1006581866302116, rel=1e-13)
     assert correlation_z(Scheme.FOUR, 0.25) == pytest.approx(1.0965440197951635, rel=1e-13)
-    assert correlation_z(Scheme.GAUSSIAN, 0.25) == pytest.approx(1.1180339887498949, rel=1e-14)
+    assert gaussian_z(0.25) == pytest.approx(1.1180339887498949, rel=1e-14)
 
 
 def test_matches_oracle_across_regimes():
@@ -187,6 +187,7 @@ def test_zero_amplitude():
     assert lambdas(Scheme.FOUR, 0.0) == [1.0] + [0.0] * 3
     for scheme in Scheme:
         assert correlation_z(scheme, 0.0) == 0.0
+    assert gaussian_z(0.0) == 0.0
 
 
 def test_correlation_ordering():
@@ -194,7 +195,7 @@ def test_correlation_ordering():
     for x in [2.0 * i / 100 for i in range(1, 101)] + [1e-12, 1e-8, 1e-6]:
         z4 = correlation_z(Scheme.FOUR, x)
         z8 = correlation_z(Scheme.EIGHT, x)
-        zg = correlation_z(Scheme.GAUSSIAN, x)
+        zg = gaussian_z(x)
         assert 0.0 < z4 <= z8 <= zg
 
 
@@ -219,10 +220,10 @@ def test_gaussian_closed_form():
 
 
 def test_gaussian_scheme_has_no_weights():
-    # correlation_z gives the Gaussian Z without weights, so lambdas takes
-    # only the discrete schemes
-    for scheme in (Scheme.GAUSSIAN, "eight"):
-        with pytest.raises(ValueError, match=re.escape(f"discrete schemes, got {scheme!r}")):
+    # Gaussian modulation has no Scheme member and gaussian_z needs no
+    # weights, so lambdas takes only a Scheme, not even its value
+    for scheme in ("gaussian", "eight"):
+        with pytest.raises(ValueError, match=re.escape(f"must be a Scheme, got {scheme!r}")):
             lambdas(scheme, 1.0)
 
 

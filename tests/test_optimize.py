@@ -157,7 +157,7 @@ def test_optimize_t_no_key_flag():
     _, best = optimize_t(config(l_ac=200.0))
     assert best.physical and best.skr < 0.0
     # a non-physical optimum has no rate at all: skr is None, as in keyrate
-    _, best = optimize_t(config(variance_v=1e300), OptimizationGrid(t_steps=4, refine_iters=3))
+    _, best = optimize_t(config(eps=1e300), OptimizationGrid(t_steps=4, refine_iters=3))
     assert not best.physical
     assert best.skr is None
 
@@ -239,8 +239,9 @@ def test_t_sweeps_match_the_per_t_path():
     grid = OptimizationGrid(t_steps=40, refine_iters=10)
     for scheme in Scheme:
         for l_ac, l_bc in ((5.0, 0.0), (30.0, 0.0), (0.6, 0.6), (12.0, 4.0)):
-            for v in (1.3, 2.6, 6.0, 1e300):
-                cfg = config(variance_v=v, l_ac=l_ac, l_bc=l_bc)._replace(scheme=scheme)
+            # the last state is non-physical at every T
+            for v, eps in ((1.3, 0.002), (2.6, 0.002), (6.0, 0.002), (2.6, 1e300)):
+                cfg = config(variance_v=v, eps=eps, l_ac=l_ac, l_bc=l_bc)._replace(scheme=scheme)
                 assert repr(optimize_t(cfg, grid)) == repr(_per_t_optimize_t(cfg, grid))
                 for c in (cfg, cfg._replace(zpc=None)):
                     got = beta_zero_crossing(c, grid)

@@ -16,16 +16,15 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
+# The one fiber loss, dB/km; a loss mu over L is the same channel as this over L mu / 0.2.
 FIBER_LOSS_DB_PER_KM = 0.2
 
 
-def fiber_transmittance(length_km: float, loss_mu: float = FIBER_LOSS_DB_PER_KM) -> float:
-    """Power transmittance of a fiber span, 10^(-mu L / 10)."""
+def fiber_transmittance(length_km: float) -> float:
+    """Power transmittance of a fiber span, 10^(-mu L / 10), mu = FIBER_LOSS_DB_PER_KM."""
     if not (0.0 <= length_km < math.inf):
         raise ValueError(f"length_km must be finite and >= 0, got {length_km}")
-    if not (0.0 < loss_mu < math.inf):
-        raise ValueError(f"loss_mu must be finite and > 0, got {loss_mu}")
-    return 10.0 ** (-loss_mu * length_km / 10.0)
+    return 10.0 ** (-FIBER_LOSS_DB_PER_KM * length_km / 10.0)
 
 
 def refuse_bool(**numbers) -> None:
@@ -36,22 +35,20 @@ def refuse_bool(**numbers) -> None:
             raise ValueError(f"{name} must be a number, got {x}")
 
 
-class LinkGeometry(namedtuple("LinkGeometry", "l_ac l_bc loss_mu")):
-    """Fiber lengths of the two links to the relay, in km."""
+class LinkGeometry(namedtuple("LinkGeometry", "l_ac l_bc")):
+    """Fiber lengths of the two links to the relay, in km, at FIBER_LOSS_DB_PER_KM."""
 
     __slots__ = ()
     # the stock _make, which _replace calls, skips __new__
     _make = classmethod(lambda cls, values: cls(*values))
 
-    def __new__(cls, l_ac: float, l_bc: float, loss_mu: float = FIBER_LOSS_DB_PER_KM):
-        refuse_bool(l_ac=l_ac, l_bc=l_bc, loss_mu=loss_mu)
+    def __new__(cls, l_ac: float, l_bc: float):
+        refuse_bool(l_ac=l_ac, l_bc=l_bc)
         if not (math.isfinite(l_ac) and math.isfinite(l_bc)):
             raise ValueError("link lengths must be finite")
         if l_ac < 0.0 or l_bc < 0.0:
             raise ValueError("link lengths must be >= 0")
-        if not (loss_mu > 0.0) or math.isinf(loss_mu):
-            raise ValueError(f"loss_mu must be finite and > 0, got {loss_mu}")
-        return tuple.__new__(cls, (l_ac, l_bc, loss_mu))
+        return tuple.__new__(cls, (l_ac, l_bc))
 
     @property
     def total_km(self) -> float:
@@ -61,9 +58,12 @@ class LinkGeometry(namedtuple("LinkGeometry", "l_ac l_bc loss_mu")):
         """Same arm ratio stretched to a new total length; a zero-length
         geometry has no ratio and becomes a single Alice-relay link."""
         if self.total_km == 0.0:
-            return LinkGeometry(total_km, 0.0, self.loss_mu)
+            return LinkGeometry(total_km, 0.0)
         f = total_km / self.total_km
-        return LinkGeometry(self.l_ac * f, self.l_bc * f, self.loss_mu)
+        if math.isinf(f):  # a subnormal total: stretch each arm's share instead
+            share_ac, share_bc = self.l_ac / self.total_km, self.l_bc / self.total_km
+            return LinkGeometry(share_ac * total_km, share_bc * total_km)
+        return LinkGeometry(self.l_ac * f, self.l_bc * f)
 
 
 class EquivalentChannel(NamedTuple):
@@ -97,13 +97,13 @@ def equivalent_channel(
         raise ValueError(f"excess noise must be finite and >= 0, got {eps_a}, {eps_b}")
     if not (1.0 < v_bob < math.inf):
         raise ValueError(f"v_bob must be finite and exceed 1, got {v_bob}")
-    t_a = fiber_transmittance(geometry.l_ac, geometry.loss_mu)
-    t_b = fiber_transmittance(geometry.l_bc, geometry.loss_mu)
+    t_a = fiber_transmittance(geometry.l_ac)
+    t_b = fiber_transmittance(geometry.l_bc)
     g_sq = 2.0 * (v_bob - 1.0) / (t_b * (v_bob + 1.0)) if t_b > 0.0 else 0.0
     t_c = g_sq * t_a / 2.0
     if t_a == 0.0 or t_c == 0.0:
         # a link underflowed, or a subnormal t_a made the relay's output do so
-        loss_db = geometry.loss_mu * max(geometry.l_ac, geometry.l_bc)
+        loss_db = FIBER_LOSS_DB_PER_KM * max(geometry.l_ac, geometry.l_bc)
         raise ValueError(f"a {loss_db:g} dB link: its transmittance underflowed to zero")
     chi_a = (1.0 - t_a) / t_a + eps_a
     chi_b = (1.0 - t_b) / t_b + eps_b

@@ -58,7 +58,6 @@ _SCENARIO_KEYS = {
     "eps_b": ("eps_b", "excess noise of the Bob-relay link"),
     "lac": ("l_ac", "Alice-relay fiber length, km"),
     "lbc": ("l_bc", "Bob-relay fiber length, km"),
-    "mu": ("loss_mu", f"fiber loss, dB/km (default {DEFAULT_CONFIG.geometry.loss_mu})"),
 }
 
 
@@ -346,7 +345,7 @@ def main(argv=None) -> int:
         )
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         args.subparser.error(str(exc))
 
 

@@ -16,7 +16,7 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from .channel import EquivalentChannel, LinkGeometry, equivalent_channel, refuse_bool
-from .modulation import Scheme, correlation_z
+from .modulation import ALPHA_SQ_MAX, Scheme, correlation_z
 from .zpc import ZpcSetting, apply_zpc
 
 # States are declared unphysical only below this, leaving room for
@@ -29,9 +29,9 @@ KAPPA_TOL = 1e-9
 # is within about 2e-13 and is kept, so every rate there keeps its digits.
 _G_CANCELS = 1e3
 
-# Largest source variance accepted: alpha^2 = 500 there, where every weight is
-# 1/M, and the scorer's products of size V^2 still keep their O(1) differences.
-VARIANCE_MAX = 1001.0
+# Largest source variance accepted, 1001: the weights take alpha^2 up to there,
+# and the scorer's products of size V^2 still keep their O(1) differences.
+VARIANCE_MAX = 1.0 + 2.0 * ALPHA_SQ_MAX
 
 # Proven security region of the discrete-modulation argument: the
 # effective modulation variance reaching the channel has to stay small

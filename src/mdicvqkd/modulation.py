@@ -32,9 +32,9 @@ _SQRT2 = math.sqrt(2.0)
 # all-positive Poisson sum is used there instead.
 _CLOSED_FORM_MIN = 1.0
 
-# Beyond this every residue class holds 1/M to far below double precision
-# (the deviation decays like exp(-alpha_sq * (1 - cos(2*pi/M)))).
-_UNIFORM_MAX = 500.0
+# Largest alpha_sq the weights take (keyrate.VARIANCE_MAX); every class holds 1/M
+# there to 1e-13 (the deviation decays like exp(-alpha_sq * (1 - cos(2*pi/M)))).
+ALPHA_SQ_MAX = 500.0
 
 # Half an ulp of x is at least x * 2^-54, so x + t == x for any t below it.
 _HALF_ULP = 2.0**-54
@@ -44,10 +44,10 @@ _HALF_ULP = 2.0**-54
 _DENOM_FLOOR = 1e-300
 
 
-def _check_alpha_sq(alpha_sq: float) -> float:
-    alpha_sq = float(alpha_sq)
-    if not (alpha_sq >= 0.0) or math.isinf(alpha_sq):
-        raise ValueError(f"alpha_sq must be finite and >= 0, got {alpha_sq}")
+def check_alpha_sq(alpha_sq: float) -> float:
+    """The one alpha_sq check: a finite number >= 0, and no bool."""
+    if isinstance(alpha_sq, bool) or not (alpha_sq >= 0.0) or math.isinf(alpha_sq):
+        raise ValueError(f"alpha_sq must be a finite number >= 0, got {alpha_sq}")
     return alpha_sq
 
 
@@ -122,17 +122,17 @@ def lambdas(scheme: Scheme, alpha_sq: float) -> list[float]:
     alpha_sq equals k mod M, M = 8 or 4.  The weights are non-negative
     and sum to 1.  They come from the Poisson series below alpha_sq = 1
     and from the closed forms of Leverrier & Grangier (PRL 102, 180504)
-    on [1, 500]; above 500 they are 1/M each, returned here directly.
+    on [1, ALPHA_SQ_MAX]; a larger alpha_sq is refused.
     """
-    x = _check_alpha_sq(alpha_sq)
+    x = check_alpha_sq(alpha_sq)
     if scheme is _EIGHT:
         modulus, closed = 8, _lambdas_eight_closed
     elif scheme is _FOUR:
         modulus, closed = 4, _lambdas_four_closed
     else:
         raise ValueError(f"scheme must be a Scheme, got {scheme!r}")
-    if x > _UNIFORM_MAX:
-        return [1.0 / modulus] * modulus
+    if x > ALPHA_SQ_MAX:
+        raise ValueError(f"alpha_sq must be at most {ALPHA_SQ_MAX:g}, got {x}")
     if x < _CLOSED_FORM_MIN:
         return _poisson_residue_sums(x, modulus)
     return closed(x)
@@ -141,8 +141,7 @@ def lambdas(scheme: Scheme, alpha_sq: float) -> list[float]:
 def gaussian_z(alpha_sq: float) -> float:
     """EPR correlation sqrt((V_M + 1)^2 - 1) = sqrt(V_M (V_M + 2)) of Gaussian
     modulation; the factored form does not cancel at small V_M."""
-    x = _check_alpha_sq(alpha_sq)
-    v_m = 2.0 * x
+    v_m = 2.0 * check_alpha_sq(alpha_sq)
     return math.sqrt(v_m * (v_m + 2.0))
 
 

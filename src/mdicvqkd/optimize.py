@@ -212,8 +212,10 @@ def max_distance(
     The arm ratio of config.geometry is preserved while the total length
     is scaled; the zero crossing is bracketed by doubling and then
     bisected to tol_km.  A config with no key even at zero length gives
-    0.0; every other config gives a reach above 0.
+    0.0; every other config gives a reach above 0.  A key that outlasts
+    the doubling ends in the channel's refusal of an underflowed link.
     """
+    refuse_bool(tol_km=tol_km)
     if not (tol_km > 0.0 and math.isfinite(tol_km)):
         raise ValueError(f"tol_km must be finite and > 0, got {tol_km}")
     base = config.geometry
@@ -226,8 +228,6 @@ def max_distance(
     lo, hi = 0.0, max(base.total_km, 1.0)
     while rate_at(hi) > 0.0:
         lo, hi = hi, 2.0 * hi
-        if hi > 1e5:
-            raise RuntimeError("no zero crossing found below 1e5 km")
     while hi - lo > tol_km:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

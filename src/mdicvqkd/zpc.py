@@ -10,6 +10,8 @@ at the attenuated amplitude.
 
 import math
 
+from .modulation import check_alpha_sq
+
 
 class ZpcSetting:
     """Builds ProtocolConfig.zpc: a transmittance in (0, 1], or None when catalysis is off."""
@@ -32,7 +34,6 @@ def apply_zpc(alpha_sq: float, t: float) -> tuple[float, float]:
     which passes a finite alpha_sq through untouched with unit success
     probability (1.0 * x == x and exp(x * 0.0) == 1.0).
     """
-    if not (0.0 <= alpha_sq < math.inf):
-        raise ValueError(f"alpha_sq must be finite and >= 0, got {alpha_sq}")
+    check_alpha_sq(alpha_sq)
     ZpcSetting.on(t)
     return t * alpha_sq, math.exp(alpha_sq * (t - 1.0))

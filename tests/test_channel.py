@@ -16,27 +16,21 @@ from mdicvqkd.channel import (
 def test_fiber_transmittance():
     assert fiber_transmittance(0.0) == 1.0
     assert fiber_transmittance(50.0) == pytest.approx(0.1, rel=1e-12)
-    assert fiber_transmittance(10.0, loss_mu=0.5) == pytest.approx(10.0 ** -0.5, rel=1e-12)
     assert FIBER_LOSS_DB_PER_KM == 0.2
     for length in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="length_km"):
             fiber_transmittance(length)
-    for loss in (math.nan, math.inf, 0.0, -0.2):
-        with pytest.raises(ValueError, match="loss_mu"):
-            fiber_transmittance(5.0, loss)
 
 
 def test_geometry_validation_and_total():
     g = LinkGeometry(30.0, 10.0)
     assert g.total_km == 40.0
-    assert g.loss_mu == 0.2
     with pytest.raises(ValueError):
         LinkGeometry(-1.0, 0.0)
     with pytest.raises(ValueError):
         LinkGeometry(1.0, math.inf)
-    for bad_mu in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            LinkGeometry(1.0, 1.0, loss_mu=bad_mu)
+    with pytest.raises(TypeError):
+        LinkGeometry(1.0, 1.0, 0.2)  # the loss is FIBER_LOSS_DB_PER_KM, no field
 
 
 def test_geometry_scaling_preserves_arm_ratio():
@@ -48,6 +42,9 @@ def test_geometry_scaling_preserves_arm_ratio():
     assert z.scaled(0.0).total_km == 0.0
     # no arm ratio to keep: a zero-length geometry stretches as one Alice-relay link
     assert z.scaled(5.0) == LinkGeometry(5.0, 0.0)
+    # a subnormal total, by which the stretch factor total / 5e-324 overflows
+    assert LinkGeometry(0.0, 5e-324).scaled(1.0) == LinkGeometry(0.0, 1.0)
+    assert LinkGeometry(5e-324, 5e-324).scaled(3.0) == LinkGeometry(1.5, 1.5)
 
 
 def _closed_form_g_sq(t_b: float, v: float) -> float:

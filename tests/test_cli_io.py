@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import mdicvqkd.keyrate
+import mdicvqkd.optimize
 from mdicvqkd import __version__
 from mdicvqkd.channel import LinkGeometry
 from mdicvqkd.cli_io import (
@@ -26,6 +27,7 @@ from mdicvqkd.cli_io import (
     write_datasets,
 )
 from mdicvqkd.modulation import Scheme
+from mdicvqkd.optimize import OptimizationGrid, max_distance
 from mdicvqkd.presets import Case, Variant, config_for
 from mdicvqkd.scenarios import FIGURES, Dataset
 
@@ -87,7 +89,7 @@ def test_empty_scenario_gives_defaults():
     assert spec.scheme is Scheme.EIGHT
     assert spec.zpc is None
     assert (spec.variance_v, spec.beta, spec.eps_a, spec.eps_b) == (1.5, 0.95, 0.002, 0.002)
-    assert (spec.geometry.l_ac, spec.geometry.l_bc, spec.geometry.loss_mu) == (0, 0, 0.2)
+    assert (spec.geometry.l_ac, spec.geometry.l_bc) == (0, 0)
 
 
 def test_scenario_parsing():
@@ -131,10 +133,10 @@ def test_scenario_round_trip():
             scheme=Scheme.FOUR,
             zpc=0.3,
             variance_v=2.7,
-            geometry=LinkGeometry(12.5, 4.25, 0.2),
+            geometry=LinkGeometry(12.5, 4.25),
         ),
         DEFAULT_CONFIG._replace(
-            eps_a=0.0015, eps_b=0.0035, geometry=LinkGeometry(0, 0, 0.18), beta=1.0
+            eps_a=0.0015, eps_b=0.0035, geometry=LinkGeometry(0, 0), beta=1.0
         ),
     ]
     for spec in specs:
@@ -215,8 +217,7 @@ KEYRATE_GOLDEN = {
     "eps_a": 0.002,
     "eps_b": 0.003,
     "lac": 12.5,
-    "lbc": 3.0,
-    "mu": 0.2
+    "lbc": 3.0
   },
   "p_d": 0.6187833918061408,
   "i_ab": 0.1146225455460596,
@@ -256,8 +257,7 @@ KEYRATE_GOLDEN = {
     "eps_a": 1e+300,
     "eps_b": 0.002,
     "lac": 10.0,
-    "lbc": 0.0,
-    "mu": 0.2
+    "lbc": 0.0
   },
   "p_d": 1.0,
   "i_ab": null,
@@ -334,13 +334,9 @@ def test_cli_keyrate_bad_flags(capsys):
 def test_cli_rejects_non_finite(capsys):
     distance = "optimize --optimize distance --scheme eight --zpc-t 1 --variance 2.6 --lac 10"
     for argv, message in (
-        ("keyrate --mu nan", "loss_mu must be finite"),
-        ("keyrate --mu inf", "loss_mu must be finite"),
         ("keyrate --eps nan", "excess noise must be finite"),
         ("keyrate --lac 16139", "transmittance underflowed to zero"),
         ("keyrate --lac 16200", "transmittance underflowed to zero"),
-        # the loss, not the length, drives this link's transmittance to zero
-        ("keyrate --mu 1e308 --lac 1", "a 1e+308 dB link: its transmittance underflowed to zero"),
         (f"{distance} --tol-km nan", "tol_km must be finite"),
         (f"{distance} --tol-km inf", "tol_km must be finite"),
         ("optimize --optimize tv --v-hi inf", "v_hi must be finite"),
@@ -371,7 +367,7 @@ def test_cli_flags_mirror_scenario_keys(tmp_path, capsys):
                 beta=0.9,
                 eps_a=0.001,
                 eps_b=0.004,
-                geometry=LinkGeometry(3, 2, 0.18),
+                geometry=LinkGeometry(3, 2),
             )
         ),
         "scheme = EIGHT\nzpc_t = OFF\nvariance = 1.6\nlac = 12\n",
@@ -507,16 +503,22 @@ def test_cli_optimize_distance_from_zero_length(flags, reach, capsys):
     assert json.loads(out)["max_distance_km"] == reach
 
 
-def test_cli_optimize_distance_without_crossing(capsys):
-    argv = (
-        "optimize --optimize distance --mu 1e-9 --variance 2.6 --zpc-t 0.5"
-        " --t-steps 20 --refine-iters 5"
-    )
+def test_cli_optimize_distance_without_crossing(monkeypatch, capsys):
+    # a rate that never falls doubles the length until the channel refuses
+    # a link: an arm of 16 384 km underflows, so the search needs no guard
+    monkeypatch.setattr(mdicvqkd.optimize, "_skr", lambda result: 1.0)
+    grid = OptimizationGrid(t_steps=2, refine_iters=0)
+    message = "a 3276.8 dB link: its transmittance underflowed to zero"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        max_distance(DEFAULT_CONFIG, grid)
+    argv = "optimize --optimize distance --t-steps 2 --refine-iters 0"
     code, out, err = run_cli(argv.split(), capsys)
     assert code == 1
     assert out == ""
     assert "Traceback" not in err
-    assert "no zero crossing" in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"mdicvqkd optimize: error: {message}"
+    ]
 
 
 def test_cli_optimize_grid_override(capsys):
@@ -578,8 +580,7 @@ OPTIMIZE_GOLDEN = {
     "eps_a": 0.002,
     "eps_b": 0.002,
     "lac": 20.0,
-    "lbc": 0.0,
-    "mu": 0.2
+    "lbc": 0.0
   },
   "mode": "t",
   "grid": {
@@ -613,8 +614,7 @@ OPTIMIZE_GOLDEN = {
     "eps_a": 0.002,
     "eps_b": 0.002,
     "lac": 200.0,
-    "lbc": 0.0,
-    "mu": 0.2
+    "lbc": 0.0
   },
   "mode": "t",
   "grid": {
@@ -646,8 +646,7 @@ OPTIMIZE_GOLDEN = {
     "eps_a": 1e+300,
     "eps_b": 0.002,
     "lac": 10.0,
-    "lbc": 0.0,
-    "mu": 0.2
+    "lbc": 0.0
   },
   "mode": "t",
   "grid": {
@@ -679,8 +678,7 @@ OPTIMIZE_GOLDEN = {
     "eps_a": 0.002,
     "eps_b": 0.002,
     "lac": 20.0,
-    "lbc": 0.0,
-    "mu": 0.2
+    "lbc": 0.0
   },
   "mode": "tv",
   "grid": {
@@ -715,8 +713,7 @@ OPTIMIZE_GOLDEN = {
     "eps_a": 0.012355,
     "eps_b": 0.012355,
     "lac": 0.05,
-    "lbc": 0.05,
-    "mu": 0.2
+    "lbc": 0.05
   },
   "mode": "tv",
   "grid": {
@@ -751,8 +748,7 @@ OPTIMIZE_GOLDEN = {
     "eps_a": 0.002,
     "eps_b": 0.002,
     "lac": 200.0,
-    "lbc": 0.0,
-    "mu": 0.2
+    "lbc": 0.0
   },
   "mode": "tv",
   "grid": {
@@ -787,8 +783,7 @@ OPTIMIZE_GOLDEN = {
     "eps_a": 0.002,
     "eps_b": 0.002,
     "lac": 10.0,
-    "lbc": 0.0,
-    "mu": 0.2
+    "lbc": 0.0
   },
   "mode": "distance",
   "grid": {
@@ -819,8 +814,7 @@ OPTIMIZE_GOLDEN = {
     "eps_a": 0.002,
     "eps_b": 0.002,
     "lac": 1.0,
-    "lbc": 1.0,
-    "mu": 0.2
+    "lbc": 1.0
   },
   "mode": "distance",
   "grid": {
@@ -853,8 +847,7 @@ OPTIMIZE_GOLDEN = {
     "eps_a": 0.25,
     "eps_b": 0.25,
     "lac": 0.0,
-    "lbc": 0.0,
-    "mu": 0.2
+    "lbc": 0.0
   },
   "mode": "distance",
   "grid": {

@@ -2,7 +2,8 @@
 optimizer and figure layers only when a command runs them, never
 dataclasses, whose import pulls in inspect, ast, dis and tokenize, and
 nothing outside the standard library.  And the README's library quick
-start runs as written, and its figure table names each figure's flags."""
+start runs as written, its scenario file parses, and its figure table
+names each figure's flags."""
 
 import ast
 import json
@@ -122,6 +123,19 @@ def test_readme_library_quick_start_runs():
     # (skr, p_d, chi_be), (t_star, skr) and the reach
     assert [len(words) for words in lines] == [3, 2, 1]
     assert all(math.isfinite(float(word)) for words in lines for word in words)
+
+
+def test_readme_scenario_file_parses():
+    # the README's scenario-file example, read as the CLI reads a file, so a
+    # key the CLI no longer takes (such as a stale mu line) fails here
+    from mdicvqkd.cli_io import parse_scenario
+    from mdicvqkd.modulation import Scheme
+
+    readme = Path(__file__).resolve().parents[1].joinpath("README.md").read_text("utf-8")
+    (block,) = re.findall(r"^## Scenario files\n.*?^```\n(.*?)^```", readme, re.S | re.M)
+    cfg = parse_scenario(block)
+    assert (cfg.scheme, cfg.zpc, cfg.variance_v, cfg.beta) == (Scheme.EIGHT, 0.6, 2.6, 0.95)
+    assert (cfg.eps_a, cfg.eps_b, tuple(cfg.geometry)) == (0.002, 0.002, (20.0, 0.0))
 
 
 def test_readme_figure_table_lists_the_figure_flags():

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from mdicvqkd import modulation
 from mdicvqkd.modulation import (
+    ALPHA_SQ_MAX,
     Scheme,
     _lambdas_eight_closed,
     _lambdas_four_closed,
@@ -18,6 +18,7 @@ from mdicvqkd.modulation import (
     gaussian_z,
     lambdas,
 )
+from mdicvqkd.zpc import apply_zpc
 
 
 def poisson_residue_oracle(alpha_sq: float, m: int, terms: int = 200) -> list[float]:
@@ -90,8 +91,6 @@ def test_matches_oracle_across_regimes():
 
 def residue_sums_to_underflow(alpha_sq: float, modulus: int) -> list[float]:
     """The residue sum run until the terms fall below 1e-300 (no early stop)."""
-    if alpha_sq > 500.0:
-        return [1.0 / modulus] * modulus
     out = [0.0] * modulus
     term = math.exp(-alpha_sq)
     n = 0
@@ -119,16 +118,13 @@ def test_early_stop_is_bit_identical():
 
 
 def test_branches_agree_at_upper_switch():
-    # the closed forms serve x <= 500 and hand over to the uniform limit above
-    pairs = ((Scheme.EIGHT, _lambdas_eight_closed), (Scheme.FOUR, _lambdas_four_closed))
-    for scheme, closed in pairs:
-        uniform = lambdas(scheme, 500.5)
-        assert len(set(uniform)) == 1
-        for x in (499.5, 500.0, 500.5):
+    # the closed forms serve x up to ALPHA_SQ_MAX, where every weight is 1/M
+    pairs = ((8, Scheme.EIGHT, _lambdas_eight_closed), (4, Scheme.FOUR, _lambdas_four_closed))
+    for m, scheme, closed in pairs:
+        for x in (499.5, ALPHA_SQ_MAX):
             a = closed(x)
-            assert max(abs(p - q) for p, q in zip(a, uniform)) < 1e-13
-            if x <= 500.0:
-                assert lambdas(scheme, x) == a
+            assert max(abs(p - 1.0 / m) for p in a) < 1e-13
+            assert lambdas(scheme, x) == a
 
 
 def poisson_residue_decimal(alpha_sq: float, m: int) -> list[decimal.Decimal]:
@@ -172,14 +168,35 @@ def test_normalized_and_nonnegative():
             assert sum(lams) == pytest.approx(1.0, abs=1e-13)
 
 
-def test_uniform_limit(monkeypatch):
-    # beyond the closed forms every class holds an equal share, with no series run
-    def series(alpha_sq, modulus):
-        raise AssertionError("the series ran above _UNIFORM_MAX")
+def test_alpha_sq_above_the_bound_is_refused():
+    # no config reaches past ALPHA_SQ_MAX (V <= 1001, T <= 1); gaussian_z,
+    # outside the rate, has no bound
+    for scheme in Scheme:
+        for x in (math.nextafter(ALPHA_SQ_MAX, math.inf), 600.0, 1e5):
+            with pytest.raises(ValueError, match="alpha_sq must be at most 500"):
+                lambdas(scheme, x)
+            with pytest.raises(ValueError, match="alpha_sq must be at most 500"):
+                correlation_z(scheme, x)
+    assert gaussian_z(1e5) == math.sqrt(2e5 * (2e5 + 2.0))
 
-    monkeypatch.setattr(modulation, "_poisson_residue_sums", series)
-    for m, scheme in ((8, Scheme.EIGHT), (4, Scheme.FOUR)):
-        assert lambdas(scheme, 600.0) == [1.0 / m] * m
+
+ENTRY_POINTS = {
+    "lambdas": lambda x: lambdas(Scheme.EIGHT, x),
+    "correlation_z": lambda x: correlation_z(Scheme.EIGHT, x),
+    "gaussian_z": gaussian_z,
+    "apply_zpc": lambda x: apply_zpc(x, 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_every_alpha_sq_entry_runs_the_one_check(entry):
+    # True is an int equal to 1, but no alpha_sq; text is no number either
+    for bad in (True, False, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha_sq must be a finite number >= 0"):
+            entry(bad)
+    with pytest.raises(TypeError):
+        entry("0.5")
+    assert entry(1) == entry(1.0)  # an int is a number
 
 
 def test_zero_amplitude():
@@ -236,22 +253,20 @@ def test_rejects_bad_amplitude():
                 correlation_z(scheme, bad)
 
 
-# Z to the last bit at zero and in each weight band (below 1, [1, 500],
-# above 500), so a rewrite of the sum cannot move a figure digit
+# Z to the last bit at zero and in each weight band (below 1, [1, 500]),
+# so a rewrite of the sum cannot move a figure digit
 Z_PINS = {
     Scheme.FOUR: {
         0.0: 0.0,
         0.37: 1.3810569087265472,
         7.25: 14.500010969565071,
         42.5: 85.0,
-        600.0: 1200.0,
     },
     Scheme.EIGHT: {
         0.0: 0.0,
         0.37: 1.3954258594532654,
         7.25: 14.592821287102588,
         42.5: 85.00000000057553,
-        600.0: 1200.0,
     },
 }
 

@@ -297,7 +297,8 @@ def test_max_distance_from_zero_length_scans_a_single_link():
 
 
 def test_max_distance_rejects_bad_tolerance():
-    for bad in (0.0, -1.0, math.nan, math.inf):
+    # True is an int equal to 1, but no tolerance
+    for bad in (0.0, -1.0, math.nan, math.inf, True):
         with pytest.raises(ValueError, match="tol_km"):
             max_distance(config(), tol_km=bad)
 

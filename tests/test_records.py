@@ -33,7 +33,6 @@ RECORDS = [LinkGeometry(10.0, 2.0), config(), OptimizationGrid()]
 # A valid record, one of its fields and a value that field refuses.
 REFUSED = [
     (LinkGeometry(10.0, 2.0), "l_bc", -1.0),
-    (LinkGeometry(10.0, 2.0), "loss_mu", math.inf),
     (config(), "variance_v", 1.0),
     (config(), "eps_b", math.nan),
     (config(), "zpc", 1.5),
@@ -49,7 +48,6 @@ REFUSED = [
     # nor is a bool any length, noise or bound, though True == 1 and False == 0
     (LinkGeometry(10.0, 2.0), "l_ac", True),
     (LinkGeometry(10.0, 2.0), "l_bc", False),
-    (LinkGeometry(10.0, 2.0), "loss_mu", True),
     (config(), "beta", True),
     (config(), "eps_a", False),
     (config(), "eps_b", True),
@@ -97,7 +95,7 @@ def test_records_survive_pickling(record):
 def test_keyword_construction_validates():
     cfg = config(scheme=Scheme.FOUR, zpc=None, geometry=LinkGeometry(4.0, 1.5))
     assert (cfg.scheme, cfg.zpc, cfg.variance_v) == (Scheme.FOUR, None, 2.6)
-    assert (cfg.geometry.l_ac, cfg.geometry.l_bc, cfg.geometry.loss_mu) == (4.0, 1.5, 0.2)
+    assert (cfg.geometry.l_ac, cfg.geometry.l_bc) == (4.0, 1.5)
     assert OptimizationGrid(t_steps=20, refine_iters=5)._asdict() == {
         "t_lo": 0.01,
         "t_hi": 1.0,

@@ -73,8 +73,8 @@ def _fiber(form: dict, t: float, eps: float, noise: str) -> dict:
 def _relay_entries(geometry, eps_a, eps_b, v_a, v_b, g_sq, p_sign=-1.0) -> dict:
     """quadrature -> (Var A, Var B'', Cov(A, B'')) at Bob's gain g_sq; the
     p quadratures of both sources are correlated with sign p_sign."""
-    t_a = fiber_transmittance(geometry.l_ac, geometry.loss_mu)
-    t_b = fiber_transmittance(geometry.l_bc, geometry.loss_mu)
+    t_a = fiber_transmittance(geometry.l_ac)
+    t_b = fiber_transmittance(geometry.l_bc)
     g = math.sqrt(g_sq)
     entries = {}
     for quad, (sign, bob_at_relay) in {"x": (1.0, -1.0), "p": (p_sign, 1.0)}.items():

@@ -54,7 +54,7 @@ def panel() -> list[tuple[ProtocolConfig, float]]:
         )
         out.append((config, rng.uniform(0.05, 1.0)))
     for scheme, zpc, v, eps in NON_PHYSICAL:
-        geometry = LinkGeometry(0.0, 0.0, 1.0)
+        geometry = LinkGeometry(0.0, 0.0)
         out.append((ProtocolConfig(scheme, zpc, v, 1.0, eps, 0.0, geometry), 0.5))
     return out
 

@@ -17,6 +17,7 @@ from .channel import LinkGeometry, EquivalentChannel, equivalent_channel, equiva
 from .channel import fiber_transmittance
 from .keyrate import KeyRateResult, NonPhysicalStateError, ProtocolConfig, evaluate_protocol
 from .keyrate import secret_key_rate
+from .presets import Case, Variant
 
 # Names of the optimizer and figure layers, and those two modules, resolve
 # on first access, so importing the package (as every CLI process does)
@@ -29,8 +30,6 @@ _LAZY = {
     "max_distance": "optimize",
     "optimize_t": "optimize",
     "optimize_tv": "optimize",
-    "Case": "presets",
-    "Variant": "presets",
     "Dataset": "scenarios",
     "run_figure": "scenarios",
 }

@@ -22,8 +22,8 @@ FIBER_LOSS_DB_PER_KM = 0.2
 
 def fiber_transmittance(length_km: float) -> float:
     """Power transmittance of a fiber span, 10^(-mu L / 10), mu = FIBER_LOSS_DB_PER_KM."""
-    if not (0.0 <= length_km < math.inf):
-        raise ValueError(f"length_km must be finite and >= 0, got {length_km}")
+    if isinstance(length_km, bool) or not (0.0 <= length_km < math.inf):
+        raise ValueError(f"length_km must be a finite number >= 0, got {length_km}")
     return 10.0 ** (-FIBER_LOSS_DB_PER_KM * length_km / 10.0)
 
 
@@ -57,6 +57,7 @@ class LinkGeometry(namedtuple("LinkGeometry", "l_ac l_bc")):
     def scaled(self, total_km: float) -> "LinkGeometry":
         """Same arm ratio stretched to a new total length; a zero-length
         geometry has no ratio and becomes a single Alice-relay link."""
+        refuse_bool(total_km=total_km)
         if self.total_km == 0.0:
             return LinkGeometry(total_km, 0.0)
         f = total_km / self.total_km
@@ -93,8 +94,9 @@ def equivalent_channel(
     the mismatch-cancelling g^2 of the module docstring; any other gain
     would add that docstring's last term to eps_th.
     """
-    if not (0.0 <= eps_a < math.inf and 0.0 <= eps_b < math.inf):
-        raise ValueError(f"excess noise must be finite and >= 0, got {eps_a}, {eps_b}")
+    numbers = not (isinstance(eps_a, bool) or isinstance(eps_b, bool))
+    if not (numbers and 0.0 <= eps_a < math.inf and 0.0 <= eps_b < math.inf):
+        raise ValueError(f"eps_a and eps_b must be finite numbers >= 0, got {eps_a}, {eps_b}")
     if not (1.0 < v_bob < math.inf):
         raise ValueError(f"v_bob must be finite and exceed 1, got {v_bob}")
     t_a = fiber_transmittance(geometry.l_ac)

@@ -38,10 +38,6 @@ _DOMAIN_WARNING = (
 # scenario files
 
 
-class ScenarioError(ValueError):
-    """Raised for malformed or contradictory scenario files."""
-
-
 # What an unspecified scenario key takes: the eight-state preset of the
 # figures at zero length.
 DEFAULT_CONFIG = config_for(Variant.EIGHT, Case.ASYMMETRIC, 0.0)
@@ -96,23 +92,20 @@ def parse_scenario(text: str, base: ProtocolConfig = DEFAULT_CONFIG) -> Protocol
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
-            raise ScenarioError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise ValueError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         if key not in _SCENARIO_KEYS:
-            raise ScenarioError(f"line {lineno}: unknown key {key!r}")
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
-            raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
         seen[key] = value
-    try:
-        return _with_keys(base, seen)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return _with_keys(base, seen)
 
 
 def load_scenario_file(path, base: ProtocolConfig = DEFAULT_CONFIG) -> ProtocolConfig:
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+        raise ValueError(f"cannot read scenario file {path}: {exc}") from exc
     return parse_scenario(text, base)
 
 
@@ -173,7 +166,7 @@ def write_datasets(
         "tool_version": __version__,
         "config_echo": config_echo,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
-        "warnings": [_DOMAIN_WARNING] if any(ds.warn_domain for ds in datasets) else [],
+        "warnings": [_DOMAIN_WARNING] if any(ds.rows_out_of_domain for ds in datasets) else [],
         "rows_out_of_domain": {ds.name: ds.rows_out_of_domain for ds in datasets},
         "key_rows_out_of_domain": {ds.name: ds.key_rows_out_of_domain for ds in datasets},
         "files": [p.name for p in paths],

@@ -119,12 +119,6 @@ class Evaluation(NamedTuple):
     attenuated_alpha_sq: float
 
 
-def _channel(config: ProtocolConfig) -> EquivalentChannel:
-    return equivalent_channel(
-        config.geometry, config.eps_a, config.eps_b, v_bob=config.variance_v
-    )
-
-
 def mutual_information(a: float, b: float, c: float) -> float:
     """Shannon information of the heterodyne outcomes, bits per use."""
     if not (-math.inf < a < math.inf and -math.inf < b < math.inf and -math.inf < c < math.inf):
@@ -216,7 +210,7 @@ def rate_over_t(config: ProtocolConfig) -> Callable[[float], KeyRateResult]:
     V), so it is built once here and no record is built per T: rate(t)
     equals secret_key_rate(config.at_t(t)) bit for bit (T = 1 when off).
     """
-    chan = _channel(config)
+    chan = equivalent_channel(config.geometry, config.eps_a, config.eps_b, config.variance_v)
 
     def rate(t: float) -> KeyRateResult:
         return _score(config, config.t if config.zpc is None else t, chan)[0]
@@ -230,7 +224,7 @@ def evaluate_protocol(config: ProtocolConfig) -> Evaluation:
     Non-physical covariances do not raise; they yield a result with
     physical = False and the score fields unset.
     """
-    chan = _channel(config)
+    chan = equivalent_channel(config.geometry, config.eps_a, config.eps_b, config.variance_v)
     result, atten = _score(config, config.t, chan)
     return tuple.__new__(Evaluation, (result, chan, atten))
 

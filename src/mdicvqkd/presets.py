@@ -4,7 +4,7 @@ built from them, which also give the CLI its defaults."""
 
 from enum import Enum
 
-from .channel import LinkGeometry
+from .channel import LinkGeometry, refuse_bool
 from .keyrate import ProtocolConfig
 from .modulation import Scheme
 
@@ -57,6 +57,7 @@ def geometry_for(case: Case, distance_km: float) -> LinkGeometry:
     Asymmetric: the whole span is the Alice-relay link.  Symmetric: the
     distance is the Alice-Bob total split in half.
     """
+    refuse_bool(distance_km=distance_km)
     if case is Case.ASYMMETRIC:
         return LinkGeometry(distance_km, 0.0)
     return LinkGeometry(distance_km / 2.0, distance_km / 2.0)

@@ -45,12 +45,8 @@ class Dataset(NamedTuple):
     rows_out_of_domain: int = 0
     key_rows_out_of_domain: int = 0
 
-    @property
-    def warn_domain(self) -> bool:
-        return self.rows_out_of_domain > 0
 
-
-def correlation_curves(steps: int = 200) -> Dataset:
+def correlation_curves(steps: int = 200) -> list[Dataset]:
     """Correlation coefficient of the three modulations versus the
     effective modulation variance, over [0, 4]."""
     rows = []
@@ -64,7 +60,7 @@ def correlation_curves(steps: int = 200) -> Dataset:
                 gaussian_z(x),
             )
         )
-    return Dataset(_figure_id(correlation_curves), ("v_m_tilde", "z4", "z8", "zg"), rows)
+    return [Dataset(_figure_id(correlation_curves), ("v_m_tilde", "z4", "z8", "zg"), rows)]
 
 
 def _or_nan(x: float | None) -> float:
@@ -151,7 +147,7 @@ def rate_vs_beta(case: Case, beta_steps: int = 200) -> list[Dataset]:
     )
 
 
-def asymmetry_rate_curves(l_steps: int = 200) -> Dataset:
+def asymmetry_rate_curves(l_steps: int = 200) -> list[Dataset]:
     """Eight-state catalysis rate at V = 2.7 versus distance as the relay
     slides from Bob toward the middle, over l_ac in [0, 50] km at each d
     of RELAY_POSITIONS; d is the ratio l_bc / l_ac.
@@ -170,10 +166,10 @@ def asymmetry_rate_curves(l_steps: int = 200) -> Dataset:
     )
     # the rows carry l_ac until here; report the total, sorted
     rows = [(l * (1.0 + d), d, *r) for l, d, *r in ds.rows]
-    return ds._replace(rows=sorted(rows, key=lambda r: (r[0], r[1])))
+    return [ds._replace(rows=sorted(rows, key=lambda r: (r[0], r[1])))]
 
 
-def excess_noise_transition(l_steps: int = 200) -> Dataset:
+def excess_noise_transition(l_steps: int = 200) -> list[Dataset]:
     """Equivalent excess noise versus total distance on [0, 60] km for
     each relay position, at the preset excess noise on both links, each
     total split in the ratio 1 : d."""
@@ -184,7 +180,7 @@ def excess_noise_transition(l_steps: int = 200) -> Dataset:
             geom = LinkGeometry(1.0, d).scaled(total)
             rows.append((total, d, equivalent_excess_noise(geom, DEFAULT_EPS, DEFAULT_EPS)))
     rows.sort(key=lambda r: (r[0], r[1]))
-    return Dataset(_figure_id(excess_noise_transition), ("distance_km", "d", "eps_th"), rows)
+    return [Dataset(_figure_id(excess_noise_transition), ("distance_km", "d", "eps_th"), rows)]
 
 
 # The figures: id -> (builder, its fixed positional arguments, the keyword
@@ -223,5 +219,4 @@ def run_figure(figure_id: str, **steps) -> list[Dataset]:
         if key not in step_keys:
             raise ValueError(f"{figure_id} takes no keyword {key}")
         check_steps(key, value, 2)
-    out = build(*args, **steps)
-    return out if isinstance(out, list) else [out]
+    return build(*args, **steps)

@@ -344,7 +344,7 @@ def test_criterion_13_relay_position_transition():
         )
         reach.append(max_distance(cfg, tol_km=0.01))
     decreasing = all(reach[i + 1] < reach[i] for i in range(len(reach) - 1))
-    rows = excess_noise_transition(l_steps=100).rows
+    rows = excess_noise_transition(l_steps=100)[0].rows
     eps0 = {l: eps for l, d, eps in rows if d == 0.0}
     eps1 = {l: eps for l, d, eps in rows if d == 1.0}
     distances = sorted(eps0)

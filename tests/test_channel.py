@@ -11,6 +11,7 @@ from mdicvqkd.channel import (
     equivalent_excess_noise,
     fiber_transmittance,
 )
+from mdicvqkd.presets import Case, geometry_for
 
 
 def test_fiber_transmittance():
@@ -144,3 +145,23 @@ def test_non_finite_inputs_are_refused():
     for eps in ((0.0, math.inf), (math.inf, 0.0)):
         with pytest.raises(ValueError, match="finite"):
             equivalent_channel(geom, *eps, v_bob=2.0)
+
+
+@pytest.mark.parametrize(
+    "call, args, name",
+    [
+        (fiber_transmittance, (True,), "length_km"),
+        (equivalent_channel, (LinkGeometry(1.0, 0.0), True, 0.0, 2.0), "eps_a"),
+        (equivalent_channel, (LinkGeometry(1.0, 0.0), 0.0, True, 2.0), "eps_b"),
+        (equivalent_channel, (LinkGeometry(1.0, 0.0), 0.0, 0.0, True), "v_bob"),
+        (equivalent_excess_noise, (LinkGeometry(1.0, 0.0), 0.0, True), "eps_b"),
+        (LinkGeometry(10.0, 0.0).scaled, (True,), "total_km"),
+        (LinkGeometry(0.0, 0.0).scaled, (False,), "total_km"),
+        (geometry_for, (Case.SYMMETRIC, True), "distance_km"),
+        (geometry_for, (Case.ASYMMETRIC, True), "distance_km"),
+    ],
+)
+def test_bool_is_no_length_noise_or_variance(call, args, name):
+    # True is an int equal to 1: each took it as a 1 km span, a unit noise or a variance
+    with pytest.raises(ValueError, match=name):
+        call(*args)

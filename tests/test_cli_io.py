@@ -17,7 +17,6 @@ from mdicvqkd.cli_io import (
     _DOMAIN_WARNING,
     _SCENARIO_KEYS,
     DEFAULT_CONFIG,
-    ScenarioError,
     _spec_echo,
     dataset_to_csv,
     format_value,
@@ -110,19 +109,19 @@ def test_scenario_parsing():
 
 
 def test_scenario_errors():
-    with pytest.raises(ScenarioError, match="line 1.*unknown key"):
+    with pytest.raises(ValueError, match="line 1.*unknown key"):
         parse_scenario("vairance = 2.5")
-    with pytest.raises(ScenarioError, match="line 2.*duplicate"):
+    with pytest.raises(ValueError, match="line 2.*duplicate"):
         parse_scenario("beta = 0.9\nbeta = 0.8")
-    with pytest.raises(ScenarioError, match="eps conflicts"):
+    with pytest.raises(ValueError, match="eps conflicts"):
         parse_scenario("eps = 0.002\neps_a = 0.001")
-    with pytest.raises(ScenarioError, match="expected 'key = value'"):
+    with pytest.raises(ValueError, match="expected 'key = value'"):
         parse_scenario("beta 0.9")
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ValueError):
         parse_scenario("zpc_t = 0")  # out of range
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ValueError):
         parse_scenario("variance = 0.5")
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ValueError):
         parse_scenario("beta = fast")
 
 
@@ -148,13 +147,13 @@ def test_load_scenario_file(tmp_path):
     p.write_text("variance = 3.0\nzpc_t = off\n", encoding="utf-8")
     spec = load_scenario_file(p)
     assert spec.variance_v == 3.0 and spec.zpc is None
-    with pytest.raises(ScenarioError, match="cannot read"):
+    with pytest.raises(ValueError, match="cannot read"):
         load_scenario_file(tmp_path / "missing.scenario")
     # a byte-order mark, as some editors save UTF-8, is no part of the first key
     p.write_bytes(b"\xef\xbb\xbfscheme = four\n")
     assert load_scenario_file(p).scheme is Scheme.FOUR
     p.write_bytes(b"variance = 3.0\xff\n")
-    with pytest.raises(ScenarioError, match="cannot read scenario file .*run.scenario: 'utf-8'"):
+    with pytest.raises(ValueError, match="cannot read scenario file .*run.scenario: 'utf-8'"):
         load_scenario_file(p)
 
 
@@ -965,10 +964,18 @@ def test_cli_figure_manifest_counts_rows_outside_the_domain(tmp_path, capsys):
                 want_key[name] += outside and skr > 0.0  # nan, a non-physical rate, is no key
         assert counts == want and key_counts == want_key, fid
         assert 0 < sum(counts.values()) < 3 * len(counts), fid
+        # the manifest warns exactly when some dataset has a row outside
+        warned = any(c > 0 for c in counts.values())
+        assert manifest["warnings"] == ([_DOMAIN_WARNING] if warned else []), fid
         totals[fid] = sum(key_counts.values()), sum(counts.values())
     # at 3 points every fig4 row outside the domain has a key; not so in fig7
     assert 0 < totals["fig4"][0] == totals["fig4"][1]
     assert 0 < totals["fig7"][0] < totals["fig7"][1]
+    # and stays silent when no row is outside
+    code, _, err = run_cli(["figure", "fig2", "--steps", "3", "--out", str(tmp_path)], capsys)
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "fig2_manifest.json").read_text())
+    assert manifest["rows_out_of_domain"] == {"fig2": 0} and manifest["warnings"] == []
 
 
 def test_cli_figure_flag_scoping(tmp_path, capsys):

@@ -58,7 +58,7 @@ def test_config_presets():
 
 
 def test_correlation_curve_dataset():
-    ds = correlation_curves(steps=50)
+    (ds,) = correlation_curves(steps=50)
     assert ds.name == "fig2"
     assert ds.columns == ("v_m_tilde", "z4", "z8", "zg")
     assert len(ds.rows) == 50
@@ -134,7 +134,7 @@ def test_nonphysical_best_rate_written_as_nan(monkeypatch):
     monkeypatch.setattr(scenarios, "best_rate", _fixed_best_rate(-math.inf, 1.0))
     surface = rate_surface(Case.ASYMMETRIC, v_steps=2, l_steps=2)
     beta = rate_vs_beta(Case.SYMMETRIC, beta_steps=2)
-    asym = asymmetry_rate_curves(l_steps=2)
+    (asym,) = asymmetry_rate_curves(l_steps=2)
     for ds in surface + beta + [asym]:
         assert all(math.isnan(row[2]) for row in ds.rows), ds.name
 
@@ -144,18 +144,20 @@ def test_dataset_warn_domain_judged_at_t_star(monkeypatch):
     # the plain variants run at T = 1, so V = 10 is outside it
     monkeypatch.setattr(scenarios, "best_rate", _fixed_best_rate(1.0, 0.05))
     surface = rate_surface(Case.ASYMMETRIC, v_steps=2, l_steps=2)
-    assert {ds.name: ds.warn_domain for ds in surface} == {
+    assert {ds.name: ds.rows_out_of_domain > 0 for ds in surface} == {
         "fig3_four": True,
         "fig3_eight": True,
         "fig3_four_zpc": False,
         "fig3_eight_zpc": False,
     }
-    assert not asymmetry_rate_curves(l_steps=2).warn_domain
+    assert asymmetry_rate_curves(l_steps=2)[0].rows_out_of_domain == 0
     monkeypatch.setattr(scenarios, "best_rate", _fixed_best_rate(1.0, 1.0))
-    assert asymmetry_rate_curves(l_steps=2).warn_domain
+    assert asymmetry_rate_curves(l_steps=2)[0].rows_out_of_domain > 0
     curves = rate_vs_distance(Case.SYMMETRIC, l_steps=2)
     # V = 1.5/1.8/2.6/2.7, then the three extra-noise curves at V = 2.7
-    assert [ds.warn_domain for ds in curves] == [False, True, True, True, True, True, True]
+    assert [ds.rows_out_of_domain > 0 for ds in curves] == [
+        False, True, True, True, True, True, True
+    ]
     # every such row has a key here; without one it counts only as out of domain
     assert [ds.key_rows_out_of_domain for ds in curves] == [0, 2, 2, 2, 2, 2, 2]
     monkeypatch.setattr(scenarios, "best_rate", _fixed_best_rate(-1.0, 1.0))
@@ -164,7 +166,7 @@ def test_dataset_warn_domain_judged_at_t_star(monkeypatch):
         (0, 0),
         (2, 0),
     ]
-    assert not correlation_curves(steps=2).warn_domain
+    assert correlation_curves(steps=2)[0].rows_out_of_domain == 0
 
 
 @pytest.mark.parametrize(
@@ -269,7 +271,7 @@ def test_beta_zero_crossing_catalysis():
 
 
 def test_asymmetry_curveset():
-    ds = asymmetry_rate_curves(l_steps=4)
+    (ds,) = asymmetry_rate_curves(l_steps=4)
     assert ds.name == "fig9a"
     assert ds.columns == ("distance_km", "d", "skr_bits_per_use", "t_star")
     assert len(ds.rows) == 20
@@ -281,7 +283,7 @@ def test_asymmetry_curveset():
 
 
 def test_excess_noise_curveset():
-    ds = excess_noise_transition(l_steps=5)
+    (ds,) = excess_noise_transition(l_steps=5)
     assert ds.name == "fig9b"
     assert ds.columns == ("distance_km", "d", "eps_th")
     eps_at = {(r[0], r[1]): r[2] for r in ds.rows}
@@ -312,6 +314,10 @@ def test_run_figure_dispatch():
         "fig7_eight_zpc",
         *(f"fig7_eight_zpc_eps{eps!r}" for eps in EXTRA_EPS[Case.SYMMETRIC]),
     ]
+    # every builder returns its list of datasets, which run_figure passes on
+    builders = {build: (args, keys) for build, args, keys in FIGURES.values()}
+    for build, (args, keys) in builders.items():
+        assert isinstance(build(*args, **dict.fromkeys(keys, 2)), list), build.__name__
     with pytest.raises(ValueError):
         run_figure("fig1")
     # one spelling per id, the one the CLI's choices admit

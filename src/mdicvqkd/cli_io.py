@@ -64,10 +64,11 @@ def _with_keys(base: ProtocolConfig, values: dict[str, str]) -> ProtocolConfig:
         raise ValueError("eps conflicts with eps_a/eps_b; give one or the other")
     fields = {}
     for key, text in values.items():
+        text = text.strip().lower()
         try:
             if key == "scheme":
-                value = Scheme(text.lower())
-            elif key == "zpc_t" and text.strip().lower() == "off":
+                value = Scheme(text)
+            elif key == "zpc_t" and text == "off":
                 value = None
             else:
                 value = float(text)

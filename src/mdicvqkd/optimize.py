@@ -20,6 +20,10 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Bisection tolerance of max_distance, km.
 TOL_KM = 0.05
 
+# Open lower end of every catalysis T search over (T_LO, 1]: the rate
+# vanishes as T -> 0, so the excluded sliver cannot hold the optimum.
+T_LO = 0.01
+
 
 def check_steps(name: str, value: int, least: int) -> None:
     """Refuse a step count that is no int (a bool is none) or is below least."""
@@ -37,14 +41,10 @@ def linspace(lo: float, hi: float, steps: int) -> list[float]:
 
 
 class OptimizationGrid(
-    namedtuple("OptimizationGrid", "t_lo t_hi t_steps v_lo v_hi v_steps refine_iters")
+    namedtuple("OptimizationGrid", "t_steps v_lo v_hi v_steps refine_iters")
 ):
-    """Scan ranges and refinement depth shared by all optimizers.
-
-    The transmittance range is open at the bottom (the rate vanishes
-    with T, so the excluded sliver cannot hold the optimum) and closed
-    at 1; the variance range is closed on both ends.
-    """
+    """Scan ranges and refinement depth shared by all optimizers: T over
+    (T_LO, 1], V over [v_lo, v_hi]."""
 
     __slots__ = ()
     # the stock _make, which _replace calls, skips __new__
@@ -52,21 +52,17 @@ class OptimizationGrid(
 
     def __new__(
         cls,
-        t_lo: float = 0.01,
-        t_hi: float = 1.0,
         t_steps: int = 200,
         v_lo: float = 1.01,
         v_hi: float = 10.0,
         v_steps: int = 200,
         refine_iters: int = 30,
     ):
-        refuse_bool(t_lo=t_lo, t_hi=t_hi, v_lo=v_lo, v_hi=v_hi)
-        self = tuple.__new__(cls, (t_lo, t_hi, t_steps, v_lo, v_hi, v_steps, refine_iters))
-        for name in ("t_lo", "t_hi", "v_lo", "v_hi"):
+        refuse_bool(v_lo=v_lo, v_hi=v_hi)
+        self = tuple.__new__(cls, (t_steps, v_lo, v_hi, v_steps, refine_iters))
+        for name in ("v_lo", "v_hi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (0.0 <= self.t_lo < self.t_hi <= 1.0):
-            raise ValueError(f"need 0 <= t_lo < t_hi <= 1, got ({self.t_lo}, {self.t_hi}]")
         if not (1.0 < self.v_lo < self.v_hi <= VARIANCE_MAX):
             raise ValueError(
                 f"need 1 < v_lo < v_hi <= {VARIANCE_MAX:g}, got [{self.v_lo}, {self.v_hi}]"
@@ -76,8 +72,8 @@ class OptimizationGrid(
         return self
 
     def t_points(self) -> list[float]:
-        """Grid over (t_lo, t_hi]: lo excluded, hi included."""
-        return linspace(self.t_lo, self.t_hi, self.t_steps + 1)[1:]
+        """Grid over (T_LO, 1]: T_LO excluded, 1 included."""
+        return linspace(T_LO, 1.0, self.t_steps + 1)[1:]
 
     def v_points(self) -> list[float]:
         return linspace(self.v_lo, self.v_hi, self.v_steps)
@@ -143,7 +139,7 @@ def _best_t(config: ProtocolConfig, grid: OptimizationGrid, key) -> tuple[float,
     rate = rate_over_t(config)
     if config.zpc is None:
         return config.t, rate(config.t)
-    return _scan_and_refine(rate, key, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters)
+    return _scan_and_refine(rate, key, grid.t_points(), T_LO, 1.0, grid.refine_iters)
 
 
 def best_rate(

@@ -27,6 +27,7 @@ from mdicvqkd.optimize import (
     _scan_and_refine,
     best_rate,
     beta_zero_crossing,
+    linspace,
     max_distance,
     optimize_tv,
 )
@@ -166,6 +167,29 @@ def test_criterion_07_reference_distances_relay_midway():
         ok,
         f"eight+zpc {d8:.3f} km (want 1.2 +- 15%), four+zpc {d4:.3f} km (want 0.9 +- 15%)",
     )
+
+
+def test_criterion_07_targets_match_the_v_axis_end():
+    # A reading of criterion 7's targets, which leaves that criterion as it
+    # is: maximized over fig6's V axis (20 of its points), each midway reach
+    # peaks at the axis's upper end, lies inside criterion 7's band, and is
+    # reported outside the trusted domain.  Consistent with the targets, not
+    # confirmed by the paper.
+    axis = linspace(1.05, 10.0, 20)
+    lines, ok = [], True
+    for variant, want in ((Variant.EIGHT_ZPC, 1.2), (Variant.FOUR_ZPC, 0.9)):
+        configs = [config_for(variant, Case.SYMMETRIC, 1.0, variance_v=v) for v in axis]
+        reaches = [max_distance(cfg, tol_km=0.002) for cfg in configs]
+        best = max(range(len(axis)), key=reaches.__getitem__)
+        reached = configs[best]._replace(geometry=configs[best].geometry.scaled(reaches[best]))
+        flagged = reached.at_t(best_rate(reached)[0]).warn_domain
+        ok &= axis[best] == 10.0 and 0.85 * want <= reaches[best] <= 1.15 * want and flagged
+        lines.append(
+            f"{variant.value} {reaches[best]:.3f} km at V = {axis[best]:g} "
+            f"(want {want} +- 15% at V = 10), outside the domain: {flagged}"
+        )
+    print("criterion 07 at the V axis end: " + "; ".join(lines))
+    assert ok, lines
 
 
 def test_criterion_08_optimal_variances():

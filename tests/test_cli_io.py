@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import shlex
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from mdicvqkd.cli_io import (
     write_datasets,
 )
 from mdicvqkd.modulation import Scheme
-from mdicvqkd.optimize import OptimizationGrid, max_distance
+from mdicvqkd.optimize import T_LO, OptimizationGrid, max_distance
 from mdicvqkd.presets import Case, Variant, config_for
 from mdicvqkd.scenarios import FIGURES, Dataset
 
@@ -284,9 +285,15 @@ KEYRATE_GOLDEN = {
 }
 
 
+# padded, upper-case flag text reads as its stripped, lower-case value
+KEYRATE_GOLDEN["--scheme ' Four ' --zpc-t ' Off ' --eps-a ' 1E300 ' --lac 10"] = KEYRATE_GOLDEN[
+    "--scheme four --eps-a 1e300 --lac 10"
+]
+
+
 @pytest.mark.parametrize("flags", KEYRATE_GOLDEN)
 def test_cli_keyrate_golden_bytes(flags, capsys):
-    code, out, _ = run_cli(["keyrate", *flags.split()], capsys)
+    code, out, _ = run_cli(["keyrate", *shlex.split(flags)], capsys)
     want_code, want = KEYRATE_GOLDEN[flags]
     assert code == want_code
     assert out == want.replace("@VERSION@", __version__).replace("@WARNING@", _DOMAIN_WARNING)
@@ -543,23 +550,22 @@ def test_cli_optimize_refuses_a_one_point_grid(flag, field, capsys):
 def test_cli_optimize_t_never_probes_t_zero(capsys):
     # every state is non-physical at this excess noise, so every rate ties
     # and the golden section keeps the left subinterval until its bracket
-    # underflows onto t_lo = 0, a T the catalysis setting refuses; the
-    # search stops short of it
-    argv = "optimize --optimize t --eps-a 1e300 --t-lo 0 --t-steps 2 --refine-iters 2000"
+    # collapses onto T_LO; the search stops short of it
+    argv = "optimize --optimize t --eps-a 1e300 --t-steps 2 --refine-iters 2000"
     code, out, err = run_cli(argv.split(), capsys)
     assert code == 0, err
     doc = json.loads(out)
     assert doc["no_key"] is True
-    assert 0.0 < doc["t_star"] <= 1.0
+    assert T_LO < doc["t_star"] <= 1.0
 
 
 def test_cli_optimize_t_grid_ends_on_its_bound(capsys):
-    # 0.1 + 0.9 * 13 / 13 is 1.0000000000000002, a T the catalysis setting
-    # refuses, so the grid's last point must be t_hi itself
-    argv = "optimize --optimize t --t-lo 0.1 --t-steps 13 --variance 2.6 --lac 20"
+    # 0.01 + 0.99 * 12 / 12 is 0.9999999999999999; the rate here rises to
+    # T = 1, so the grid's last point, 1.0 itself, is the optimum
+    argv = "optimize --optimize t --t-steps 12 --variance 1.5 --lac 0"
     code, out, err = run_cli(argv.split(), capsys)
     assert code == 0, err
-    assert 0.1 < json.loads(out)["t_star"] <= 1.0
+    assert json.loads(out)["t_star"] == 1.0
 
 
 # optimize stdout byte for byte in each mode: with a key, without one, and
@@ -583,8 +589,6 @@ OPTIMIZE_GOLDEN = {
   },
   "mode": "t",
   "grid": {
-    "t_lo": 0.01,
-    "t_hi": 1.0,
     "t_steps": 20,
     "v_lo": 1.01,
     "v_hi": 10.0,
@@ -617,8 +621,6 @@ OPTIMIZE_GOLDEN = {
   },
   "mode": "t",
   "grid": {
-    "t_lo": 0.01,
-    "t_hi": 1.0,
     "t_steps": 20,
     "v_lo": 1.01,
     "v_hi": 10.0,
@@ -649,8 +651,6 @@ OPTIMIZE_GOLDEN = {
   },
   "mode": "t",
   "grid": {
-    "t_lo": 0.01,
-    "t_hi": 1.0,
     "t_steps": 4,
     "v_lo": 1.01,
     "v_hi": 10.0,
@@ -681,8 +681,6 @@ OPTIMIZE_GOLDEN = {
   },
   "mode": "tv",
   "grid": {
-    "t_lo": 0.01,
-    "t_hi": 1.0,
     "t_steps": 10,
     "v_lo": 1.01,
     "v_hi": 10.0,
@@ -716,8 +714,6 @@ OPTIMIZE_GOLDEN = {
   },
   "mode": "tv",
   "grid": {
-    "t_lo": 0.01,
-    "t_hi": 1.0,
     "t_steps": 200,
     "v_lo": 1.01,
     "v_hi": 10.0,
@@ -751,8 +747,6 @@ OPTIMIZE_GOLDEN = {
   },
   "mode": "tv",
   "grid": {
-    "t_lo": 0.01,
-    "t_hi": 1.0,
     "t_steps": 200,
     "v_lo": 1.01,
     "v_hi": 10.0,
@@ -786,8 +780,6 @@ OPTIMIZE_GOLDEN = {
   },
   "mode": "distance",
   "grid": {
-    "t_lo": 0.01,
-    "t_hi": 1.0,
     "t_steps": 10,
     "v_lo": 1.01,
     "v_hi": 10.0,
@@ -817,8 +809,6 @@ OPTIMIZE_GOLDEN = {
   },
   "mode": "distance",
   "grid": {
-    "t_lo": 0.01,
-    "t_hi": 1.0,
     "t_steps": 10,
     "v_lo": 1.01,
     "v_hi": 10.0,
@@ -850,8 +840,6 @@ OPTIMIZE_GOLDEN = {
   },
   "mode": "distance",
   "grid": {
-    "t_lo": 0.01,
-    "t_hi": 1.0,
     "t_steps": 200,
     "v_lo": 1.01,
     "v_hi": 10.0,

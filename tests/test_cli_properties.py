@@ -51,9 +51,6 @@ VALID = st.fixed_dictionaries(
         "lbc": _valid(_number(0.0, 100.0), 0.0, 15000.0),
     },
 )
-VALID_BOUNDS = st.fixed_dictionaries(
-    {}, optional={"t_lo": _number(0.0, 0.49), "t_hi": _number(0.5, 1.0)}
-)
 # Reduced grids keep a drawn optimize call to milliseconds; any of their
 # flags may be overridden by hostile text as the protocol keys are.
 REDUCED_GRID = st.fixed_dictionaries(
@@ -64,7 +61,7 @@ REDUCED_GRID = st.fixed_dictionaries(
     },
     optional={"v_lo": _number(1.0, 4.99, exclude_min=True), "v_hi": _number(5.0, 12.0)},
 )
-GRID_KEYS = ["t_lo", "t_hi", "t_steps", "v_lo", "v_hi", "v_steps", "refine_iters"]
+GRID_KEYS = ["t_steps", "v_lo", "v_hi", "v_steps", "refine_iters"]
 
 
 def _hostile_over(*keys: str):
@@ -107,31 +104,30 @@ def test_keyrate_flags_keep_the_cli_contract(flags, hostile):
 
 
 @FUZZ
-@given(VALID, VALID_BOUNDS, REDUCED_GRID, _hostile_over(*GRID_KEYS))
-def test_optimize_t_flags_keep_the_cli_contract(flags, bounds, grid, hostile):
-    argv = _argv({**flags, **bounds, **grid, **hostile})
+@given(VALID, REDUCED_GRID, _hostile_over(*GRID_KEYS))
+def test_optimize_t_flags_keep_the_cli_contract(flags, grid, hostile):
+    argv = _argv({**flags, **grid, **hostile})
     # --optimize t refuses '--zpc-t off'
     valid = not hostile and flags.get("zpc_t", "").lower() != "off"
     _check(["optimize", "--optimize", "t", *argv], valid)
 
 
 @FUZZ
-@given(VALID, VALID_BOUNDS, REDUCED_GRID, _hostile_over(*GRID_KEYS))
-def test_optimize_tv_flags_keep_the_cli_contract(flags, bounds, grid, hostile):
-    argv = _argv({**flags, **bounds, **grid, **hostile})
+@given(VALID, REDUCED_GRID, _hostile_over(*GRID_KEYS))
+def test_optimize_tv_flags_keep_the_cli_contract(flags, grid, hostile):
+    argv = _argv({**flags, **grid, **hostile})
     _check(["optimize", "--optimize", "tv", *argv], valid=not hostile)
 
 
 @FUZZ
 @given(
     VALID,
-    VALID_BOUNDS,
     REDUCED_GRID,
     st.fixed_dictionaries({}, optional={"tol_km": _number(0.05, 50.0)}),
     _hostile_over(*GRID_KEYS, "tol_km"),
 )
-def test_optimize_distance_flags_keep_the_cli_contract(flags, bounds, grid, tol, hostile):
-    argv = _argv({**flags, **bounds, **grid, **tol, **hostile})
+def test_optimize_distance_flags_keep_the_cli_contract(flags, grid, tol, hostile):
+    argv = _argv({**flags, **grid, **tol, **hostile})
     _check(["optimize", "--optimize", "distance", *argv], not hostile)
 
 

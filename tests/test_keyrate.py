@@ -312,7 +312,7 @@ def test_records_are_immutable():
         (ev.channel, "t_c"),
         (cfg, "beta"),
         (cfg.geometry, "l_ac"),
-        (OptimizationGrid(), "t_lo"),
+        (OptimizationGrid(), "t_steps"),
     )
     for record, field in records:
         with pytest.raises(AttributeError):

@@ -9,6 +9,7 @@ from mdicvqkd.channel import LinkGeometry
 from mdicvqkd.keyrate import ProtocolConfig, secret_key_rate
 from mdicvqkd.modulation import Scheme
 from mdicvqkd.optimize import (
+    T_LO,
     OptimizationGrid,
     _golden_max,
     _scan_and_refine,
@@ -38,19 +39,23 @@ def test_grid_points():
     grid = OptimizationGrid(t_steps=4, v_steps=3)
     ts = grid.t_points()
     assert len(ts) == 4
-    assert ts[0] > grid.t_lo  # lower end exclusive: T = 0 is no channel
-    assert ts[-1] == grid.t_hi
+    assert ts[0] > T_LO  # lower end exclusive: T = 0 is no channel
+    assert ts[-1] == 1.0
     vs = grid.v_points()
     assert vs == [grid.v_lo, (grid.v_lo + grid.v_hi) / 2.0, grid.v_hi]
 
 
 def test_grid_ends_exactly_on_its_bounds():
-    # lo + (hi - lo) * k / k can miss hi by an ulp either way: 1.0000000000000002
-    # at (0.1, 1] in 13 steps, 0.9999999999999999 at (0.01, 1] in 12
-    for t_lo, t_steps in ((0.1, 13), (0.01, 12), (0.01, 3), (0.37, 7)):
-        ts = OptimizationGrid(t_lo=t_lo, t_steps=t_steps).t_points()
+    # lo + (hi - lo) * k / k can miss hi by an ulp either way: 0.9999999999999999
+    # at (0.01, 1] in 12 steps, 1.0000000000000002 at (0.1, 1] in 13
+    for t_steps in (12, 3):
+        ts = OptimizationGrid(t_steps=t_steps).t_points()
         assert len(ts) == t_steps and ts[-1] == 1.0
-        assert ts[:-1] == [t_lo + (1.0 - t_lo) * k / t_steps for k in range(1, t_steps)]
+        assert ts[:-1] == [T_LO + (1.0 - T_LO) * k / t_steps for k in range(1, t_steps)]
+    for lo, steps in ((0.1, 13), (0.37, 7)):
+        xs = linspace(lo, 1.0, steps + 1)
+        assert len(xs) == steps + 1 and xs[-1] == 1.0
+        assert xs[:-1] == [lo + (1.0 - lo) * k / steps for k in range(steps)]
     xs = linspace(0.8, 1.0, 4)
     assert (len(xs), xs[0], xs[-1]) == (4, 0.8, 1.0)
     with pytest.raises(ValueError):
@@ -58,15 +63,15 @@ def test_grid_ends_exactly_on_its_bounds():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        OptimizationGrid(t_lo=0.5, t_hi=0.5)
+    with pytest.raises(TypeError):
+        OptimizationGrid(t_lo=0.1)  # the T bracket is (T_LO, 1], no field
     with pytest.raises(ValueError):
         OptimizationGrid(v_lo=0.9)
     with pytest.raises(ValueError):
         OptimizationGrid(t_steps=1)
     with pytest.raises(ValueError):
         OptimizationGrid(refine_iters=-1)
-    for name in ("t_lo", "t_hi", "v_lo", "v_hi"):
+    for name in ("v_lo", "v_hi"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 OptimizationGrid(**{name: bad})
@@ -213,7 +218,7 @@ def _per_t_optimize_t(cfg: ProtocolConfig, grid: OptimizationGrid):
         return r.skr if r.physical else -math.inf
 
     t_star, _ = _scan_and_refine(
-        skr, identity, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
+        skr, identity, grid.t_points(), T_LO, 1.0, grid.refine_iters
     )
     return t_star, secret_key_rate(cfg.at_t(t_star))
 
@@ -230,7 +235,7 @@ def _per_t_beta_zero_crossing(cfg: ProtocolConfig, grid: OptimizationGrid):
     if cfg.zpc is None:
         return -neg_ratio(1.0), 1.0
     t_at, neg_beta = _scan_and_refine(
-        neg_ratio, identity, grid.t_points(), grid.t_lo, grid.t_hi, grid.refine_iters
+        neg_ratio, identity, grid.t_points(), T_LO, 1.0, grid.refine_iters
     )
     return -neg_beta, t_at
 

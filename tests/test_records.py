@@ -51,8 +51,7 @@ REFUSED = [
     (config(), "beta", True),
     (config(), "eps_a", False),
     (config(), "eps_b", True),
-    (OptimizationGrid(), "t_lo", False),
-    (OptimizationGrid(), "t_hi", True),
+    (OptimizationGrid(), "v_hi", True),
     # a scheme is a Scheme and a geometry a LinkGeometry, not its name or fields
     (config(), "scheme", "eight"),
     (config(), "geometry", (10.0, 0.0, 0.2)),
@@ -97,8 +96,6 @@ def test_keyword_construction_validates():
     assert (cfg.scheme, cfg.zpc, cfg.variance_v) == (Scheme.FOUR, None, 2.6)
     assert (cfg.geometry.l_ac, cfg.geometry.l_bc) == (4.0, 1.5)
     assert OptimizationGrid(t_steps=20, refine_iters=5)._asdict() == {
-        "t_lo": 0.01,
-        "t_hi": 1.0,
         "t_steps": 20,
         "v_lo": 1.01,
         "v_hi": 10.0,
@@ -110,7 +107,6 @@ def test_keyword_construction_validates():
         lambda: config(eps_a=-0.001),
         lambda: config(zpc=0.0),
         lambda: LinkGeometry(l_ac=math.nan, l_bc=0.0),
-        lambda: OptimizationGrid(t_lo=0.5, t_hi=0.4),
         lambda: OptimizationGrid(refine_iters=-1),
     ):
         with pytest.raises(ValueError):

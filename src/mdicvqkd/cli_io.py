@@ -259,7 +259,7 @@ def _cmd_optimize(args) -> int:
         fields.update(t_star=t_star, v_star=v_star, skr_star=best.skr, no_key=no_key)
         reported = cfg.at_t(t_star)._replace(variance_v=v_star)
     else:
-        reach = max_distance(cfg, grid, tol_km=args.tol_km)
+        reach = max_distance(cfg, grid)
         fields.update(max_distance_km=reach, no_key=reach == 0.0)
         # the search optimized T at every length, so judge the reach at its T*
         reached = cfg._replace(geometry=cfg.geometry.scaled(reach))
@@ -286,15 +286,12 @@ def _cmd_figure(args) -> int:
 
 
 def _optimize_flags(p: argparse.ArgumentParser) -> None:
-    from .optimize import TOL_KM, OptimizationGrid
+    from .optimize import OptimizationGrid
 
     _add_protocol_flags(p)
     for name, default in OptimizationGrid()._asdict().items():
         p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--optimize", required=True, choices=("t", "tv", "distance"))
-    p.add_argument(
-        "--tol-km", dest="tol_km", type=float, default=TOL_KM, help="distance bisection tolerance"
-    )
 
 
 def _figure_flags(p: argparse.ArgumentParser) -> None:

@@ -2,11 +2,13 @@
 maximum transmission distance, and the reconciliation-efficiency
 threshold.
 
-Everything is coarse-grid scan plus golden-section refinement around the
-best bracket.  No randomness, no gradient estimates; ties break toward
-the smaller parameter value so repeated runs agree bit for bit.  The
-rate surface is smooth but not assumed unimodal: the refined value is
-only trusted when it beats the coarse scan.
+Two searches.  T and V are a coarse-grid scan plus golden-section
+refinement around the best bracket; the rate surface is smooth but not
+assumed unimodal, so the refined value is only trusted when it beats the
+coarse scan.  The reach brackets the rate's zero crossing by doubling the
+total length, then bisects that bracket.  No randomness, no gradient
+estimates; ties break toward the smaller parameter value so repeated runs
+agree bit for bit.
 """
 
 import math
@@ -17,8 +19,8 @@ from .keyrate import VARIANCE_MAX, KeyRateResult, ProtocolConfig, rate_over_t
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Bisection tolerance of max_distance, km.
-TOL_KM = 0.05
+# max_distance bisects until its bracket is this fraction of its upper end.
+REACH_RTOL = 1e-3
 
 # Open lower end of every catalysis T search over (T_LO, 1]: the rate
 # vanishes as T -> 0, so the excluded sliver cannot hold the optimum.
@@ -198,22 +200,17 @@ def beta_zero_crossing(
     return -_neg_ratio(result), t_at
 
 
-def max_distance(
-    config: ProtocolConfig,
-    grid: OptimizationGrid = OptimizationGrid(),
-    tol_km: float = TOL_KM,
-) -> float:
+def max_distance(config: ProtocolConfig, grid: OptimizationGrid = OptimizationGrid()) -> float:
     """Largest total distance, km, with a positive (T-optimized) key rate.
 
     The arm ratio of config.geometry is preserved while the total length
     is scaled; the zero crossing is bracketed by doubling and then
-    bisected to tol_km.  A config with no key even at zero length gives
-    0.0; every other config gives a reach above 0.  A key that outlasts
-    the doubling ends in the channel's refusal of an underflowed link.
+    bisected until hi - lo <= REACH_RTOL * hi, so the reach is resolved
+    to 0.1 % of itself at every scale.  A config with no key even at zero
+    length gives 0.0; every other config gives a reach above 0.  A key
+    that outlasts the doubling ends in the channel's refusal of an
+    underflowed link.
     """
-    refuse_bool(tol_km=tol_km)
-    if not (tol_km > 0.0 and math.isfinite(tol_km)):
-        raise ValueError(f"tol_km must be finite and > 0, got {tol_km}")
     base = config.geometry
 
     def rate_at(total_km: float) -> float:
@@ -224,10 +221,10 @@ def max_distance(
     lo, hi = 0.0, max(base.total_km, 1.0)
     while rate_at(hi) > 0.0:
         lo, hi = hi, 2.0 * hi
-    while hi - lo > tol_km:
+    while hi - lo > REACH_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
-            break  # lo and hi are adjacent floats: tol_km is below their spacing
+            break  # lo = 0 and hi has halved to the smallest subnormal
         if rate_at(mid) > 0.0:
             lo = mid
         else:

@@ -179,7 +179,7 @@ def test_criterion_07_targets_match_the_v_axis_end():
     lines, ok = [], True
     for variant, want in ((Variant.EIGHT_ZPC, 1.2), (Variant.FOUR_ZPC, 0.9)):
         configs = [config_for(variant, Case.SYMMETRIC, 1.0, variance_v=v) for v in axis]
-        reaches = [max_distance(cfg, tol_km=0.002) for cfg in configs]
+        reaches = [max_distance(cfg) for cfg in configs]
         best = max(range(len(axis)), key=reaches.__getitem__)
         reached = configs[best]._replace(geometry=configs[best].geometry.scaled(reaches[best]))
         flagged = reached.at_t(best_rate(reached)[0]).warn_domain
@@ -366,7 +366,7 @@ def test_criterion_13_relay_position_transition():
             eps_b=0.002,
             geometry=LinkGeometry(1.0, d),
         )
-        reach.append(max_distance(cfg, tol_km=0.01))
+        reach.append(max_distance(cfg))
     decreasing = all(reach[i + 1] < reach[i] for i in range(len(reach) - 1))
     rows = excess_noise_transition(l_steps=100)[0].rows
     eps0 = {l: eps for l, d, eps in rows if d == 0.0}

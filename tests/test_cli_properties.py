@@ -120,14 +120,9 @@ def test_optimize_tv_flags_keep_the_cli_contract(flags, grid, hostile):
 
 
 @FUZZ
-@given(
-    VALID,
-    REDUCED_GRID,
-    st.fixed_dictionaries({}, optional={"tol_km": _number(0.05, 50.0)}),
-    _hostile_over(*GRID_KEYS, "tol_km"),
-)
-def test_optimize_distance_flags_keep_the_cli_contract(flags, grid, tol, hostile):
-    argv = _argv({**flags, **grid, **tol, **hostile})
+@given(VALID, REDUCED_GRID, _hostile_over(*GRID_KEYS))
+def test_optimize_distance_flags_keep_the_cli_contract(flags, grid, hostile):
+    argv = _argv({**flags, **grid, **hostile})
     _check(["optimize", "--optimize", "distance", *argv], not hostile)
 
 

@@ -1,10 +1,12 @@
 """Grid-plus-golden-section searches over T, V, and reachable distance."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 import mdicvqkd.keyrate
+import mdicvqkd.optimize
 from mdicvqkd.channel import LinkGeometry
 from mdicvqkd.keyrate import ProtocolConfig, secret_key_rate
 from mdicvqkd.modulation import Scheme
@@ -20,6 +22,7 @@ from mdicvqkd.optimize import (
     optimize_t,
     optimize_tv,
 )
+from mdicvqkd.presets import Case, Variant, config_for
 
 
 def config(zpc=1.0, variance_v=2.6, beta=0.95, eps=0.002, l_ac=20.0, l_bc=0.0):
@@ -301,20 +304,45 @@ def test_max_distance_from_zero_length_scans_a_single_link():
     assert max_distance(cfg) == max_distance(cfg._replace(geometry=LinkGeometry(1.0, 0.0)))
 
 
-def test_max_distance_rejects_bad_tolerance():
-    # True is an int equal to 1, but no tolerance
-    for bad in (0.0, -1.0, math.nan, math.inf, True):
-        with pytest.raises(ValueError, match="tol_km"):
-            max_distance(config(), tol_km=bad)
+def test_max_distance_tolerance_below_float_spacing_terminates(monkeypatch):
+    # a rate positive only at zero length keeps lo at 0 while hi halves;
+    # no relative stop holds there, so the adjacent-float guard ends the search
+    calls = []
+
+    def only_at_zero(cfg, grid):
+        calls.append(cfg.geometry.total_km)
+        return 1.0, SimpleNamespace(physical=True, skr=1.0 if calls[-1] == 0.0 else -1.0)
+
+    monkeypatch.setattr(mdicvqkd.optimize, "best_rate", only_at_zero)
+    reach = max_distance(config(l_ac=1.0))
+    assert 0.0 <= reach < 1e-300
+    assert min(calls[1:]) == 5e-324  # the smallest subnormal
 
 
-def test_max_distance_tolerance_below_float_spacing_terminates():
-    cfg = config(l_ac=10.0)
-    grid = OptimizationGrid(t_steps=20, refine_iters=3)
-    fine = max_distance(cfg, grid, tol_km=1e-300)
-    coarse = max_distance(cfg, grid)
-    assert fine > 0.0
-    assert abs(fine - coarse) < 0.05
+def test_max_distance_resolves_the_midway_reach():
+    # at about 1 km an absolute 0.05 km bisection tied V = 9.53 and V = 10
+    # at 1.203125 km; a stop relative to the bracket tells them apart
+    def reference(cfg):
+        def positive(total_km):
+            scaled = cfg._replace(geometry=cfg.geometry.scaled(total_km))
+            result = best_rate(scaled)[1]
+            return result.physical and result.skr > 0.0
+
+        lo, hi = 0.0, 1.0
+        while positive(hi):
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > 1e-9:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if positive(mid) else (lo, mid)
+        return 0.5 * (lo + hi)
+
+    reaches = []
+    for v in (9.53, 10.0):
+        cfg = config_for(Variant.EIGHT_ZPC, Case.SYMMETRIC, 1.0, variance_v=v)
+        reach = max_distance(cfg)
+        assert abs(reach - reference(cfg)) <= 1e-3 * reach
+        reaches.append(reach)
+    assert reaches[0] != reaches[1]
 
 
 def test_deterministic_repeat():

@@ -240,14 +240,17 @@ def _cmd_keyrate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    from .optimize import OptimizationGrid, best_rate, max_distance, optimize_t, optimize_tv
+    from .optimize import V_HI, V_LO, OptimizationGrid, best_rate, max_distance, optimize_t
+    from .optimize import optimize_tv
 
     mode = args.optimize
     # t is the optimized variable, so an unset zpc_t means "on"
     base = DEFAULT_CONFIG._replace(zpc=1.0) if mode == "t" else DEFAULT_CONFIG
     cfg = _resolve_spec(args, base)
     grid = OptimizationGrid._make(getattr(args, name) for name in OptimizationGrid._fields)
-    fields = {"mode": mode, "grid": grid._asdict()}
+    # the V box is a constant, echoed between t_steps and v_steps
+    echo = {"t_steps": grid.t_steps, "v_lo": V_LO, "v_hi": V_HI, **grid._asdict()}
+    fields = {"mode": mode, "grid": echo}
     if mode == "t":
         t_star, best = optimize_t(cfg, grid)
         no_key = not (best.physical and best.skr > 0.0)
@@ -286,11 +289,16 @@ def _cmd_figure(args) -> int:
 
 
 def _optimize_flags(p: argparse.ArgumentParser) -> None:
-    from .optimize import OptimizationGrid
+    from .optimize import T_LO, V_HI, V_LO, OptimizationGrid
 
     _add_protocol_flags(p)
+    helps = {
+        "t_steps": f"T scan points over ({T_LO:g}, 1]",
+        "v_steps": f"V scan points over [{V_LO:g}, {V_HI:g}]",
+        "refine_iters": "golden-section steps",
+    }
     for name, default in OptimizationGrid()._asdict().items():
-        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=default, help=helps[name])
     p.add_argument("--optimize", required=True, choices=("t", "tv", "distance"))
 
 

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from .channel import LinkGeometry, equivalent_excess_noise
 from .modulation import Scheme, correlation_z, gaussian_z
-from .optimize import best_rate, check_steps, linspace
+from .optimize import V_HI, best_rate, check_steps, linspace
 from .presets import DEFAULT_EPS, Case, Variant, config_for
 
 # Distance axis of the rate surfaces and distance curves, km.
@@ -104,13 +104,13 @@ def _best_rate_tables(
 def rate_surface(case: Case, v_steps: int = 100, l_steps: int = 100) -> list[Dataset]:
     """Rate over the (variance, distance) plane, one table per variant.
 
-    Variances sample [1.05, 10] and distances [0, L_MAX[case]];
+    Variances sample [1.05, V_HI] and distances [0, L_MAX[case]];
     non-positive rates are recorded as-is so the positive region's
     boundary stays visible in the data.
     """
     points = [
         (v, l)
-        for v in linspace(1.05, 10.0, v_steps)
+        for v in linspace(1.05, V_HI, v_steps)
         for l in linspace(0.0, L_MAX[case], l_steps)
     ]
     return _best_rate_tables(

@@ -23,6 +23,8 @@ from mdicvqkd.keyrate import (
 )
 from mdicvqkd.modulation import Scheme, correlation_z, gaussian_z, lambdas
 from mdicvqkd.optimize import (
+    V_HI,
+    V_LO,
     OptimizationGrid,
     _scan_and_refine,
     best_rate,
@@ -175,7 +177,7 @@ def test_criterion_07_targets_match_the_v_axis_end():
     # peaks at the axis's upper end, lies inside criterion 7's band, and is
     # reported outside the trusted domain.  Consistent with the targets, not
     # confirmed by the paper.
-    axis = linspace(1.05, 10.0, 20)
+    axis = linspace(1.05, V_HI, 20)
     lines, ok = [], True
     for variant, want in ((Variant.EIGHT_ZPC, 1.2), (Variant.FOUR_ZPC, 0.9)):
         configs = [config_for(variant, Case.SYMMETRIC, 1.0, variance_v=v) for v in axis]
@@ -183,10 +185,10 @@ def test_criterion_07_targets_match_the_v_axis_end():
         best = max(range(len(axis)), key=reaches.__getitem__)
         reached = configs[best]._replace(geometry=configs[best].geometry.scaled(reaches[best]))
         flagged = reached.at_t(best_rate(reached)[0]).warn_domain
-        ok &= axis[best] == 10.0 and 0.85 * want <= reaches[best] <= 1.15 * want and flagged
+        ok &= axis[best] == V_HI and 0.85 * want <= reaches[best] <= 1.15 * want and flagged
         lines.append(
             f"{variant.value} {reaches[best]:.3f} km at V = {axis[best]:g} "
-            f"(want {want} +- 15% at V = 10), outside the domain: {flagged}"
+            f"(want {want} +- 15% at V = {V_HI:g}), outside the domain: {flagged}"
         )
     print("criterion 07 at the V axis end: " + "; ".join(lines))
     assert ok, lines
@@ -237,12 +239,7 @@ def _beta_threshold(variant: Variant, case: Case, distance_km: float):
         return beta_zero_crossing(config_for(variant, case, distance_km, variance_v=v), BETA_GRID)
 
     v_star, (beta0, t_at) = _scan_and_refine(
-        crossing,
-        lambda c: -c[0],
-        BETA_GRID.v_points(),
-        BETA_GRID.v_lo,
-        BETA_GRID.v_hi,
-        BETA_GRID.refine_iters,
+        crossing, lambda c: -c[0], BETA_GRID.v_points(), V_LO, V_HI, BETA_GRID.refine_iters
     )
     cfg = config_for(variant, case, distance_km, variance_v=v_star)
     return beta0, cfg.at_t(t_at)
@@ -274,7 +271,7 @@ def test_criterion_10_beta_threshold_ordering():
                 worst_analytic = max(worst_analytic, abs(beta0 - res.chi_be / res.i_ab))
                 v, t_at = cfg.variance_v, cfg.t
                 at = f"v* {v:.3f}, t* {t_at:.3f}"
-                if min(v - BETA_GRID.v_lo, BETA_GRID.v_hi - v) < 1e-3:
+                if min(v - V_LO, V_HI - v) < 1e-3:
                     at += " [grid edge]"
                 if cfg.warn_domain:
                     at += f" [T V_M {t_at * (v - 1.0):.2f} > 0.5]"

@@ -59,9 +59,8 @@ REDUCED_GRID = st.fixed_dictionaries(
         "v_steps": st.integers(2, 4).map(str),
         "refine_iters": st.integers(0, 2).map(str),
     },
-    optional={"v_lo": _number(1.0, 4.99, exclude_min=True), "v_hi": _number(5.0, 12.0)},
 )
-GRID_KEYS = ["t_steps", "v_lo", "v_hi", "v_steps", "refine_iters"]
+GRID_KEYS = ["t_steps", "v_steps", "refine_iters"]
 
 
 def _hostile_over(*keys: str):

@@ -12,6 +12,8 @@ from mdicvqkd.keyrate import ProtocolConfig, secret_key_rate
 from mdicvqkd.modulation import Scheme
 from mdicvqkd.optimize import (
     T_LO,
+    V_HI,
+    V_LO,
     OptimizationGrid,
     _golden_max,
     _scan_and_refine,
@@ -45,7 +47,7 @@ def test_grid_points():
     assert ts[0] > T_LO  # lower end exclusive: T = 0 is no channel
     assert ts[-1] == 1.0
     vs = grid.v_points()
-    assert vs == [grid.v_lo, (grid.v_lo + grid.v_hi) / 2.0, grid.v_hi]
+    assert vs == [V_LO, (V_LO + V_HI) / 2.0, V_HI]
 
 
 def test_grid_ends_exactly_on_its_bounds():
@@ -66,18 +68,14 @@ def test_grid_ends_exactly_on_its_bounds():
 
 
 def test_grid_validation():
-    with pytest.raises(TypeError):
-        OptimizationGrid(t_lo=0.1)  # the T bracket is (T_LO, 1], no field
-    with pytest.raises(ValueError):
-        OptimizationGrid(v_lo=0.9)
+    # the T bracket is (T_LO, 1] and the V box [V_LO, V_HI], no field
+    for name, value in (("t_lo", 0.1), ("v_lo", 2.0), ("v_hi", 5.0)):
+        with pytest.raises(TypeError):
+            OptimizationGrid(**{name: value})
     with pytest.raises(ValueError):
         OptimizationGrid(t_steps=1)
     with pytest.raises(ValueError):
         OptimizationGrid(refine_iters=-1)
-    for name in ("v_lo", "v_hi"):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
-                OptimizationGrid(**{name: bad})
 
 
 def identity(value):
@@ -273,6 +271,24 @@ def test_optimize_tv_beats_variance_sweep():
         assert best_rate(cfg._replace(variance_v=v))[1].skr <= best.skr + 1e-15
 
 
+@pytest.mark.parametrize("rising", [True, False], ids=["rising", "falling"])
+def test_optimize_tv_searches_only_the_v_box(rising, monkeypatch):
+    # a rate rising toward either end of [V_LO, V_HI] pins v* on that end,
+    # and the refinement beside it probes nothing outside the box
+    probes = []
+
+    def monotone(cfg, grid):
+        v = cfg.variance_v
+        probes.append(v)
+        return 1.0, SimpleNamespace(physical=True, skr=v if rising else 1.0 / v)
+
+    monkeypatch.setattr(mdicvqkd.optimize, "best_rate", monotone)
+    v_star, _ = optimize_tv(config(), OptimizationGrid(v_steps=5))
+    assert v_star == (V_HI if rising else V_LO)
+    assert len(probes) > 5  # the golden refinement ran
+    assert V_LO <= min(probes) and max(probes) <= V_HI
+
+
 def test_max_distance_brackets_the_crossing():
     cfg = config(l_ac=10.0)
     reach = max_distance(cfg)
@@ -315,7 +331,7 @@ def test_max_distance_tolerance_below_float_spacing_terminates(monkeypatch):
 
     monkeypatch.setattr(mdicvqkd.optimize, "best_rate", only_at_zero)
     reach = max_distance(config(l_ac=1.0))
-    assert 0.0 <= reach < 1e-300
+    assert reach == 0.0  # no key at any positive length
     assert min(calls[1:]) == 5e-324  # the smallest subnormal
 
 

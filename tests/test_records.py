@@ -44,14 +44,12 @@ REFUSED = [
     # bool is an int subclass, but True is no step count
     (OptimizationGrid(), "t_steps", True),
     (OptimizationGrid(), "refine_iters", True),
-    (OptimizationGrid(), "v_lo", 20.0),
-    # nor is a bool any length, noise or bound, though True == 1 and False == 0
+    # nor is a bool any length or noise, though True == 1 and False == 0
     (LinkGeometry(10.0, 2.0), "l_ac", True),
     (LinkGeometry(10.0, 2.0), "l_bc", False),
     (config(), "beta", True),
     (config(), "eps_a", False),
     (config(), "eps_b", True),
-    (OptimizationGrid(), "v_hi", True),
     # a scheme is a Scheme and a geometry a LinkGeometry, not its name or fields
     (config(), "scheme", "eight"),
     (config(), "geometry", (10.0, 0.0, 0.2)),
@@ -97,8 +95,6 @@ def test_keyword_construction_validates():
     assert (cfg.geometry.l_ac, cfg.geometry.l_bc) == (4.0, 1.5)
     assert OptimizationGrid(t_steps=20, refine_iters=5)._asdict() == {
         "t_steps": 20,
-        "v_lo": 1.01,
-        "v_hi": 10.0,
         "v_steps": 200,
         "refine_iters": 5,
     }

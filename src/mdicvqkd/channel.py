@@ -16,23 +16,15 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
+from .modulation import check_nonneg
+
 # The one fiber loss, dB/km; a loss mu over L is the same channel as this over L mu / 0.2.
 FIBER_LOSS_DB_PER_KM = 0.2
 
 
 def fiber_transmittance(length_km: float) -> float:
     """Power transmittance of a fiber span, 10^(-mu L / 10), mu = FIBER_LOSS_DB_PER_KM."""
-    if isinstance(length_km, bool) or not (0.0 <= length_km < math.inf):
-        raise ValueError(f"length_km must be a finite number >= 0, got {length_km}")
-    return 10.0 ** (-FIBER_LOSS_DB_PER_KM * length_km / 10.0)
-
-
-def refuse_bool(**numbers) -> None:
-    """Refuse a bool among the named numbers of a record: True is an int
-    equal to 1, but no length, noise or variance."""
-    for name, x in numbers.items():
-        if isinstance(x, bool):
-            raise ValueError(f"{name} must be a number, got {x}")
+    return 10.0 ** (-FIBER_LOSS_DB_PER_KM * check_nonneg("length_km", length_km) / 10.0)
 
 
 class LinkGeometry(namedtuple("LinkGeometry", "l_ac l_bc")):
@@ -43,12 +35,7 @@ class LinkGeometry(namedtuple("LinkGeometry", "l_ac l_bc")):
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, l_ac: float, l_bc: float):
-        refuse_bool(l_ac=l_ac, l_bc=l_bc)
-        if not (math.isfinite(l_ac) and math.isfinite(l_bc)):
-            raise ValueError("link lengths must be finite")
-        if l_ac < 0.0 or l_bc < 0.0:
-            raise ValueError("link lengths must be >= 0")
-        return tuple.__new__(cls, (l_ac, l_bc))
+        return tuple.__new__(cls, (check_nonneg("l_ac", l_ac), check_nonneg("l_bc", l_bc)))
 
     @property
     def total_km(self) -> float:
@@ -57,7 +44,7 @@ class LinkGeometry(namedtuple("LinkGeometry", "l_ac l_bc")):
     def scaled(self, total_km: float) -> "LinkGeometry":
         """Same arm ratio stretched to a new total length; a zero-length
         geometry has no ratio and becomes a single Alice-relay link."""
-        refuse_bool(total_km=total_km)
+        check_nonneg("total_km", total_km)
         if self.total_km == 0.0:
             return LinkGeometry(total_km, 0.0)
         f = total_km / self.total_km
@@ -94,9 +81,8 @@ def equivalent_channel(
     the mismatch-cancelling g^2 of the module docstring; any other gain
     would add that docstring's last term to eps_th.
     """
-    numbers = not (isinstance(eps_a, bool) or isinstance(eps_b, bool))
-    if not (numbers and 0.0 <= eps_a < math.inf and 0.0 <= eps_b < math.inf):
-        raise ValueError(f"eps_a and eps_b must be finite numbers >= 0, got {eps_a}, {eps_b}")
+    check_nonneg("eps_a", eps_a)
+    check_nonneg("eps_b", eps_b)
     if not (1.0 < v_bob < math.inf):
         raise ValueError(f"v_bob must be finite and exceed 1, got {v_bob}")
     t_a = fiber_transmittance(geometry.l_ac)

@@ -15,8 +15,8 @@ from collections import namedtuple
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .channel import EquivalentChannel, LinkGeometry, equivalent_channel, refuse_bool
-from .modulation import ALPHA_SQ_MAX, Scheme, correlation_z
+from .channel import EquivalentChannel, LinkGeometry, equivalent_channel
+from .modulation import ALPHA_SQ_MAX, Scheme, check_nonneg, correlation_z
 from .zpc import ZpcSetting, apply_zpc
 
 # States are declared unphysical only below this, leaving room for
@@ -66,14 +66,12 @@ class ProtocolConfig(
             raise ValueError(f"geometry must be a LinkGeometry, got {geometry!r}")
         if zpc is not None:
             ZpcSetting.on(zpc)
-        refuse_bool(variance_v=variance_v, beta=beta, eps_a=eps_a, eps_b=eps_b)
-        if not (1.0 < variance_v <= VARIANCE_MAX):
+        if isinstance(variance_v, bool) or not (1.0 < variance_v <= VARIANCE_MAX):
             raise ValueError(f"variance_v must be in (1, {VARIANCE_MAX:g}], got {variance_v}")
-        if not (0.0 < beta <= 1.0):
+        if isinstance(beta, bool) or not (0.0 < beta <= 1.0):
             raise ValueError(f"beta must be in (0, 1], got {beta}")
-        for eps in (eps_a, eps_b):
-            if not (eps >= 0.0) or math.isinf(eps):
-                raise ValueError(f"excess noise must be finite and >= 0, got {eps}")
+        check_nonneg("eps_a", eps_a)
+        check_nonneg("eps_b", eps_b)
         return tuple.__new__(cls, (scheme, zpc, variance_v, beta, eps_a, eps_b, geometry))
 
     @property

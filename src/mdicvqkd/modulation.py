@@ -44,11 +44,12 @@ _HALF_ULP = 2.0**-54
 _DENOM_FLOOR = 1e-300
 
 
-def check_alpha_sq(alpha_sq: float) -> float:
-    """The one alpha_sq check: a finite number >= 0, and no bool."""
-    if isinstance(alpha_sq, bool) or not (alpha_sq >= 0.0) or math.isinf(alpha_sq):
-        raise ValueError(f"alpha_sq must be a finite number >= 0, got {alpha_sq}")
-    return alpha_sq
+def check_nonneg(name: str, x: float) -> float:
+    """The one check of an alpha_sq, length or excess noise: a finite number
+    >= 0, and no bool (True is an int equal to 1); returns x."""
+    if isinstance(x, bool) or not (0.0 <= x < math.inf):
+        raise ValueError(f"{name} must be a finite number >= 0, got {x}")
+    return x
 
 
 def _poisson_residue_sums(alpha_sq: float, modulus: int) -> list[float]:
@@ -124,7 +125,7 @@ def lambdas(scheme: Scheme, alpha_sq: float) -> list[float]:
     and from the closed forms of Leverrier & Grangier (PRL 102, 180504)
     on [1, ALPHA_SQ_MAX]; a larger alpha_sq is refused.
     """
-    x = check_alpha_sq(alpha_sq)
+    x = check_nonneg("alpha_sq", alpha_sq)
     if scheme is _EIGHT:
         modulus, closed = 8, _lambdas_eight_closed
     elif scheme is _FOUR:
@@ -141,7 +142,7 @@ def lambdas(scheme: Scheme, alpha_sq: float) -> list[float]:
 def gaussian_z(alpha_sq: float) -> float:
     """EPR correlation sqrt((V_M + 1)^2 - 1) = sqrt(V_M (V_M + 2)) of Gaussian
     modulation; the factored form does not cancel at small V_M."""
-    v_m = 2.0 * check_alpha_sq(alpha_sq)
+    v_m = 2.0 * check_nonneg("alpha_sq", alpha_sq)
     return math.sqrt(v_m * (v_m + 2.0))
 
 

@@ -4,9 +4,9 @@ built from them, which also give the CLI its defaults."""
 
 from enum import Enum
 
-from .channel import LinkGeometry, refuse_bool
+from .channel import LinkGeometry
 from .keyrate import ProtocolConfig
-from .modulation import Scheme
+from .modulation import Scheme, check_nonneg
 
 DEFAULT_BETA = 0.95
 DEFAULT_EPS = 0.002
@@ -57,7 +57,7 @@ def geometry_for(case: Case, distance_km: float) -> LinkGeometry:
     Asymmetric: the whole span is the Alice-relay link.  Symmetric: the
     distance is the Alice-Bob total split in half.
     """
-    refuse_bool(distance_km=distance_km)
+    check_nonneg("distance_km", distance_km)
     if case is Case.ASYMMETRIC:
         return LinkGeometry(distance_km, 0.0)
     return LinkGeometry(distance_km / 2.0, distance_km / 2.0)

@@ -10,7 +10,7 @@ at the attenuated amplitude.
 
 import math
 
-from .modulation import check_alpha_sq
+from .modulation import check_nonneg
 
 
 class ZpcSetting:
@@ -34,6 +34,6 @@ def apply_zpc(alpha_sq: float, t: float) -> tuple[float, float]:
     which passes a finite alpha_sq through untouched with unit success
     probability (1.0 * x == x and exp(x * 0.0) == 1.0).
     """
-    check_alpha_sq(alpha_sq)
+    check_nonneg("alpha_sq", alpha_sq)
     ZpcSetting.on(t)
     return t * alpha_sq, math.exp(alpha_sq * (t - 1.0))

@@ -159,9 +159,13 @@ def test_non_finite_inputs_are_refused():
         (LinkGeometry(0.0, 0.0).scaled, (False,), "total_km"),
         (geometry_for, (Case.SYMMETRIC, True), "distance_km"),
         (geometry_for, (Case.ASYMMETRIC, True), "distance_km"),
+        (LinkGeometry, (1.0, math.inf), "l_bc"),
+        (LinkGeometry(1.0, 1.0).scaled, (math.nan,), "total_km"),
     ],
 )
 def test_bool_is_no_length_noise_or_variance(call, args, name):
-    # True is an int equal to 1: each took it as a 1 km span, a unit noise or a variance
-    with pytest.raises(ValueError, match=name):
+    # True is an int equal to 1: each took it as a 1 km span, a unit noise or a
+    # variance.  Every number but v_bob lies in [0, inf) and has its one message.
+    message = name if name == "v_bob" else f"{name} must be a finite number >= 0"
+    with pytest.raises(ValueError, match=message):
         call(*args)

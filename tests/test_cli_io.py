@@ -339,7 +339,8 @@ def test_cli_keyrate_bad_flags(capsys):
 
 def test_cli_rejects_non_finite(capsys):
     for argv, message in (
-        ("keyrate --eps nan", "excess noise must be finite"),
+        ("keyrate --eps nan", "eps_a must be a finite number >= 0"),
+        ("keyrate --lac nan", "l_ac must be a finite number >= 0, got nan"),
         ("keyrate --lac 16139", "transmittance underflowed to zero"),
         ("keyrate --lac 16200", "transmittance underflowed to zero"),
     ):

@@ -102,6 +102,37 @@ def test_src_imports_only_the_standard_library():
                 assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
+def _bool_tests(node, where):
+    """Yield the dotted def or class enclosing each isinstance(x, bool) below node."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{where}.{child.name}"
+        elif (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Name)
+            and child.func.id == "isinstance"
+            and len(child.args) == 2
+            and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(child.args[1]))
+        ):
+            yield where
+        yield from _bool_tests(child, inner)
+
+
+def test_bool_is_refused_in_four_places():
+    # a number >= 0 goes through modulation.check_nonneg and each ranged rule
+    # states its own bool test once; an inline copy anywhere else fails here
+    places = set()
+    for path in Path(SRC, "mdicvqkd").glob("*.py"):
+        places.update(_bool_tests(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert places == {
+        "modulation.check_nonneg",
+        "zpc.ZpcSetting.on",
+        "optimize.check_steps",
+        "keyrate.ProtocolConfig.__new__",
+    }
+
+
 def test_package_names_resolve():
     for name in mdicvqkd.__all__:
         assert getattr(mdicvqkd, name) is not None
